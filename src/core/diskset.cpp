@@ -34,18 +34,21 @@ std::string default_dir_root() {
   return "/tmp";
 }
 
+std::atomic<std::uint64_t> g_store_nonce{1};
+std::atomic<std::size_t> g_thread_ordinal{0};
+
 /// Tier-0 cache: one direct-mapped signature array per (thread, store).
 /// `owner` is the owning store's nonce — a thread that alternates between
 /// stores simply re-seeds the array. Only signatures that are KNOWN inserted
 /// are written here, so a hit is always a true duplicate. Signature 0 is
-/// never cached (0 marks an empty slot).
+/// never cached (0 marks an empty slot). `ordinal` picks the thread's
+/// duplicate-counter stripe in every store it inserts into.
 struct RecentCache {
   std::uint64_t owner = 0;
   std::vector<std::uint64_t> slots;
+  std::size_t ordinal = g_thread_ordinal.fetch_add(1, std::memory_order_relaxed);
 };
 thread_local RecentCache t_recent;
-
-std::atomic<std::uint64_t> g_store_nonce{1};
 
 }  // namespace
 
@@ -180,15 +183,15 @@ void DiskTier::drop_run(Run& r) noexcept {
 bool DiskTier::contains(std::size_t shard, std::uint64_t sig) {
   Shard& s = shards_[shard];
   if (s.runs.empty()) return false;
-  cold_probes_.fetch_add(1, std::memory_order_relaxed);
+  bump_locked(s.cold_probes);
   if (!s.bloom.maybe(sig)) {
-    bloom_skips_.fetch_add(1, std::memory_order_relaxed);
+    bump_locked(s.bloom_skips);
     return false;
   }
   // Newest-first: DFS dedup hits skew heavily toward recent spills.
   for (auto it = s.runs.rbegin(); it != s.runs.rend(); ++it) {
     if (std::binary_search(it->data, it->data + it->count, sig)) {
-      cold_hits_.fetch_add(1, std::memory_order_relaxed);
+      bump_locked(s.cold_hits);
       return true;
     }
   }
@@ -252,10 +255,11 @@ TieredSigSet::TieredSigSet(const DedupConfig& cfg)
       id_(g_store_nonce.fetch_add(1, std::memory_order_relaxed)) {}
 
 bool TieredSigSet::insert(std::uint64_t sig) {
+  RecentCache& rc = t_recent;
+  HitCell& hits = hits_[rc.ordinal % kHitStripes];
   std::size_t slot = 0;
   const bool use_recent = cfg_.recent_bits > 0;
   if (use_recent) {
-    RecentCache& rc = t_recent;
     const std::size_t want = std::size_t{1} << cfg_.recent_bits;
     if (rc.owner != id_ || rc.slots.size() != want) {
       rc.owner = id_;
@@ -263,19 +267,23 @@ bool TieredSigSet::insert(std::uint64_t sig) {
     }
     slot = static_cast<std::size_t>(mix64(sig)) & (want - 1);
     if (sig != 0 && rc.slots[slot] == sig) {
-      recent_hits_.fetch_add(1, std::memory_order_relaxed);
+      hits.recent_hits.fetch_add(1, std::memory_order_relaxed);
       return false;
     }
   }
   const bool fresh = mem_.insert(sig);
-  if (!fresh) dup_returns_.fetch_add(1, std::memory_order_relaxed);
-  if (use_recent) t_recent.slots[slot] = sig;
+  if (!fresh) hits.dup_returns.fetch_add(1, std::memory_order_relaxed);
+  if (use_recent) rc.slots[slot] = sig;
   return fresh;
 }
 
 TierStats TieredSigSet::tier_stats() const {
   TierStats t;
-  t.recent_hits = recent_hits_.load(std::memory_order_relaxed);
+  std::int64_t dup_returns = 0;
+  for (const HitCell& c : hits_) {
+    t.recent_hits += c.recent_hits.load(std::memory_order_relaxed);
+    dup_returns += c.dup_returns.load(std::memory_order_relaxed);
+  }
   if (disk_) {
     t.cold_probes = disk_->cold_probes();
     t.bloom_skips = disk_->bloom_skips();
@@ -285,8 +293,7 @@ TierStats TieredSigSet::tier_stats() const {
     t.spill_bytes = disk_->spill_bytes();
     t.merges = disk_->merges();
   }
-  t.mem_hits = std::max<std::int64_t>(
-      0, dup_returns_.load(std::memory_order_relaxed) - t.cold_hits);
+  t.mem_hits = std::max<std::int64_t>(0, dup_returns - t.cold_hits);
   return t;
 }
 

@@ -58,9 +58,9 @@ struct DedupConfig {
 
   [[nodiscard]] static DedupConfig from_env();
 
-  /// True when the store degenerates to the plain flat/sharded in-memory
-  /// set (no budget, no disk): explorers then keep their zero-overhead
-  /// legacy containers.
+  /// True when the store degenerates to the plain in-memory set (no
+  /// budget, no disk): 1-thread sweeps then keep their zero-overhead
+  /// FlatSigSet, and a TieredSigSet is tier 0 over unbudgeted shards.
   [[nodiscard]] bool plain() const noexcept {
     return !disk_tier && mem_budget_bytes == 0;
   }
@@ -95,9 +95,9 @@ class DiskTier final : public ShardedSigSet::ColdTier {
   bool contains(std::size_t shard, std::uint64_t sig) override;
   void spill(std::size_t shard, FlatSigSet& set) override;
 
-  [[nodiscard]] std::int64_t cold_probes() const noexcept { return cold_probes_.load(std::memory_order_relaxed); }
-  [[nodiscard]] std::int64_t bloom_skips() const noexcept { return bloom_skips_.load(std::memory_order_relaxed); }
-  [[nodiscard]] std::int64_t cold_hits() const noexcept { return cold_hits_.load(std::memory_order_relaxed); }
+  [[nodiscard]] std::int64_t cold_probes() const noexcept { return sum(&Shard::cold_probes); }
+  [[nodiscard]] std::int64_t bloom_skips() const noexcept { return sum(&Shard::bloom_skips); }
+  [[nodiscard]] std::int64_t cold_hits() const noexcept { return sum(&Shard::cold_hits); }
   [[nodiscard]] std::int64_t spills() const noexcept { return spills_.load(std::memory_order_relaxed); }
   [[nodiscard]] std::int64_t spilled_sigs() const noexcept { return spilled_sigs_.load(std::memory_order_relaxed); }
   [[nodiscard]] std::int64_t spill_bytes() const noexcept { return spill_bytes_.load(std::memory_order_relaxed); }
@@ -121,12 +121,24 @@ class DiskTier final : public ShardedSigSet::ColdTier {
     const std::uint64_t* data = nullptr;
     std::size_t count = 0;
   };
-  struct Shard {
+  /// Padded to whole cache lines: probes of different shards run under
+  /// different mutexes and must not write a common line.
+  struct alignas(kCacheLineBytes) Shard {
     Bloom bloom;
     std::vector<Run> runs;
     std::size_t spilled = 0;              ///< signatures across all runs
     std::vector<std::uint64_t> scratch;   ///< drain/merge buffer (reused)
+    // Probe traffic, written under the shard mutex, summed by the accessors.
+    std::atomic<std::int64_t> cold_probes{0};
+    std::atomic<std::int64_t> bloom_skips{0};
+    std::atomic<std::int64_t> cold_hits{0};
   };
+
+  [[nodiscard]] std::int64_t sum(std::atomic<std::int64_t> Shard::*counter) const noexcept {
+    std::int64_t n = 0;
+    for (const Shard& s : shards_) n += (s.*counter).load(std::memory_order_relaxed);
+    return n;
+  }
 
   void ensure_dir();
   Run write_run(const std::vector<std::uint64_t>& sigs, std::size_t shard);
@@ -139,9 +151,6 @@ class DiskTier final : public ShardedSigSet::ColdTier {
   std::atomic<std::uint64_t> run_seq_{0};
   std::vector<Shard> shards_;
 
-  std::atomic<std::int64_t> cold_probes_{0};
-  std::atomic<std::int64_t> bloom_skips_{0};
-  std::atomic<std::int64_t> cold_hits_{0};
   std::atomic<std::int64_t> spills_{0};
   std::atomic<std::int64_t> spilled_sigs_{0};
   std::atomic<std::int64_t> spill_bytes_{0};
@@ -177,10 +186,18 @@ class TieredSigSet {
   std::unique_ptr<DiskTier> disk_;  ///< null when the disk tier is off
   ShardedSigSet mem_;
   std::uint64_t id_;  ///< nonce binding tier-0 TLS caches to this store
-  std::atomic<std::int64_t> recent_hits_{0};
-  /// Duplicates reported by the locked path (tier 1 or tier 2); tier_stats
-  /// derives mem_hits as dup_returns - cold_hits.
-  std::atomic<std::int64_t> dup_returns_{0};
+
+  /// Duplicate counters of one thread stripe, on a cache line of its own: a
+  /// thread only bumps its own stripe and tier_stats() sums them, so
+  /// counting a duplicate never writes a line another inserter writes.
+  struct alignas(kCacheLineBytes) HitCell {
+    std::atomic<std::int64_t> recent_hits{0};
+    /// Duplicates reported by the locked path (tier 1 or tier 2);
+    /// tier_stats derives mem_hits as dup_returns - cold_hits.
+    std::atomic<std::int64_t> dup_returns{0};
+  };
+  static constexpr std::size_t kHitStripes = 16;
+  HitCell hits_[kHitStripes];
 };
 
 }  // namespace efd

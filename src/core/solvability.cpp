@@ -47,11 +47,13 @@ World make_explore_world(const ExploreConfig& cfg) {
 }
 
 // ---------------------------------------------------------------------------
-// Budget + dedup context: the one piece of exploration state that is shared
-// when the frontier is sharded over threads. The sequential variant keeps the
-// hot path free of atomics; the parallel variant is the only cross-thread
-// state the workers touch (see DESIGN.md for why the clean-sweep outcome is
-// nevertheless thread-count-invariant).
+// Budget + dedup context: what an explorer charges states against and
+// inserts signatures into. The sequential variant keeps the hot path free of
+// atomics. A parallel sweep gives every explorer (the probe and each root
+// job) its own WorkerContext over one shared ParallelContext, so the hot
+// path still writes nothing shared except the dedup insert itself (see
+// DESIGN.md for why the clean-sweep outcome is nevertheless
+// thread-count-invariant).
 // ---------------------------------------------------------------------------
 
 class ExploreContext {
@@ -64,17 +66,16 @@ class ExploreContext {
   virtual bool visit(std::uint64_t sig) = 0;
   virtual bool stopped() const = 0;
   virtual void stop() = 0;
-  virtual std::int64_t states() const = 0;
-  virtual bool exhausted() const = 0;
-  /// True once the dedup store hit its memory cap with no disk tier — the
-  /// sweep is aborted (charge() starts failing) and certifies nothing.
-  virtual bool mem_exhausted() const = 0;
-  /// The tiered store, when one is configured (nullptr = plain legacy set).
-  virtual const TieredSigSet* store() const = 0;
-  /// Dedup traffic so far: (lookups, first-inserts). For fully-covered clean
-  /// sweeps both are engine- and thread-count-invariant (unique signatures
-  /// are expanded exactly once, so lookup multiplicity is state-determined).
-  virtual std::pair<std::int64_t, std::int64_t> dedup_traffic() const = 0;
+};
+
+/// Budget and dedup traffic of a sweep, or of one parallel job. For
+/// fully-covered clean sweeps all three are engine- and
+/// thread-count-invariant (unique signatures are expanded exactly once, so
+/// lookup multiplicity is state-determined).
+struct SweepCounts {
+  std::int64_t states = 0;
+  std::int64_t queries = 0;  ///< dedup lookups
+  std::int64_t misses = 0;   ///< dedup first-inserts
 };
 
 class SequentialContext final : public ExploreContext {
@@ -103,15 +104,13 @@ class SequentialContext final : public ExploreContext {
   }
   bool stopped() const override { return stop_; }
   void stop() override { stop_ = true; }
-  std::int64_t states() const override { return states_; }
-  bool exhausted() const override { return exhausted_; }
-  bool mem_exhausted() const override {
-    return tiered_ != nullptr && tiered_->mem_exhausted();
-  }
-  const TieredSigSet* store() const override { return tiered_.get(); }
-  std::pair<std::int64_t, std::int64_t> dedup_traffic() const override {
-    return {queries_, misses_};
-  }
+  bool exhausted() const { return exhausted_; }
+  /// True once the dedup store hit its memory cap with no disk tier — the
+  /// sweep is aborted (charge() starts failing) and certifies nothing.
+  bool mem_exhausted() const { return tiered_ != nullptr && tiered_->mem_exhausted(); }
+  /// The tiered store, when one is configured (nullptr = plain legacy set).
+  const TieredSigSet* store() const { return tiered_.get(); }
+  SweepCounts counts() const { return {states_, queries_, misses_}; }
 
  private:
   std::int64_t max_states_;
@@ -124,67 +123,117 @@ class SequentialContext final : public ExploreContext {
   std::unique_ptr<TieredSigSet> tiered_;  ///< replaces visited_ when configured
 };
 
-class ParallelContext final : public ExploreContext {
+/// The shared half of a parallel sweep: the dedup store, the budget pool,
+/// the stop/exhausted flags and the totals. Workers touch the pool once per
+/// kChunk states and the totals once per job; every member written during a
+/// sweep sits on a cache line of its own, so none is ping-ponged per state.
+/// The store is always a TieredSigSet: its plain config is exactly the
+/// tier-0 per-thread cache over unbudgeted shards, and tier 0 answers most
+/// duplicates without taking a shard lock.
+class ParallelContext {
  public:
+  /// States a worker reserves from the budget pool at a time.
+  static constexpr std::int64_t kChunk = 4096;
+
   ParallelContext(std::int64_t max_states, const DedupConfig& store)
-      : max_states_(max_states),
-        plain_(store.plain() ? std::make_unique<ShardedSigSet>() : nullptr),
-        tiered_(store.plain() ? nullptr : std::make_unique<TieredSigSet>(store)) {}
-  bool charge() override {
-    if (tiered_ != nullptr && tiered_->mem_exhausted()) {
-      exhausted_.store(true, std::memory_order_relaxed);
-      return false;
-    }
-    if (states_.fetch_add(1, std::memory_order_relaxed) + 1 > max_states_) {
-      exhausted_.store(true, std::memory_order_relaxed);
-      return false;
-    }
-    return true;
+      : store_(store), budget_(std::max<std::int64_t>(max_states, 0)) {}
+
+  /// Grants up to kChunk states of budget, capped at what the pool still
+  /// holds; 0 once the pool is dry or the store hit its memory cap.
+  std::int64_t reserve() {
+    if (store_.mem_exhausted()) return 0;
+    std::int64_t left = budget_.load(std::memory_order_relaxed);
+    std::int64_t grant = 0;
+    do {
+      grant = std::min(left, kChunk);
+      if (grant == 0) return 0;
+    } while (!budget_.compare_exchange_weak(left, left - grant, std::memory_order_relaxed));
+    return grant;
   }
-  bool visit(std::uint64_t sig) override {
-    queries_.fetch_add(1, std::memory_order_relaxed);
-    const bool fresh = tiered_ != nullptr ? tiered_->insert(sig) : plain_->insert(sig);
-    if (fresh) misses_.fetch_add(1, std::memory_order_relaxed);
-    return fresh;
+  /// Ends one job: returns its unused allowance to the pool and adds its
+  /// counts to the sweep totals.
+  void finish_job(const SweepCounts& c, std::int64_t unused) {
+    if (unused > 0) budget_.fetch_add(unused, std::memory_order_relaxed);
+    totals_.states.fetch_add(c.states, std::memory_order_relaxed);
+    totals_.queries.fetch_add(c.queries, std::memory_order_relaxed);
+    totals_.misses.fetch_add(c.misses, std::memory_order_relaxed);
   }
-  bool stopped() const override { return stop_.load(std::memory_order_acquire); }
-  void stop() override { stop_.store(true, std::memory_order_release); }
-  std::int64_t states() const override { return states_.load(std::memory_order_relaxed); }
-  bool exhausted() const override { return exhausted_.load(std::memory_order_relaxed); }
-  bool mem_exhausted() const override {
-    return tiered_ != nullptr && tiered_->mem_exhausted();
-  }
-  const TieredSigSet* store() const override { return tiered_.get(); }
-  std::pair<std::int64_t, std::int64_t> dedup_traffic() const override {
-    return {queries_.load(std::memory_order_relaxed), misses_.load(std::memory_order_relaxed)};
+  TieredSigSet& store() { return store_; }
+  bool stopped() const { return stop_.load(std::memory_order_acquire); }
+  void stop() { stop_.store(true, std::memory_order_release); }
+  void set_exhausted() { exhausted_.store(true, std::memory_order_relaxed); }
+  bool exhausted() const { return exhausted_.load(std::memory_order_relaxed); }
+  /// Sweep totals; exact once every job has finished.
+  SweepCounts totals() const {
+    return {totals_.states.load(std::memory_order_relaxed),
+            totals_.queries.load(std::memory_order_relaxed),
+            totals_.misses.load(std::memory_order_relaxed)};
   }
 
  private:
-  std::int64_t max_states_;
-  std::atomic<std::int64_t> states_{0};
-  std::atomic<std::int64_t> queries_{0};
-  std::atomic<std::int64_t> misses_{0};
-  std::atomic<bool> stop_{false};
-  std::atomic<bool> exhausted_{false};
-  // Exactly one of these is live: the plain set keeps the legacy workloads
-  // free of tier bookkeeping; the tiered store carries budget + disk spill.
-  std::unique_ptr<ShardedSigSet> plain_;
-  std::unique_ptr<TieredSigSet> tiered_;
+  TieredSigSet store_;
+  alignas(kCacheLineBytes) std::atomic<std::int64_t> budget_;  ///< unreserved states
+  alignas(kCacheLineBytes) std::atomic<bool> stop_{false};
+  alignas(kCacheLineBytes) std::atomic<bool> exhausted_{false};
+  struct alignas(kCacheLineBytes) Totals {
+    std::atomic<std::int64_t> states{0};
+    std::atomic<std::int64_t> queries{0};
+    std::atomic<std::int64_t> misses{0};
+  } totals_;
+};
+
+/// One parallel explorer's view of the sweep: it counts states, lookups and
+/// first-inserts in plain integers and charges states against an allowance
+/// reserved from the shared pool in chunks. The destructor hands both back
+/// to the ParallelContext, so a clean sweep's totals are exact sums over its
+/// jobs. A worker whose pool request comes back empty reports exhaustion
+/// even when other workers still hold unused allowance; near the budget
+/// boundary a parallel sweep can therefore over-report exhaustion, never
+/// under-report it, and every exhaustion reruns the canonical sequential
+/// pass.
+class WorkerContext final : public ExploreContext {
+ public:
+  explicit WorkerContext(ParallelContext& shared) : shared_(shared) {}
+  ~WorkerContext() override { shared_.finish_job(counts_, allowance_); }
+  WorkerContext(const WorkerContext&) = delete;
+  WorkerContext& operator=(const WorkerContext&) = delete;
+
+  bool charge() override {
+    ++counts_.states;
+    if (allowance_ == 0 && (allowance_ = shared_.reserve()) == 0) {
+      shared_.set_exhausted();
+      return false;
+    }
+    --allowance_;
+    return true;
+  }
+  bool visit(std::uint64_t sig) override {
+    ++counts_.queries;
+    const bool fresh = shared_.store().insert(sig);
+    counts_.misses += fresh ? 1 : 0;
+    return fresh;
+  }
+  bool stopped() const override { return shared_.stopped(); }
+  void stop() override { shared_.stop(); }
+
+ private:
+  ParallelContext& shared_;
+  SweepCounts counts_;
+  std::int64_t allowance_ = 0;  ///< reserved states not yet charged
 };
 
 /// Fills the context-derived fields of `stats` at the end of a sweep.
-void harvest_context(ExploreStats& stats, const ExploreContext& ctx, int threads,
-                     double elapsed_s) {
-  stats.states = ctx.states();
-  const auto [queries, misses] = ctx.dedup_traffic();
-  stats.dedup_queries = queries;
-  stats.dedup_misses = misses;
-  stats.dedup_hits = queries - misses;
+void harvest_context(ExploreStats& stats, const SweepCounts& counts, bool mem_exhausted,
+                     const TieredSigSet* store, int threads, double elapsed_s) {
+  stats.states = counts.states;
+  stats.dedup_queries = counts.queries;
+  stats.dedup_misses = counts.misses;
+  stats.dedup_hits = counts.queries - counts.misses;
   stats.threads = threads;
   stats.elapsed_s = elapsed_s;
   stats.states_per_s = elapsed_s > 0 ? static_cast<double>(stats.states) / elapsed_s : 0;
-  stats.mem_exhausted = ctx.mem_exhausted();
-  if (const TieredSigSet* store = ctx.store()) {
+  stats.mem_exhausted = mem_exhausted;
+  if (store != nullptr) {
     const TierStats t = store->tier_stats();
     stats.dedup_recent_hits = t.recent_hits;
     stats.dedup_mem_hits = t.mem_hits;
@@ -782,7 +831,7 @@ ExploreOutcome explore_sequential(const TaskPtr& task,
     out = e.take_outcome();
   }
   const std::chrono::duration<double> dt = std::chrono::steady_clock::now() - t0;
-  out.states = ctx.states();
+  out.states = ctx.counts().states;
   if (ctx.exhausted()) out.budget_exhausted = true;
   if (ctx.mem_exhausted()) {
     out.mem_exhausted = true;
@@ -790,20 +839,21 @@ ExploreOutcome explore_sequential(const TaskPtr& task,
   }
   out.stats.terminal_runs = out.terminal_runs;
   out.stats.blocked_runs = out.blocked_runs;
-  harvest_context(out.stats, ctx, /*threads=*/1, dt.count());
+  harvest_context(out.stats, ctx.counts(), ctx.mem_exhausted(), ctx.store(), /*threads=*/1,
+                  dt.count());
   return out;
 }
 
 /// Parallel frontier: a short deterministic sequential expansion splits the
 /// tree into >= 4*threads un-entered subtree roots, which a work-stealing
-/// pool then explores against a shared budget and a shared first-insert-wins
-/// signature set. A CLEAN sweep's outcome is thread-count-invariant (the
-/// expanded-signature closure does not depend on insertion races — DESIGN.md
-/// gives the argument); any violation or budget exhaustion makes the
-/// parallel numbers schedule-dependent, so those cases rerun the sequential
-/// engine and return its canonical outcome — this doubles as the
-/// "lexicographically smallest bad_schedule wins" merge rule, since
-/// sequential DFS finds exactly that schedule first.
+/// pool then explores against a shared budget pool and a shared
+/// first-insert-wins signature set. A CLEAN sweep's outcome is
+/// thread-count-invariant (the expanded-signature closure does not depend on
+/// insertion races — DESIGN.md gives the argument); any violation or budget
+/// exhaustion makes the parallel numbers schedule-dependent, so those cases
+/// rerun the sequential engine and return its canonical outcome — this
+/// doubles as the "lexicographically smallest bad_schedule wins" merge rule,
+/// since sequential DFS finds exactly that schedule first.
 ExploreOutcome explore_parallel(const TaskPtr& task,
                                 const std::function<ProcBody(int, Value)>& body,
                                 const ValueVec& inputs, const ExploreConfig& cfg) {
@@ -814,7 +864,8 @@ ExploreOutcome explore_parallel(const TaskPtr& task,
   ExploreOutcome expansion_out;
   std::vector<std::vector<int>> roots;
   {
-    IncrementalExplorer probe(task, body, inputs, cfg, ctx);
+    WorkerContext probe_ctx(ctx);
+    IncrementalExplorer probe(task, body, inputs, cfg, probe_ctx);
     std::deque<std::vector<int>> queue;
     queue.emplace_back();
     while (!queue.empty() && queue.size() < target && !ctx.stopped()) {
@@ -841,7 +892,8 @@ ExploreOutcome explore_parallel(const TaskPtr& task,
     for (std::size_t i = 0; i < roots.size(); ++i) {
       jobs.push_back([&, i] {
         if (ctx.stopped()) return;
-        IncrementalExplorer e(task, body, inputs, cfg, ctx);
+        WorkerContext job_ctx(ctx);
+        IncrementalExplorer e(task, body, inputs, cfg, job_ctx);
         e.seek(roots[i]);
         e.dfs();
         parts[i] = e.take_outcome();
@@ -852,7 +904,7 @@ ExploreOutcome explore_parallel(const TaskPtr& task,
 
   bool clean = expansion_out.ok;
   for (const ExploreOutcome& p : parts) clean = clean && p.ok;
-  if (!clean || ctx.exhausted()) {
+  if (!clean || ctx.exhausted() || ctx.store().mem_exhausted()) {
     // Canonical deterministic outcome (identical to threads == 1).
     ExploreConfig seq = cfg;
     seq.threads = 1;
@@ -871,12 +923,14 @@ ExploreOutcome explore_parallel(const TaskPtr& task,
     out.stats.redelivers += p.stats.redelivers;
     out.stats.ghost_hits += p.stats.ghost_hits;
   }
-  out.states = ctx.states();
+  const SweepCounts totals = ctx.totals();
+  out.states = totals.states;
   const std::chrono::duration<double> dt = std::chrono::steady_clock::now() - t0;
   out.stats.terminal_runs = out.terminal_runs;
   out.stats.blocked_runs = out.blocked_runs;
   out.stats.pool_steals = pool_stats.steals;
-  harvest_context(out.stats, ctx, cfg.threads, dt.count());
+  harvest_context(out.stats, totals, ctx.store().mem_exhausted(), &ctx.store(), cfg.threads,
+                  dt.count());
   return out;
 }
 
@@ -897,43 +951,20 @@ CleanLevelResult max_clean_level(const TaskPtr& task,
   if (base_cfg.arrival.empty()) {
     base_cfg.arrival = Task::participants(inputs);
   }
-  std::vector<ExploreOutcome> levels(static_cast<std::size_t>(std::max(k_max, 0)) + 1);
-  std::vector<std::uint8_t> swept(levels.size(), 0);
-  if (base_cfg.threads > 1 && k_max > 1) {
-    // Levels are independent sweeps: run them concurrently, one per pool
-    // task (each sweep itself sequential), then merge scanning upward.
-    std::vector<std::function<void()>> jobs;
-    for (int k = 1; k <= k_max; ++k) {
-      jobs.push_back([&, k] {
-        ExploreConfig cfg = base_cfg;
-        cfg.k = k;
-        cfg.threads = 1;
-        levels[static_cast<std::size_t>(k)] = explore_k_concurrent(task, body, inputs, cfg);
-        swept[static_cast<std::size_t>(k)] = 1;
-      });
-    }
-    WorkStealingPool::run(std::move(jobs), base_cfg.threads);
-  } else {
-    for (int k = 1; k <= k_max; ++k) {
-      ExploreConfig cfg = base_cfg;
-      cfg.k = k;
-      const std::size_t ki = static_cast<std::size_t>(k);
-      levels[ki] = explore_k_concurrent(task, body, inputs, cfg);
-      swept[ki] = 1;
-      if (!levels[ki].ok || levels[ki].budget_exhausted) break;
-    }
-  }
-
+  // Levels run in order, each through explore_k_concurrent (so threads > 1
+  // parallelizes within a level), and stop at the first level that is not
+  // fully covered clean: nothing above it can raise the result.
   CleanLevelResult r;
   for (int k = 1; k <= k_max; ++k) {
-    const std::size_t ki = static_cast<std::size_t>(k);
-    if (swept[ki] == 0) break;  // sequential mode stopped below this level
-    r.states += levels[ki].states;
-    r.stats.merge(levels[ki].stats);
-    if (!levels[ki].ok) break;
-    if (levels[ki].budget_exhausted) {
+    ExploreConfig cfg = base_cfg;
+    cfg.k = k;
+    const ExploreOutcome o = explore_k_concurrent(task, body, inputs, cfg);
+    r.states += o.states;
+    r.stats.merge(o.stats);
+    if (!o.ok) break;
+    if (o.budget_exhausted) {
       r.budget_exhausted = true;  // level k only sampled: r.level is a lower bound
-      r.mem_exhausted = levels[ki].mem_exhausted;
+      r.mem_exhausted = o.mem_exhausted;
       break;
     }
     r.level = k;

@@ -21,9 +21,9 @@
 //    results — deterministic replay makes that equivalent to never having
 //    rewound it. O(1) amortized work per edge.
 // With threads > 1 the incremental engine shards the DFS frontier over a
-// work-stealing pool with a sharded concurrent signature set; outcomes are
-// reproducible regardless of thread count (see DESIGN.md, "Exploration
-// engine", for the determinism argument).
+// work-stealing pool with one shared tiered signature store and a chunked
+// budget pool; outcomes are reproducible regardless of thread count (see
+// DESIGN.md, "Exploration engine", for the determinism argument).
 //
 // This is the constructive face of the paper's solvability definitions:
 //  * a clean sweep at level k is machine-checked evidence that the algorithm
@@ -82,7 +82,8 @@ struct ExploreConfig {
   /// Dedup store shape (core/diskset.hpp). The default reads EFD_DEDUP_TIERS
   /// / EFD_DEDUP_MEM_MB / EFD_DEDUP_DIR, so every sweep in the process obeys
   /// the environment; a default environment yields the plain in-memory store
-  /// and the zero-overhead legacy containers. Semantic counters (states,
+  /// (a FlatSigSet at 1 thread, tier 0 over unbudgeted shards in parallel
+  /// sweeps). Semantic counters (states,
   /// terminal_runs, dedup_misses) are identical across store shapes — tiers
   /// only move where duplicates are detected and where the memory lives.
   DedupConfig dedup_store = DedupConfig::from_env();
@@ -126,8 +127,9 @@ struct CleanLevelResult {
 /// covered on the given inputs (level 0 if even level 1 fails). A sweep that
 /// exhausts its budget certifies nothing — it no longer bumps the level; the
 /// exhaustion is surfaced so callers (core/hierarchy) can render the level
-/// as a lower bound. With base_cfg.threads > 1, levels are certified
-/// concurrently on a work-stealing pool.
+/// as a lower bound. Levels are swept in order and the scan stops at the
+/// first violating or exhausted level; with base_cfg.threads > 1 each
+/// level's sweep uses the parallel frontier.
 CleanLevelResult max_clean_level(const TaskPtr& task,
                                  const std::function<ProcBody(int, Value)>& body,
                                  const ValueVec& inputs, int k_max,

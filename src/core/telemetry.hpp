@@ -56,11 +56,13 @@ struct ExploreStats {
   double elapsed_s = 0;            ///< wall time of the sweep
   double states_per_s = 0;         ///< states / elapsed_s (0 when unmeasured)
 
-  // -- tiered dedup store traffic (core/diskset.hpp; all zero when the
-  //    store runs in plain in-memory mode). Which tier answers a duplicate
-  //    is thread-interleaving dependent, so these live in the run-shape
-  //    group even though their sums relate to the deterministic dedup
-  //    counters (recent+mem+cold hits == dedup_hits). --
+  // -- tiered dedup store traffic (core/diskset.hpp; all zero for a
+  //    1-thread sweep in plain in-memory mode, which uses no tiered store;
+  //    parallel sweeps always run on one, so their recent/mem hits are
+  //    filled in the plain mode too). Which tier answers a duplicate is
+  //    thread-interleaving dependent, so these live in the run-shape group
+  //    even though their sums relate to the deterministic dedup counters
+  //    (recent+mem+cold hits == dedup_hits). --
   std::int64_t dedup_recent_hits = 0;  ///< duplicates answered by the tier-0 TLS cache
   std::int64_t dedup_mem_hits = 0;     ///< duplicates found in the in-memory shards
   std::int64_t dedup_cold_probes = 0;  ///< in-memory misses that consulted the disk tier

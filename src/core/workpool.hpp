@@ -7,8 +7,9 @@
 //    spawning — the explorers shard a DFS frontier up front, so a worker
 //    may exit as soon as every deque is empty.
 //
-//  * ShardedSigSet — concurrent signature (de-dup) set: 64 mutex-striped
-//    hash sets keyed by a mixed shard index. insert() is first-insert-wins,
+//  * ShardedSigSet — concurrent signature (de-dup) set: 64 mutex-striped,
+//    cache-line-padded hash sets keyed by a mixed shard index, each with
+//    its own first-insert count. insert() is first-insert-wins,
 //    which is what makes the parallel explorers' clean-sweep state counts
 //    thread-count-invariant (see DESIGN.md, "Exploration engine"). It is
 //    also the hot middle tier of the tiered dedup store (core/diskset.hpp):
@@ -26,6 +27,18 @@
 #include "core/sigset.hpp"
 
 namespace efd {
+
+/// Cache-line size the concurrent structures pad to, so that counters and
+/// flags written by different threads never share a line.
+inline constexpr std::size_t kCacheLineBytes = 64;
+
+/// Adds one to a counter that only the holder of its owner's lock writes;
+/// other threads may read it concurrently. A plain load and store, because
+/// the lock already orders the writers.
+template <typename T>
+void bump_locked(std::atomic<T>& counter) noexcept {
+  counter.store(counter.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+}
 
 /// Telemetry of one WorkStealingPool::run call. Steals count tasks a worker
 /// pulled from ANOTHER worker's deque — a measure of how unevenly the
@@ -116,13 +129,13 @@ class ShardedSigSet {
     std::lock_guard<std::mutex> lk(s.mu);
     if (cold_ == nullptr && shard_budget_ == 0) {
       const bool fresh = s.set.insert(sig);
-      if (fresh) size_.fetch_add(1, std::memory_order_relaxed);
+      if (fresh) bump_locked(s.inserted);
       return fresh;
     }
     if (s.set.contains(sig)) return false;
     if (cold_ != nullptr && cold_->contains(idx, sig)) return false;
     s.set.insert(sig);
-    size_.fetch_add(1, std::memory_order_relaxed);
+    bump_locked(s.inserted);
     if (shard_budget_ != 0 && s.set.bytes() > shard_budget_) {
       if (cold_ != nullptr) {
         cold_->spill(idx, s.set);
@@ -133,13 +146,16 @@ class ShardedSigSet {
     return true;
   }
 
-  /// Signatures ever first-inserted (in-memory + spilled). Maintained as one
-  /// atomic counter, so a mid-sweep read is never torn: it is exactly the
-  /// number of successful insert() calls that happened-before the load
-  /// (the old implementation locked stripes one at a time and could return
-  /// a total no single moment ever exhibited).
+  /// Signatures ever first-inserted (in-memory + spilled): the sum of the
+  /// per-shard first-insert counts. Each count only grows (a spill drains
+  /// the shard's table but never resets its count), so successive reads
+  /// from one thread never go backwards, and once the inserting threads
+  /// are joined the sum is exact. No lock is taken and no insert writes a
+  /// line another shard's insert writes.
   [[nodiscard]] std::size_t size() const noexcept {
-    return size_.load(std::memory_order_relaxed);
+    std::size_t n = 0;
+    for (const Shard& s : shards_) n += s.inserted.load(std::memory_order_relaxed);
+    return n;
   }
 
   /// True once any shard crossed its byte budget with no cold tier to spill
@@ -165,15 +181,19 @@ class ShardedSigSet {
     return static_cast<std::size_t>((sig * 0x9E3779B97F4A7C15ULL) >> 58) % kShards;
   }
 
-  struct Shard {
+  /// One stripe, padded to whole cache lines so that inserts into
+  /// neighbouring shards never contend for a line.
+  struct alignas(kCacheLineBytes) Shard {
     mutable std::mutex mu;
     FlatSigSet set;  ///< flat probing set: no node alloc per insert
+    /// First inserts into this shard, ever; written only under `mu`, read
+    /// lock-free by size().
+    std::atomic<std::size_t> inserted{0};
   };
   Shard shards_[kShards];
   std::size_t shard_budget_ = 0;  ///< bytes per shard; 0 = unlimited
   ColdTier* cold_ = nullptr;      ///< overflow target; null = latch exhaustion
-  std::atomic<std::size_t> size_{0};
-  std::atomic<bool> mem_exhausted_{false};
+  alignas(kCacheLineBytes) std::atomic<bool> mem_exhausted_{false};
 };
 
 }  // namespace efd

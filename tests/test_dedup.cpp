@@ -1,19 +1,22 @@
-// Dedup-layer tests: the FlatSigSet bugfix pass, the ShardedSigSet atomic
-// size counter, and the tiered out-of-core store (core/diskset.hpp).
+// Dedup-layer tests: the FlatSigSet bugfix pass, the ShardedSigSet size
+// (a sum of per-shard first-insert counts), and the tiered out-of-core
+// store (core/diskset.hpp).
 //
 //  * FlatSigSet regression — inserting a DUPLICATE at the 70% load boundary
 //    must not grow the table (the old code ran the grow check before
 //    probing), and the aside-tracked zero signature must not count toward
 //    the load factor;
 //  * ShardedSigSet::size() — hammered from 8 writer threads while a poller
-//    asserts monotonicity (the old stripe-by-stripe sum could return totals
-//    no single moment exhibited);
+//    asserts monotonicity (a spill drains a shard's table, so size() must
+//    not be derived from the tables);
 //  * TieredSigSet property tests against a std::unordered_set oracle —
 //    random streams with duplicates, forced spills at tiny byte budgets,
-//    merge-then-query equivalence, and the mem-exhaustion latch;
+//    merge-then-query equivalence, exact per-tier duplicate counts under
+//    8 concurrent inserters, and the mem-exhaustion latch;
 //  * explorer integration — ExploreOutcome through the disk tier is
-//    byte-identical to the plain store across {1,2,8} threads, and a
-//    memory-capped store with no disk tier degrades to a lower bound.
+//    byte-identical to the plain store across {1,2,8} threads, also at the
+//    exact budget boundary, and a memory-capped store with no disk tier
+//    degrades to a lower bound.
 //
 // Labeled `dedup` in ctest; sized to stay viable under ASan/TSan builds.
 #include <gtest/gtest.h>
@@ -119,7 +122,7 @@ TEST(FlatSigSet, DrainIntoMovesEverythingAndResets) {
 }
 
 // ---------------------------------------------------------------------------
-// ShardedSigSet atomic size.
+// ShardedSigSet size.
 // ---------------------------------------------------------------------------
 
 TEST(ShardedSigSet, SizeIsMonotonicUnderConcurrentInserts) {
@@ -244,6 +247,11 @@ TEST(TieredSigSet, ConcurrentInsertersAgreeWithOracleSet) {
     });
   }
   for (auto& w : workers) w.join();
+  // The striped duplicate counters are exact: every insert that returned
+  // false was answered by exactly one tier.
+  const TierStats t = store.tier_stats();
+  const std::int64_t dups = kThreads * static_cast<std::int64_t>(kPerThread) - fresh_total.load();
+  EXPECT_EQ(t.recent_hits + t.mem_hits + t.cold_hits, dups);
   // First-insert-wins: across all threads exactly one insert per distinct
   // signature reported fresh, so the fresh count equals the union's size.
   std::unordered_set<std::uint64_t> oracle;
@@ -334,7 +342,8 @@ TEST(DedupConfig, FromEnvParsesTiersBudgetAndDir) {
 // memory-capped lower-bound path.
 // ---------------------------------------------------------------------------
 
-ExploreOutcome sweep_with_store(const DedupConfig& store, int threads) {
+ExploreOutcome sweep_with_store(const DedupConfig& store, int threads,
+                                std::int64_t max_states = 400000) {
   const TaskPtr task = std::make_shared<SetAgreementTask>(4, 2);
   const ValueVec in = task->sample_input(1);
   const auto body = [task](int, Value input) {
@@ -343,11 +352,21 @@ ExploreOutcome sweep_with_store(const DedupConfig& store, int threads) {
   ExploreConfig cfg;
   cfg.k = 2;
   cfg.arrival = {0, 1, 2, 3};
-  cfg.max_states = 400000;
+  cfg.max_states = max_states;
   cfg.engine = ExploreEngine::kIncremental;
   cfg.threads = threads;
   cfg.dedup_store = store;
   return explore_k_concurrent(task, body, in, cfg);
+}
+
+void expect_outcome_eq(const ExploreOutcome& a, const ExploreOutcome& b,
+                       const std::string& what) {
+  EXPECT_EQ(a.ok, b.ok) << what;
+  EXPECT_EQ(a.budget_exhausted, b.budget_exhausted) << what;
+  EXPECT_EQ(a.terminal_runs, b.terminal_runs) << what;
+  EXPECT_EQ(a.states, b.states) << what;
+  EXPECT_EQ(a.violation, b.violation) << what;
+  EXPECT_EQ(a.bad_schedule, b.bad_schedule) << what;
 }
 
 TEST(TieredExplore, OutcomeInvariantAcrossThreadCountsWithDiskTier) {
@@ -368,6 +387,28 @@ TEST(TieredExplore, OutcomeInvariantAcrossThreadCountsWithDiskTier) {
     EXPECT_EQ(o.stats.dedup_queries, plain.stats.dedup_queries) << "threads=" << threads;
     EXPECT_EQ(o.stats.dedup_misses, plain.stats.dedup_misses) << "threads=" << threads;
     EXPECT_GT(o.stats.dedup_spills, 0) << "threads=" << threads;
+  }
+}
+
+TEST(TieredExplore, BudgetBoundaryOutcomeIsThreadCountInvariant) {
+  // The chunked budget reservation of parallel sweeps, through the disk
+  // tier: with N the clean sweep's state count, max_states = N certifies and
+  // N - 1 exhausts at every thread count, each outcome equal to threads = 1.
+  DedupConfig tiered;
+  tiered.disk_tier = true;
+  tiered.mem_budget_bytes = 64 * 1024;
+  const std::int64_t n = sweep_with_store(DedupConfig{}, 1).states;
+  for (const std::int64_t budget : {n, n - 1}) {
+    const ExploreOutcome seq = sweep_with_store(tiered, 1, budget);
+    EXPECT_TRUE(seq.ok) << seq.violation;
+    EXPECT_EQ(seq.budget_exhausted, budget < n) << "max_states " << budget;
+    for (const int threads : {2, 4, 8}) {
+      const ExploreOutcome o = sweep_with_store(tiered, threads, budget);
+      const std::string what =
+          "max_states " + std::to_string(budget) + " threads " + std::to_string(threads);
+      expect_outcome_eq(o, seq, what);
+      EXPECT_TRUE(o.budget_exhausted || o.states <= budget) << what;
+    }
   }
 }
 

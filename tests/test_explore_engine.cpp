@@ -270,17 +270,82 @@ TEST(ExploreEngine, OutcomeIsThreadCountInvariantOnViolation) {
   expect_outcome_eq(t1, t8, "consensus(3) threads 1 vs 8");
 }
 
+/// The deterministic ExploreStats subset (see core/telemetry.hpp).
+void expect_stats_subset_eq(const ExploreStats& a, const ExploreStats& b,
+                            const std::string& what) {
+  EXPECT_EQ(a.states, b.states) << what;
+  EXPECT_EQ(a.terminal_runs, b.terminal_runs) << what;
+  EXPECT_EQ(a.dedup_queries, b.dedup_queries) << what;
+  EXPECT_EQ(a.dedup_misses, b.dedup_misses) << what;
+}
+
+void expect_clean_level_eq(const CleanLevelResult& a, const CleanLevelResult& b,
+                           const std::string& what) {
+  EXPECT_EQ(a.level, b.level) << what;
+  EXPECT_EQ(a.budget_exhausted, b.budget_exhausted) << what;
+  EXPECT_EQ(a.mem_exhausted, b.mem_exhausted) << what;
+  EXPECT_EQ(a.states, b.states) << what;
+  expect_stats_subset_eq(a.stats, b.stats, what);
+}
+
 TEST(ExploreEngine, ParallelCleanLevelMatchesSequential) {
-  auto task = std::make_shared<SetAgreementTask>(3, 2);
-  ValueVec in{Value(0), Value(1), Value(2)};
   ExploreConfig cfg;
   cfg.max_states = 400000;
-  const CleanLevelResult seq = max_clean_level(task, one_conc(task, "mcl"), in, 3, cfg);
-  cfg.threads = 4;
-  const CleanLevelResult par = max_clean_level(task, one_conc(task, "mcl"), in, 3, cfg);
-  EXPECT_EQ(seq.level, 2);
-  EXPECT_EQ(par.level, seq.level);
-  EXPECT_EQ(par.budget_exhausted, seq.budget_exhausted);
+  {
+    auto task = std::make_shared<SetAgreementTask>(3, 2);
+    ValueVec in{Value(0), Value(1), Value(2)};
+    cfg.threads = 1;
+    const CleanLevelResult seq = max_clean_level(task, one_conc(task, "mcl"), in, 3, cfg);
+    cfg.threads = 4;
+    const CleanLevelResult par = max_clean_level(task, one_conc(task, "mcl"), in, 3, cfg);
+    EXPECT_EQ(seq.level, 2);
+    expect_clean_level_eq(par, seq, "ksa(3,2) k_max 3");
+  }
+  {
+    // Level 1 is clean and level 2 violates: the scan stops there at every
+    // thread count.
+    auto task = std::make_shared<ConsensusTask>(3);
+    ValueVec in{Value(0), Value(1), Value(2)};
+    cfg.threads = 1;
+    const CleanLevelResult seq = max_clean_level(task, one_conc(task, "mclc"), in, 3, cfg);
+    cfg.threads = 4;
+    const CleanLevelResult par = max_clean_level(task, one_conc(task, "mclc"), in, 3, cfg);
+    EXPECT_EQ(seq.level, 1);
+    EXPECT_FALSE(seq.budget_exhausted);
+    expect_clean_level_eq(par, seq, "consensus(3) k_max 3");
+  }
+}
+
+TEST(ExploreEngine, BudgetBoundaryOutcomeIsThreadCountInvariant) {
+  // Parallel sweeps reserve their budget in chunks. With N the clean sweep's
+  // state count, max_states = N must certify and N - 1 must exhaust at
+  // every thread count, each outcome equal to the sequential one.
+  auto task = std::make_shared<SetAgreementTask>(4, 2);
+  ValueVec in{Value(0), Value(1), Value(2), Value(3)};
+  const auto body = one_conc(task, "bb");
+  const ExploreOutcome full = run_menu(task, body, in, 2, ExploreEngine::kIncremental);
+  ASSERT_TRUE(full.ok) << full.violation;
+  ASSERT_FALSE(full.budget_exhausted);
+  const std::int64_t n = full.states;
+
+  ExploreConfig cfg;
+  cfg.k = 2;
+  cfg.arrival = Task::participants(in);
+  for (const std::int64_t budget : {n, n - 1}) {
+    cfg.max_states = budget;
+    cfg.threads = 1;
+    const ExploreOutcome seq = explore_k_concurrent(task, body, in, cfg);
+    EXPECT_TRUE(seq.ok) << seq.violation;
+    EXPECT_EQ(seq.budget_exhausted, budget < n) << "max_states " << budget;
+    for (const int threads : {2, 4, 8}) {
+      cfg.threads = threads;
+      const ExploreOutcome o = explore_k_concurrent(task, body, in, cfg);
+      const std::string what =
+          "max_states " + std::to_string(budget) + " threads " + std::to_string(threads);
+      expect_outcome_eq(o, seq, what);
+      EXPECT_TRUE(o.budget_exhausted || o.states <= budget) << what;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

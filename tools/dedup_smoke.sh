@@ -4,8 +4,10 @@
 # IDENTICAL semantic counters (states, terminal runs, unique signatures) —
 # the tiers only move where duplicates are found — while the tiered run must
 # actually exercise the disk (spills > 0) and must leave nothing behind in
-# its spill directory. Also checks the capped mem-only configuration degrades
-# to a lower-bound verdict (exit 3) instead of pretending to certify.
+# its spill directory. The same sweep at 4 threads, through both store
+# shapes, must reproduce the 1-thread counters. Also checks the capped
+# mem-only configuration degrades to a lower-bound verdict (exit 3) instead
+# of pretending to certify.
 #
 # usage: dedup_smoke.sh <efd_dedup_sweep-binary> [workdir]
 set -eu
@@ -41,6 +43,22 @@ for key in states terminal_runs dedup_queries dedup_misses dedup_hits; do
     echo "FAIL: semantic counter $key diverged: mem=$a tiered=$b" >&2
     exit 1
   }
+done
+
+# The parallel frontier: plain (tier 0 over unbudgeted shards) and tiered
+# stores at 4 threads must report the 1-thread plain run's counters.
+$sweep $common --threads 4 --tiers mem --mem-mb 0 --out "$work/mem_x4.json"
+$sweep $common --threads 4 --tiers tiered --mem-mb 1 --spill-dir "$spill" \
+  --out "$work/tiered_x4.json"
+for run in mem_x4 tiered_x4; do
+  for key in states terminal_runs dedup_queries dedup_misses; do
+    a="$(field "$work/mem.json" $key)"
+    b="$(field "$work/$run.json" $key)"
+    [ -n "$a" ] && [ "$a" = "$b" ] || {
+      echo "FAIL: $run counter $key diverged from the 1-thread mem run: x1=$a $run=$b" >&2
+      exit 1
+    }
+  done
 done
 
 spills="$(field "$work/tiered.json" spills)"

@@ -17,13 +17,16 @@
 // configuration and the out-of-core one to compare capacity.
 //
 // --out writes an efd-dedup-sweep-v1 JSON document: the resolved config,
-// the semantic counters (identical across store shapes by design), and the
-// per-tier traffic. Exit codes: 0 level certified clean; 3 exhausted
-// (lower bound only); 1 violating run found; 2 usage error; 6 other error.
+// the semantic counters (identical across store shapes by design), the run
+// (verdict flags, wall time, rate and `cpu_s`, the process CPU seconds the
+// sweep burned on all its threads) and the per-tier traffic. Exit codes:
+// 0 level certified clean; 3 exhausted (lower bound only); 1 violating run
+// found; 2 usage error; 6 other error.
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <ctime>
 #include <exception>
 #include <fstream>
 #include <memory>
@@ -47,8 +50,15 @@ int usage() {
   return 2;
 }
 
+/// CPU seconds consumed so far by every thread of this process.
+double process_cpu_s() {
+  timespec ts{};
+  ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
 telemetry::Json sweep_json(const ExploreOutcome& o, const ExploreConfig& cfg, int n, int set_k,
-                           const std::string& verdict) {
+                           const std::string& verdict, double cpu_s) {
   using telemetry::Json;
   Json doc = Json::object();
   doc["schema"] = "efd-dedup-sweep-v1";
@@ -81,6 +91,7 @@ telemetry::Json sweep_json(const ExploreOutcome& o, const ExploreConfig& cfg, in
   run["violation"] = o.violation;
   run["elapsed_s"] = o.stats.elapsed_s;
   run["states_per_s"] = o.stats.states_per_s;
+  run["cpu_s"] = cpu_s;
   doc["run"] = std::move(run);
   Json tiers = Json::object();
   tiers["recent_hits"] = o.stats.dedup_recent_hits;
@@ -154,16 +165,18 @@ int run(int argc, char** argv) {
   cfg.arrival.clear();
   for (int i = 0; i < n; ++i) cfg.arrival.push_back(i);
 
+  const double cpu0 = process_cpu_s();
   const ExploreOutcome o = explore_k_concurrent(task, body, in, cfg);
+  const double cpu_s = process_cpu_s() - cpu0;
   const std::string verdict = !o.ok              ? "violation"
                               : o.budget_exhausted ? "lower_bound"
                                                    : "clean";
   std::printf("(%d,%d)-set-agreement level %d [%s%s]: %s — %" PRId64 "%s states, %" PRId64
-              " terminal runs, %" PRId64 " unique sigs (%.0f states/s)\n",
+              " terminal runs, %" PRId64 " unique sigs (%.0f states/s, %.2f CPU-s)\n",
               n, set_k, cfg.k, cfg.dedup_store.disk_tier ? "tiered" : "mem",
               cfg.dedup_store.mem_budget_bytes != 0 ? "+cap" : "", verdict.c_str(), o.states,
               o.budget_exhausted ? "+" : "", o.terminal_runs, o.stats.dedup_misses,
-              o.stats.states_per_s);
+              o.stats.states_per_s, cpu_s);
   if (o.mem_exhausted) {
     std::printf("  memory cap hit with no disk tier: the level is a lower bound only "
                 "(rerun with --tiers tiered to certify)\n");
@@ -182,7 +195,7 @@ int run(int argc, char** argv) {
       std::fprintf(stderr, "efd_dedup_sweep: cannot write %s\n", out_path.c_str());
       return 6;
     }
-    f << sweep_json(o, cfg, n, set_k, verdict).dump(2) << "\n";
+    f << sweep_json(o, cfg, n, set_k, verdict, cpu_s).dump(2) << "\n";
   }
   if (!o.ok) return 1;
   return o.budget_exhausted ? 3 : 0;
