@@ -136,10 +136,10 @@ struct CampaignRun {
 // Campaign farm: the resident, corpus-backed form of the sweep (DESIGN.md
 // 4g, EXPERIMENTS.md E18). run_farm streams plans from the seeded
 // generator / coverage-guided mutator / an external PlanSource, dispatches
-// them across workers as WorkStealingPool batches, dedups findings against a
-// persistent CorpusStore, and shrinks + double-replay-verifies only novel
-// findings. Verdicts for identical (plan_seed, plan) inputs are byte-
-// identical to the one-shot runner's: both run the same run_plan.
+// them across workers as batches on one ResidentPool, dedups findings
+// against a persistent CorpusStore, and shrinks + double-replay-verifies
+// only novel findings. Verdicts for identical (plan_seed, plan) inputs are
+// byte-identical to the one-shot runner's: both run the same run_plan.
 // ---------------------------------------------------------------------------
 
 /// Deterministic per-plan seed: folds the campaign seed, the TARGET NAME and

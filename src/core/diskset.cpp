@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
@@ -36,6 +37,9 @@ std::string default_dir_root() {
 
 std::atomic<std::uint64_t> g_store_nonce{1};
 std::atomic<std::size_t> g_thread_ordinal{0};
+
+/// Slots of one tier-0 cache (a power of two: the index is a mask).
+constexpr std::size_t kRecentSlots = std::size_t{1} << 12;
 
 /// Tier-0 cache: one direct-mapped signature array per (thread, store).
 /// `owner` is the owning store's nonce — a thread that alternates between
@@ -69,11 +73,15 @@ DedupConfig DedupConfig::from_env() {
   }
   if (const char* m = std::getenv("EFD_DEDUP_MEM_MB"); m != nullptr && *m != '\0') {
     char* end = nullptr;
+    errno = 0;
     const long long mb = std::strtoll(m, &end, 10);
-    if (end == m || *end != '\0' || mb < 0) {
-      throw std::runtime_error("EFD_DEDUP_MEM_MB must be a non-negative integer");
+    // A MiB count above SIZE_MAX >> 20 would wrap when scaled to bytes.
+    if (end == m || *end != '\0' || errno == ERANGE || mb < 0 ||
+        static_cast<unsigned long long>(mb) > (SIZE_MAX >> 20)) {
+      throw std::runtime_error("EFD_DEDUP_MEM_MB must be a non-negative integer of at most " +
+                               std::to_string(SIZE_MAX >> 20));
     }
-    cfg.mem_budget_bytes = static_cast<std::size_t>(mb) * 1024 * 1024;
+    cfg.mem_budget_bytes = static_cast<std::size_t>(mb) << 20;
   }
   if (const char* d = std::getenv("EFD_DEDUP_DIR"); d != nullptr && *d != '\0') {
     cfg.spill_dir = d;
@@ -249,31 +257,25 @@ std::size_t per_shard_budget(const DedupConfig& cfg) noexcept {
 }  // namespace
 
 TieredSigSet::TieredSigSet(const DedupConfig& cfg)
-    : cfg_(cfg),
-      disk_(cfg.disk_tier ? std::make_unique<DiskTier>(cfg.spill_dir) : nullptr),
+    : disk_(cfg.disk_tier ? std::make_unique<DiskTier>(cfg.spill_dir) : nullptr),
       mem_(per_shard_budget(cfg), disk_.get()),
       id_(g_store_nonce.fetch_add(1, std::memory_order_relaxed)) {}
 
 bool TieredSigSet::insert(std::uint64_t sig) {
   RecentCache& rc = t_recent;
   HitCell& hits = hits_[rc.ordinal % kHitStripes];
-  std::size_t slot = 0;
-  const bool use_recent = cfg_.recent_bits > 0;
-  if (use_recent) {
-    const std::size_t want = std::size_t{1} << cfg_.recent_bits;
-    if (rc.owner != id_ || rc.slots.size() != want) {
-      rc.owner = id_;
-      rc.slots.assign(want, 0);
-    }
-    slot = static_cast<std::size_t>(mix64(sig)) & (want - 1);
-    if (sig != 0 && rc.slots[slot] == sig) {
-      hits.recent_hits.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
+  if (rc.owner != id_) {
+    rc.owner = id_;
+    rc.slots.assign(kRecentSlots, 0);
+  }
+  const std::size_t slot = static_cast<std::size_t>(mix64(sig)) & (kRecentSlots - 1);
+  if (sig != 0 && rc.slots[slot] == sig) {
+    hits.recent_hits.fetch_add(1, std::memory_order_relaxed);
+    return false;
   }
   const bool fresh = mem_.insert(sig);
   if (!fresh) hits.dup_returns.fetch_add(1, std::memory_order_relaxed);
-  if (use_recent) rc.slots[slot] = sig;
+  rc.slots[slot] = sig;
   return fresh;
 }
 

@@ -1,4 +1,5 @@
-// Tiered out-of-core signature dedup store (DESIGN.md 4f).
+// Tiered out-of-core signature dedup store (DESIGN.md 4f): the one store
+// every exploration sweep inserts into, at any thread count.
 //
 // The exploration dedup set used to be the RAM ceiling of every hierarchy
 // sweep: 10⁸–10⁹ visited signatures at 8 bytes each (plus hash-table slack)
@@ -11,8 +12,8 @@
 //           present. A hit answers "duplicate" with no lock. Only
 //           definitely-inserted signatures enter the cache, so a hit can
 //           never lose a state.
-//   tier 1  the mutex-striped ShardedSigSet (core/workpool.hpp) — the
-//           authoritative in-memory set, now with a per-shard byte budget.
+//   tier 1  ShardedSigSet — the mutex-striped authoritative in-memory set
+//           (FlatSigSet shards), with an optional per-shard byte budget.
 //   tier 2  DiskTier — per shard, a bloom prefilter in front of mmap'd
 //           sorted runs. When a shard crosses its budget it is drained,
 //           sorted, written to a run file and dropped from RAM; runs are
@@ -25,10 +26,10 @@
 // First-insert-wins is preserved exactly: the entire probe (mem table →
 // bloom → runs) and the insert happen under the owning shard's mutex, so the
 // clean-sweep state counts remain thread-count-invariant with the disk tier
-// active (PR 2's soundness argument is untouched). With the disk tier
-// disabled (EFD_DEDUP_TIERS=mem) behavior and counters are byte-identical
-// to the flat in-memory store; with a byte budget but no disk tier the
-// store latches mem_exhausted() and the sweep reports a lower bound.
+// active. The default config (no budget, no disk tier) is tier 0 over
+// unbudgeted shards; with a byte budget but no disk tier the store latches
+// mem_exhausted() and the sweep reports a lower bound. Semantic counters are
+// identical across all store shapes.
 //
 // Run files are unlinked immediately after mmap, so a crash can never leak
 // spill files; the per-store spill directory (created lazily under
@@ -38,15 +39,28 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
-#include "core/workpool.hpp"
+#include "core/sigset.hpp"
 
 namespace efd {
 
-/// Configuration of one dedup store. Default-constructed = plain in-memory
-/// (exactly the pre-tiered behavior); from_env() reads:
+/// Cache-line size the concurrent structures pad to, so that counters and
+/// flags written by different threads never share a line.
+inline constexpr std::size_t kCacheLineBytes = 64;
+
+/// Adds one to a counter that only the holder of its owner's lock writes;
+/// other threads may read it concurrently. A plain load and store, because
+/// the lock already orders the writers.
+template <typename T>
+void bump_locked(std::atomic<T>& counter) noexcept {
+  counter.store(counter.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+}
+
+/// Configuration of one dedup store. Default-constructed = unbudgeted
+/// in-memory store with no disk tier; from_env() reads:
 ///   EFD_DEDUP_TIERS   "mem" (default) | "tiered" (alias "disk")
 ///   EFD_DEDUP_MEM_MB  in-memory byte budget in MiB (0 / unset = unlimited)
 ///   EFD_DEDUP_DIR     spill directory root (default $TMPDIR, then /tmp)
@@ -54,16 +68,10 @@ struct DedupConfig {
   bool disk_tier = false;            ///< spill overflowing shards to disk
   std::size_t mem_budget_bytes = 0;  ///< total in-memory cap; 0 = unlimited
   std::string spill_dir;             ///< root for run files; "" = env default
-  int recent_bits = 12;              ///< tier-0 cache has 2^bits slots; 0 = off
 
+  /// Throws std::runtime_error on a malformed variable, including an
+  /// EFD_DEDUP_MEM_MB whose byte count does not fit in size_t.
   [[nodiscard]] static DedupConfig from_env();
-
-  /// True when the store degenerates to the plain in-memory set (no
-  /// budget, no disk): 1-thread sweeps then keep their zero-overhead
-  /// FlatSigSet, and a TieredSigSet is tier 0 over unbudgeted shards.
-  [[nodiscard]] bool plain() const noexcept {
-    return !disk_tier && mem_budget_bytes == 0;
-  }
 };
 
 /// Per-tier traffic of one store (all counters monotone; snapshot via
@@ -82,18 +90,22 @@ struct TierStats {
 };
 
 /// Tier 2: per-shard bloom prefilter + mmap'd disjoint sorted runs.
-/// All per-shard calls arrive under that shard's ShardedSigSet mutex.
-class DiskTier final : public ShardedSigSet::ColdTier {
+/// All per-shard calls arrive under that shard's ShardedSigSet mutex, so
+/// per-shard cold state needs no further synchronization.
+class DiskTier {
  public:
   /// `dir_root`: where the (lazily created, mkdtemp-named) spill directory
   /// goes; resolved via DedupConfig rules when empty.
   explicit DiskTier(std::string dir_root);
-  ~DiskTier() override;
+  ~DiskTier();
   DiskTier(const DiskTier&) = delete;
   DiskTier& operator=(const DiskTier&) = delete;
 
-  bool contains(std::size_t shard, std::uint64_t sig) override;
-  void spill(std::size_t shard, FlatSigSet& set) override;
+  /// True iff `sig` was spilled to this shard's runs earlier.
+  bool contains(std::size_t shard, std::uint64_t sig);
+  /// Moves the shard's in-memory contents to a new run (the set is drained
+  /// and reset to its initial footprint).
+  void spill(std::size_t shard, FlatSigSet& set);
 
   [[nodiscard]] std::int64_t cold_probes() const noexcept { return sum(&Shard::cold_probes); }
   [[nodiscard]] std::int64_t bloom_skips() const noexcept { return sum(&Shard::bloom_skips); }
@@ -157,6 +169,89 @@ class DiskTier final : public ShardedSigSet::ColdTier {
   std::atomic<std::int64_t> merges_{0};
 };
 
+/// Tier 1: 64 mutex-striped, cache-line-padded FlatSigSet shards keyed by a
+/// mixed shard index, each with its own first-insert count. insert() is
+/// first-insert-wins, which is what makes the parallel explorers'
+/// clean-sweep state counts thread-count-invariant (see DESIGN.md,
+/// "Exploration engine").
+class ShardedSigSet {
+ public:
+  static constexpr std::size_t kShards = 64;
+
+  ShardedSigSet() = default;
+  /// Budgeted form: when a shard's table crosses `shard_byte_budget` bytes
+  /// after an insert, it is spilled into `cold` — or, with no disk tier,
+  /// the set latches mem_exhausted() so the sweep can stop and report a
+  /// lower bound instead of growing without bound.
+  ShardedSigSet(std::size_t shard_byte_budget, DiskTier* cold)
+      : shard_budget_(shard_byte_budget), cold_(cold) {}
+
+  /// True iff `sig` was not present in the shard OR its cold storage (first
+  /// insert wins). Thread-safe; the whole probe-insert-spill sequence holds
+  /// the shard mutex, which is what keeps clean-sweep counts
+  /// thread-count-invariant with the disk tier active.
+  bool insert(std::uint64_t sig) {
+    const std::size_t idx = shard_of(sig);
+    Shard& s = shards_[idx];
+    std::lock_guard<std::mutex> lk(s.mu);
+    if (cold_ == nullptr && shard_budget_ == 0) {
+      const bool fresh = s.set.insert(sig);
+      if (fresh) bump_locked(s.inserted);
+      return fresh;
+    }
+    if (s.set.contains(sig)) return false;
+    if (cold_ != nullptr && cold_->contains(idx, sig)) return false;
+    s.set.insert(sig);
+    bump_locked(s.inserted);
+    if (shard_budget_ != 0 && s.set.bytes() > shard_budget_) {
+      if (cold_ != nullptr) {
+        cold_->spill(idx, s.set);
+      } else {
+        mem_exhausted_.store(true, std::memory_order_relaxed);
+      }
+    }
+    return true;
+  }
+
+  /// Signatures ever first-inserted (in-memory + spilled): the sum of the
+  /// per-shard first-insert counts. Each count only grows (a spill drains
+  /// the shard's table but never resets its count), so successive reads
+  /// from one thread never go backwards, and once the inserting threads
+  /// are joined the sum is exact. No lock is taken and no insert writes a
+  /// line another shard's insert writes.
+  [[nodiscard]] std::size_t size() const noexcept {
+    std::size_t n = 0;
+    for (const Shard& s : shards_) n += s.inserted.load(std::memory_order_relaxed);
+    return n;
+  }
+
+  /// True once any shard crossed its byte budget with no disk tier to spill
+  /// into (memory-capped mem-only mode).
+  [[nodiscard]] bool mem_exhausted() const noexcept {
+    return mem_exhausted_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  static std::size_t shard_of(std::uint64_t sig) noexcept {
+    // Fibonacci mix so consecutive sigs don't pile onto one stripe.
+    return static_cast<std::size_t>((sig * 0x9E3779B97F4A7C15ULL) >> 58) % kShards;
+  }
+
+  /// One stripe, padded to whole cache lines so that inserts into
+  /// neighbouring shards never contend for a line.
+  struct alignas(kCacheLineBytes) Shard {
+    std::mutex mu;
+    FlatSigSet set;  ///< flat probing set: no node alloc per insert
+    /// First inserts into this shard, ever; written only under `mu`, read
+    /// lock-free by size().
+    std::atomic<std::size_t> inserted{0};
+  };
+  Shard shards_[kShards];
+  std::size_t shard_budget_ = 0;  ///< bytes per shard; 0 = unlimited
+  DiskTier* cold_ = nullptr;      ///< overflow target; null = latch exhaustion
+  alignas(kCacheLineBytes) std::atomic<bool> mem_exhausted_{false};
+};
+
 /// The full tiered store: tier-0 per-thread cache in front of the budgeted
 /// ShardedSigSet, which overflows into a DiskTier when configured. insert()
 /// is first-insert-wins and thread-safe; semantics (which inserts report
@@ -177,12 +272,10 @@ class TieredSigSet {
   [[nodiscard]] bool mem_exhausted() const noexcept { return mem_.mem_exhausted(); }
 
   [[nodiscard]] TierStats tier_stats() const;
-  [[nodiscard]] const DedupConfig& config() const noexcept { return cfg_; }
   /// Current spill directory ("" when the disk tier is off or never spilled).
   [[nodiscard]] std::string spill_dir() const { return disk_ ? disk_->dir() : std::string(); }
 
  private:
-  DedupConfig cfg_;
   std::unique_ptr<DiskTier> disk_;  ///< null when the disk tier is off
   ShardedSigSet mem_;
   std::uint64_t id_;  ///< nonce binding tier-0 TLS caches to this store

@@ -32,42 +32,30 @@ std::string fd_class_name(int level, int n) {
 
 HierarchyRow classify(const TaskPtr& task, const std::function<ProcBody(int, Value)>& body,
                       const ValueVec& inputs, int k_max, const ExploreConfig& base_cfg) {
+  const CleanLevelResult r = max_clean_level(task, body, inputs, k_max, base_cfg);
   HierarchyRow row;
   row.task = task->name();
-  ExploreConfig cfg = base_cfg;
-  if (cfg.arrival.empty()) cfg.arrival = Task::participants(inputs);
-
-  for (int k = 1; k <= k_max; ++k) {
-    cfg.k = k;
-    const ExploreOutcome o = explore_k_concurrent(task, body, inputs, cfg);
-    row.states_explored += o.states;
-    row.stats.merge(o.stats);
-    if (!o.ok) {
-      row.violation_above = row.observed_level == k - 1 && row.observed_level > 0;
-      row.violation = o.violation;
-      break;
-    }
-    if (o.budget_exhausted) {
-      // The sweep did NOT cover level k, so a clean partial sweep certifies
-      // nothing: keep the last fully-covered level and mark the row as a
-      // lower bound instead of silently counting a sampled level. The note
-      // distinguishes the state budget from the dedup memory cap: the
-      // former is lifted with max_states, the latter with EFD_DEDUP_MEM_MB
-      // or by enabling the disk tier (EFD_DEDUP_TIERS=tiered).
-      row.level_exhausted = true;
-      row.mem_exhausted = o.mem_exhausted;
-      row.note = o.mem_exhausted
-                     ? "dedup memory cap hit at level " + std::to_string(k) +
-                           "; observed level is a certified lower bound" +
-                           " (enable the disk tier to certify)"
-                     : "budget hit at level " + std::to_string(k) +
-                           "; observed level is a certified lower bound";
-      break;
-    }
-    row.observed_level = k;
+  row.observed_level = r.level;
+  row.states_explored = r.states;
+  row.stats = r.stats;
+  row.violation = r.violation;
+  row.violation_above = !r.violation.empty() && r.level > 0;
+  if (r.budget_exhausted) {
+    // The sweep did NOT cover level r.level + 1, so a clean partial sweep
+    // certifies nothing: the row is a lower bound. The note distinguishes
+    // the state budget from the dedup memory cap: the former is lifted with
+    // max_states, the latter with EFD_DEDUP_MEM_MB or by enabling the disk
+    // tier (EFD_DEDUP_TIERS=tiered).
+    row.level_exhausted = true;
+    row.mem_exhausted = r.mem_exhausted;
+    const std::string at = std::to_string(r.level + 1);
+    row.note = r.mem_exhausted ? "dedup memory cap hit at level " + at +
+                                     "; observed level is a certified lower bound" +
+                                     " (enable the disk tier to certify)"
+                               : "budget hit at level " + at +
+                                     "; observed level is a certified lower bound";
   }
-  const int n = task->n_procs();
-  row.weakest_fd = fd_class_name(row.observed_level, n);
+  row.weakest_fd = fd_class_name(row.observed_level, task->n_procs());
   return row;
 }
 

@@ -11,10 +11,10 @@
 // duplicates report false. Signatures are already avalanche-mixed by the
 // explorers (mix64 / content hashes), but the probe index is remixed here
 // anyway so a structured signature family cannot cluster the table.
-// Not thread-safe; ShardedSigSet (core/workpool.hpp) stripes instances of
-// this set behind per-shard mutexes for the parallel frontier, and the
-// tiered store (core/diskset.hpp) drains shards into disk runs via
-// drain_into() when they cross their byte budget.
+// Not thread-safe; it is the shard table of the one dedup store every
+// sweep inserts into: ShardedSigSet (core/diskset.hpp) stripes instances of
+// this set behind per-shard mutexes, and the disk tier drains a shard into
+// a run via drain_into() when it crosses its byte budget.
 #pragma once
 
 #include <cstdint>

@@ -4,11 +4,9 @@
 #include <atomic>
 #include <chrono>
 #include <deque>
-#include <memory>
 #include <utility>
 
 #include "core/diskset.hpp"
-#include "core/sigset.hpp"
 #include "core/workpool.hpp"
 #include "sim/schedule.hpp"
 
@@ -48,100 +46,41 @@ World make_explore_world(const ExploreConfig& cfg) {
 
 // ---------------------------------------------------------------------------
 // Budget + dedup context: what an explorer charges states against and
-// inserts signatures into. The sequential variant keeps the hot path free of
-// atomics. A parallel sweep gives every explorer (the probe and each root
-// job) its own WorkerContext over one shared ParallelContext, so the hot
-// path still writes nothing shared except the dedup insert itself (see
-// DESIGN.md for why the clean-sweep outcome is nevertheless
-// thread-count-invariant).
+// inserts signatures into. Every sweep runs on one SweepContext, and every
+// explorer — the only one of a 1-thread sweep, or the probe and each root
+// job of a parallel one — gets its own WorkerContext over it, so the hot
+// path writes nothing shared except the dedup insert itself (see DESIGN.md
+// for why the clean-sweep outcome is nevertheless thread-count-invariant).
 // ---------------------------------------------------------------------------
 
-class ExploreContext {
- public:
-  virtual ~ExploreContext() = default;
-  /// Counts one state against the budget; false once the budget is exceeded
-  /// (the over-budget state is still counted, matching the legacy engine).
-  virtual bool charge() = 0;
-  /// Dedup insert; true iff `sig` was unseen. First insert wins.
-  virtual bool visit(std::uint64_t sig) = 0;
-  virtual bool stopped() const = 0;
-  virtual void stop() = 0;
-};
-
-/// Budget and dedup traffic of a sweep, or of one parallel job. For
-/// fully-covered clean sweeps all three are engine- and
-/// thread-count-invariant (unique signatures are expanded exactly once, so
-/// lookup multiplicity is state-determined).
+/// Budget and dedup traffic of a sweep, or of one job. For fully-covered
+/// clean sweeps all three are engine- and thread-count-invariant (unique
+/// signatures are expanded exactly once, so lookup multiplicity is
+/// state-determined).
 struct SweepCounts {
   std::int64_t states = 0;
   std::int64_t queries = 0;  ///< dedup lookups
   std::int64_t misses = 0;   ///< dedup first-inserts
 };
 
-class SequentialContext final : public ExploreContext {
- public:
-  SequentialContext(std::int64_t max_states, const DedupConfig& store)
-      : max_states_(max_states),
-        tiered_(store.plain() ? nullptr : std::make_unique<TieredSigSet>(store)) {}
-  bool charge() override {
-    // A memory-capped store that overflowed with no disk tier aborts the
-    // sweep the same way max_states does: the result is a lower bound.
-    if (tiered_ != nullptr && tiered_->mem_exhausted()) {
-      exhausted_ = true;
-      return false;
-    }
-    if (++states_ > max_states_) {
-      exhausted_ = true;
-      return false;
-    }
-    return true;
-  }
-  bool visit(std::uint64_t sig) override {
-    ++queries_;
-    const bool fresh = tiered_ != nullptr ? tiered_->insert(sig) : visited_.insert(sig);
-    misses_ += fresh ? 1 : 0;
-    return fresh;
-  }
-  bool stopped() const override { return stop_; }
-  void stop() override { stop_ = true; }
-  bool exhausted() const { return exhausted_; }
-  /// True once the dedup store hit its memory cap with no disk tier — the
-  /// sweep is aborted (charge() starts failing) and certifies nothing.
-  bool mem_exhausted() const { return tiered_ != nullptr && tiered_->mem_exhausted(); }
-  /// The tiered store, when one is configured (nullptr = plain legacy set).
-  const TieredSigSet* store() const { return tiered_.get(); }
-  SweepCounts counts() const { return {states_, queries_, misses_}; }
-
- private:
-  std::int64_t max_states_;
-  std::int64_t states_ = 0;
-  std::int64_t queries_ = 0;
-  std::int64_t misses_ = 0;
-  bool stop_ = false;
-  bool exhausted_ = false;
-  FlatSigSet visited_;  ///< flat probing set: no node alloc per insert
-  std::unique_ptr<TieredSigSet> tiered_;  ///< replaces visited_ when configured
-};
-
-/// The shared half of a parallel sweep: the dedup store, the budget pool,
-/// the stop/exhausted flags and the totals. Workers touch the pool once per
+/// The shared half of a sweep: the dedup store, the budget pool, the
+/// stop/exhausted flags and the totals. Workers touch the pool once per
 /// kChunk states and the totals once per job; every member written during a
 /// sweep sits on a cache line of its own, so none is ping-ponged per state.
-/// The store is always a TieredSigSet: its plain config is exactly the
+/// The store is always a TieredSigSet: its default config is exactly the
 /// tier-0 per-thread cache over unbudgeted shards, and tier 0 answers most
 /// duplicates without taking a shard lock.
-class ParallelContext {
+class SweepContext {
  public:
   /// States a worker reserves from the budget pool at a time.
   static constexpr std::int64_t kChunk = 4096;
 
-  ParallelContext(std::int64_t max_states, const DedupConfig& store)
+  SweepContext(std::int64_t max_states, const DedupConfig& store)
       : store_(store), budget_(std::max<std::int64_t>(max_states, 0)) {}
 
   /// Grants up to kChunk states of budget, capped at what the pool still
-  /// holds; 0 once the pool is dry or the store hit its memory cap.
+  /// holds; 0 once the pool is dry.
   std::int64_t reserve() {
-    if (store_.mem_exhausted()) return 0;
     std::int64_t left = budget_.load(std::memory_order_relaxed);
     std::int64_t grant = 0;
     do {
@@ -159,6 +98,7 @@ class ParallelContext {
     totals_.misses.fetch_add(c.misses, std::memory_order_relaxed);
   }
   TieredSigSet& store() { return store_; }
+  const TieredSigSet& store() const { return store_; }
   bool stopped() const { return stop_.load(std::memory_order_acquire); }
   void stop() { stop_.store(true, std::memory_order_release); }
   void set_exhausted() { exhausted_.store(true, std::memory_order_relaxed); }
@@ -182,23 +122,34 @@ class ParallelContext {
   } totals_;
 };
 
-/// One parallel explorer's view of the sweep: it counts states, lookups and
+/// One explorer's view of the sweep: it counts states, lookups and
 /// first-inserts in plain integers and charges states against an allowance
 /// reserved from the shared pool in chunks. The destructor hands both back
-/// to the ParallelContext, so a clean sweep's totals are exact sums over its
+/// to the SweepContext, so a clean sweep's totals are exact sums over its
 /// jobs. A worker whose pool request comes back empty reports exhaustion
 /// even when other workers still hold unused allowance; near the budget
 /// boundary a parallel sweep can therefore over-report exhaustion, never
 /// under-report it, and every exhaustion reruns the canonical sequential
-/// pass.
-class WorkerContext final : public ExploreContext {
+/// pass (one worker, which sees the whole pool).
+class WorkerContext {
  public:
-  explicit WorkerContext(ParallelContext& shared) : shared_(shared) {}
-  ~WorkerContext() override { shared_.finish_job(counts_, allowance_); }
+  explicit WorkerContext(SweepContext& shared) : shared_(shared) {}
+  ~WorkerContext() { shared_.finish_job(counts_, allowance_); }
   WorkerContext(const WorkerContext&) = delete;
   WorkerContext& operator=(const WorkerContext&) = delete;
 
-  bool charge() override {
+  /// Counts one state against the budget; false once the budget is exceeded
+  /// (the over-budget state is still counted, matching the reference
+  /// engine's order) or the store hit its memory cap.
+  bool charge() {
+    // A memory-capped store that overflowed with no disk tier aborts the
+    // sweep the same way max_states does: the result is a lower bound.
+    // Checked on every state, so the sweep stops at the first state after
+    // the latch, not at the end of a reserved chunk.
+    if (shared_.store().mem_exhausted()) {
+      shared_.set_exhausted();
+      return false;
+    }
     ++counts_.states;
     if (allowance_ == 0 && (allowance_ = shared_.reserve()) == 0) {
       shared_.set_exhausted();
@@ -207,44 +158,54 @@ class WorkerContext final : public ExploreContext {
     --allowance_;
     return true;
   }
-  bool visit(std::uint64_t sig) override {
+  /// Dedup insert; true iff `sig` was unseen. First insert wins.
+  bool visit(std::uint64_t sig) {
     ++counts_.queries;
     const bool fresh = shared_.store().insert(sig);
     counts_.misses += fresh ? 1 : 0;
     return fresh;
   }
-  bool stopped() const override { return shared_.stopped(); }
-  void stop() override { shared_.stop(); }
+  bool stopped() const { return shared_.stopped(); }
+  void stop() { shared_.stop(); }
 
  private:
-  ParallelContext& shared_;
+  SweepContext& shared_;
   SweepCounts counts_;
   std::int64_t allowance_ = 0;  ///< reserved states not yet charged
 };
 
-/// Fills the context-derived fields of `stats` at the end of a sweep.
-void harvest_context(ExploreStats& stats, const SweepCounts& counts, bool mem_exhausted,
-                     const TieredSigSet* store, int threads, double elapsed_s) {
+/// Fills the context-derived fields of a finished sweep's outcome: the
+/// totals, the exhaustion flags and the store's per-tier traffic. Every
+/// WorkerContext over `ctx` must have been destroyed.
+void finish_sweep(ExploreOutcome& out, const SweepContext& ctx, int threads,
+                  std::chrono::steady_clock::time_point t0) {
+  const std::chrono::duration<double> dt = std::chrono::steady_clock::now() - t0;
+  const SweepCounts counts = ctx.totals();
+  const bool mem_exhausted = ctx.store().mem_exhausted();
+  out.states = counts.states;
+  out.mem_exhausted = mem_exhausted;
+  if (ctx.exhausted() || mem_exhausted) out.budget_exhausted = true;
+  ExploreStats& stats = out.stats;
+  stats.terminal_runs = out.terminal_runs;
+  stats.blocked_runs = out.blocked_runs;
   stats.states = counts.states;
   stats.dedup_queries = counts.queries;
   stats.dedup_misses = counts.misses;
   stats.dedup_hits = counts.queries - counts.misses;
   stats.threads = threads;
-  stats.elapsed_s = elapsed_s;
-  stats.states_per_s = elapsed_s > 0 ? static_cast<double>(stats.states) / elapsed_s : 0;
+  stats.elapsed_s = dt.count();
+  stats.states_per_s = dt.count() > 0 ? static_cast<double>(stats.states) / dt.count() : 0;
   stats.mem_exhausted = mem_exhausted;
-  if (store != nullptr) {
-    const TierStats t = store->tier_stats();
-    stats.dedup_recent_hits = t.recent_hits;
-    stats.dedup_mem_hits = t.mem_hits;
-    stats.dedup_cold_probes = t.cold_probes;
-    stats.dedup_bloom_skips = t.bloom_skips;
-    stats.dedup_cold_hits = t.cold_hits;
-    stats.dedup_spills = t.spills;
-    stats.dedup_spilled_sigs = t.spilled_sigs;
-    stats.dedup_spill_bytes = t.spill_bytes;
-    stats.dedup_merges = t.merges;
-  }
+  const TierStats t = ctx.store().tier_stats();
+  stats.dedup_recent_hits = t.recent_hits;
+  stats.dedup_mem_hits = t.mem_hits;
+  stats.dedup_cold_probes = t.cold_probes;
+  stats.dedup_bloom_skips = t.bloom_skips;
+  stats.dedup_cold_hits = t.cold_hits;
+  stats.dedup_spills = t.spills;
+  stats.dedup_spilled_sigs = t.spilled_sigs;
+  stats.dedup_spill_bytes = t.spill_bytes;
+  stats.dedup_merges = t.merges;
 }
 
 // ---------------------------------------------------------------------------
@@ -273,7 +234,7 @@ void harvest_context(ExploreStats& stats, const SweepCounts& counts, bool mem_ex
 class IncrementalExplorer {
  public:
   IncrementalExplorer(const TaskPtr& task, const std::function<ProcBody(int, Value)>& body,
-                      const ValueVec& inputs, const ExploreConfig& cfg, ExploreContext& ctx)
+                      const ValueVec& inputs, const ExploreConfig& cfg, WorkerContext& ctx)
       : task_(task),
         body_(body),
         inputs_(inputs),
@@ -643,7 +604,7 @@ class IncrementalExplorer {
   const std::function<ProcBody(int, Value)>& body_;
   ValueVec inputs_;
   ExploreConfig cfg_;
-  ExploreContext& ctx_;
+  WorkerContext& ctx_;
   ExploreOutcome out_;
 
   World w_;
@@ -681,7 +642,7 @@ class IncrementalExplorer {
 class FullReplayExplorer {
  public:
   FullReplayExplorer(const TaskPtr& task, const std::function<ProcBody(int, Value)>& body,
-                     const ValueVec& inputs, const ExploreConfig& cfg, ExploreContext& ctx)
+                     const ValueVec& inputs, const ExploreConfig& cfg, WorkerContext& ctx)
       : task_(task), body_(body), inputs_(inputs), cfg_(cfg), ctx_(ctx) {
     bodies_.resize(static_cast<std::size_t>(task_->n_procs()));
     for (int i : cfg_.arrival) {
@@ -806,7 +767,7 @@ class FullReplayExplorer {
   const std::function<ProcBody(int, Value)>& body_;
   ValueVec inputs_;
   ExploreConfig cfg_;
-  ExploreContext& ctx_;
+  WorkerContext& ctx_;
   ExploreOutcome out_;
   std::vector<ProcBody> bodies_;  ///< cached per-process bodies
 };
@@ -818,29 +779,22 @@ class FullReplayExplorer {
 ExploreOutcome explore_sequential(const TaskPtr& task,
                                   const std::function<ProcBody(int, Value)>& body,
                                   const ValueVec& inputs, const ExploreConfig& cfg) {
-  SequentialContext ctx(cfg.max_states, cfg.dedup_store);
-  ExploreOutcome out;
+  SweepContext ctx(cfg.max_states, cfg.dedup_store);
   const auto t0 = std::chrono::steady_clock::now();
-  if (cfg.engine == ExploreEngine::kFullReplay) {
-    FullReplayExplorer e(task, body, inputs, cfg, ctx);
-    e.dfs();
-    out = e.take_outcome();
-  } else {
-    IncrementalExplorer e(task, body, inputs, cfg, ctx);
-    e.dfs();
-    out = e.take_outcome();
+  ExploreOutcome out;
+  {
+    WorkerContext worker(ctx);
+    if (cfg.engine == ExploreEngine::kFullReplay) {
+      FullReplayExplorer e(task, body, inputs, cfg, worker);
+      e.dfs();
+      out = e.take_outcome();
+    } else {
+      IncrementalExplorer e(task, body, inputs, cfg, worker);
+      e.dfs();
+      out = e.take_outcome();
+    }
   }
-  const std::chrono::duration<double> dt = std::chrono::steady_clock::now() - t0;
-  out.states = ctx.counts().states;
-  if (ctx.exhausted()) out.budget_exhausted = true;
-  if (ctx.mem_exhausted()) {
-    out.mem_exhausted = true;
-    out.budget_exhausted = true;
-  }
-  out.stats.terminal_runs = out.terminal_runs;
-  out.stats.blocked_runs = out.blocked_runs;
-  harvest_context(out.stats, ctx.counts(), ctx.mem_exhausted(), ctx.store(), /*threads=*/1,
-                  dt.count());
+  finish_sweep(out, ctx, /*threads=*/1, t0);
   return out;
 }
 
@@ -857,7 +811,7 @@ ExploreOutcome explore_sequential(const TaskPtr& task,
 ExploreOutcome explore_parallel(const TaskPtr& task,
                                 const std::function<ProcBody(int, Value)>& body,
                                 const ValueVec& inputs, const ExploreConfig& cfg) {
-  ParallelContext ctx(cfg.max_states, cfg.dedup_store);
+  SweepContext ctx(cfg.max_states, cfg.dedup_store);
   const std::size_t target = static_cast<std::size_t>(cfg.threads) * 4;
   const auto t0 = std::chrono::steady_clock::now();
 
@@ -923,14 +877,8 @@ ExploreOutcome explore_parallel(const TaskPtr& task,
     out.stats.redelivers += p.stats.redelivers;
     out.stats.ghost_hits += p.stats.ghost_hits;
   }
-  const SweepCounts totals = ctx.totals();
-  out.states = totals.states;
-  const std::chrono::duration<double> dt = std::chrono::steady_clock::now() - t0;
-  out.stats.terminal_runs = out.terminal_runs;
-  out.stats.blocked_runs = out.blocked_runs;
   out.stats.pool_steals = pool_stats.steals;
-  harvest_context(out.stats, totals, ctx.store().mem_exhausted(), &ctx.store(), cfg.threads,
-                  dt.count());
+  finish_sweep(out, ctx, cfg.threads, t0);
   return out;
 }
 
@@ -961,7 +909,10 @@ CleanLevelResult max_clean_level(const TaskPtr& task,
     const ExploreOutcome o = explore_k_concurrent(task, body, inputs, cfg);
     r.states += o.states;
     r.stats.merge(o.stats);
-    if (!o.ok) break;
+    if (!o.ok) {
+      r.violation = o.violation;
+      break;
+    }
     if (o.budget_exhausted) {
       r.budget_exhausted = true;  // level k only sampled: r.level is a lower bound
       r.mem_exhausted = o.mem_exhausted;

@@ -20,10 +20,13 @@
 //    lazily respawned and fast-forwarded by redelivering its logged step
 //    results — deterministic replay makes that equivalent to never having
 //    rewound it. O(1) amortized work per edge.
-// With threads > 1 the incremental engine shards the DFS frontier over a
-// work-stealing pool with one shared tiered signature store and a chunked
-// budget pool; outcomes are reproducible regardless of thread count (see
-// DESIGN.md, "Exploration engine", for the determinism argument).
+// Every sweep, at any thread count and with either engine, charges its
+// states against one chunked budget pool and inserts its signatures into
+// one tiered signature store (core/diskset.hpp). With threads > 1 the
+// incremental engine shards the DFS frontier over a work-stealing pool
+// sharing that pool and store; outcomes are reproducible regardless of
+// thread count (see DESIGN.md, "Exploration engine", for the determinism
+// argument).
 //
 // This is the constructive face of the paper's solvability definitions:
 //  * a clean sweep at level k is machine-checked evidence that the algorithm
@@ -81,11 +84,11 @@ struct ExploreConfig {
   std::function<World()> world_factory;
   /// Dedup store shape (core/diskset.hpp). The default reads EFD_DEDUP_TIERS
   /// / EFD_DEDUP_MEM_MB / EFD_DEDUP_DIR, so every sweep in the process obeys
-  /// the environment; a default environment yields the plain in-memory store
-  /// (a FlatSigSet at 1 thread, tier 0 over unbudgeted shards in parallel
-  /// sweeps). Semantic counters (states,
-  /// terminal_runs, dedup_misses) are identical across store shapes — tiers
-  /// only move where duplicates are detected and where the memory lives.
+  /// the environment; a default environment yields an unbudgeted in-memory
+  /// store (tier 0 over unbudgeted shards, at every thread count). Semantic
+  /// counters (states, terminal_runs, dedup_misses) are identical across
+  /// store shapes — tiers only move where duplicates are detected and where
+  /// the memory lives.
   DedupConfig dedup_store = DedupConfig::from_env();
 };
 
@@ -119,6 +122,7 @@ struct CleanLevelResult {
   bool budget_exhausted = false;  ///< the sweep above `level` ran out of budget:
                                   ///< `level` is a certified lower bound only
   bool mem_exhausted = false;     ///< that exhaustion was the memory cap, not max_states
+  std::string violation;         ///< why the sweep above `level` failed ("" if none did)
   std::int64_t states = 0;       ///< total states across all level sweeps
   ExploreStats stats;            ///< merged telemetry of the counted sweeps
 };

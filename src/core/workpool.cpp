@@ -5,6 +5,7 @@
 #include <condition_variable>
 #include <deque>
 #include <exception>
+#include <mutex>
 #include <thread>
 
 namespace efd {
@@ -32,73 +33,6 @@ bool steal(Deque& d, std::function<void()>& out) {
 }
 
 }  // namespace
-
-void WorkStealingPool::run(std::vector<std::function<void()>>&& tasks, int threads,
-                           PoolStats* stats) {
-  if (threads <= 1 || tasks.size() <= 1) {
-    for (auto& t : tasks) t();
-    if (stats != nullptr) {
-      *stats = PoolStats{};
-      stats->tasks = static_cast<std::int64_t>(tasks.size());
-      stats->per_worker.assign(1, stats->tasks);
-    }
-    return;
-  }
-  const std::size_t n = static_cast<std::size_t>(threads);
-  std::vector<Deque> deques(n);
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    deques[i % n].q.push_back(std::move(tasks[i]));
-  }
-
-  std::atomic<std::size_t> remaining{tasks.size()};
-  std::mutex err_mu;
-  std::exception_ptr first_error;
-  std::vector<std::int64_t> executed(n, 0);
-  std::vector<std::int64_t> stolen(n, 0);
-
-  auto worker = [&](std::size_t me) {
-    std::function<void()> task;
-    while (remaining.load(std::memory_order_acquire) > 0) {
-      bool got = pop_own(deques[me], task);
-      bool was_steal = false;
-      for (std::size_t off = 1; !got && off < n; ++off) {
-        got = steal(deques[(me + off) % n], task);
-        was_steal = got;
-      }
-      if (!got) {
-        // All deques empty: tasks never respawn, so any still-counted task
-        // is executing on another worker. Nothing left for us.
-        break;
-      }
-      try {
-        task();
-      } catch (...) {
-        std::lock_guard<std::mutex> lk(err_mu);
-        if (!first_error) first_error = std::current_exception();
-      }
-      task = nullptr;
-      ++executed[me];
-      if (was_steal) ++stolen[me];
-      remaining.fetch_sub(1, std::memory_order_acq_rel);
-    }
-  };
-
-  std::vector<std::thread> crew;
-  crew.reserve(n - 1);
-  for (std::size_t i = 1; i < n; ++i) crew.emplace_back(worker, i);
-  worker(0);
-  for (auto& t : crew) t.join();
-
-  if (stats != nullptr) {
-    *stats = PoolStats{};
-    stats->per_worker = executed;
-    for (std::size_t i = 0; i < n; ++i) {
-      stats->tasks += executed[i];
-      stats->steals += stolen[i];
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
-}
 
 // One batch's worth of shared pool state plus the persistent crew. The
 // worker protocol is epoch-based: run() deals tasks into the deques, bumps
@@ -234,6 +168,11 @@ void ResidentPool::run(std::vector<std::function<void()>>&& tasks, PoolStats* st
     im.first_error = nullptr;
     std::rethrow_exception(e);
   }
+}
+
+void WorkStealingPool::run(std::vector<std::function<void()>>&& tasks, int threads,
+                           PoolStats* stats) {
+  ResidentPool(tasks.size() > 1 ? threads : 1).run(std::move(tasks), stats);
 }
 
 }  // namespace efd

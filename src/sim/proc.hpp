@@ -324,17 +324,4 @@ Co<Value> double_collect(Context& ctx, Sym base, int n);
 /// the first non-Nil value observed.
 Co<Value> await_nonnil(Context& ctx, RegAddr addr);
 
-/// DEPRECATED(string-intern-per-call): these convenience overloads intern
-/// `base` on EVERY call, taking the global Sym table lock inside the step
-/// loop. New code (and all hot paths) must hoist the handle once —
-/// `static const Sym kBase = sym("base");` — and call the Sym overloads
-/// above. Kept only for cold call sites and tests; grep for the marker
-/// `string-intern-per-call` before adding a caller.
-inline Co<Value> collect(Context& ctx, const std::string& base, int n) {
-  return collect(ctx, sym(base), n);
-}
-inline Co<Value> double_collect(Context& ctx, const std::string& base, int n) {
-  return double_collect(ctx, sym(base), n);
-}
-
 }  // namespace efd

@@ -14,9 +14,10 @@
 //    merge-then-query equivalence, exact per-tier duplicate counts under
 //    8 concurrent inserters, and the mem-exhaustion latch;
 //  * explorer integration — ExploreOutcome through the disk tier is
-//    byte-identical to the plain store across {1,2,8} threads, also at the
-//    exact budget boundary, and a memory-capped store with no disk tier
-//    degrades to a lower bound.
+//    byte-identical to the default store across {1,2,8} threads, also at
+//    the exact budget boundary; per-tier duplicate counts add up at every
+//    thread count; and a memory-capped store with no disk tier degrades to
+//    a lower bound at the first state after the cap.
 //
 // Labeled `dedup` in ctest; sized to stay viable under ASan/TSan builds.
 #include <gtest/gtest.h>
@@ -38,7 +39,6 @@
 #include "core/diskset.hpp"
 #include "core/sigset.hpp"
 #include "core/solvability.hpp"
-#include "core/workpool.hpp"
 #include "tasks/set_agreement.hpp"
 
 namespace efd {
@@ -216,16 +216,6 @@ TEST(TieredSigSet, TinyBudgetSpillsToDiskAndMatchesOracle) {
   EXPECT_GT(t.cold_hits, 0) << "post-merge queries must hit the disk runs";
 }
 
-TEST(TieredSigSet, RecentCacheDisabledStillMatchesOracle) {
-  DedupConfig cfg;
-  cfg.disk_tier = true;
-  cfg.mem_budget_bytes = 64 * 1024;
-  cfg.recent_bits = 0;  // tier-0 off: every duplicate takes the locked path
-  TieredSigSet store(cfg);
-  oracle_stream(store, 30000, 13, 20000);
-  EXPECT_EQ(store.tier_stats().recent_hits, 0);
-}
-
 TEST(TieredSigSet, ConcurrentInsertersAgreeWithOracleSet) {
   DedupConfig cfg;
   cfg.disk_tier = true;
@@ -310,8 +300,11 @@ struct EnvGuard {
 
 TEST(DedupConfig, FromEnvParsesTiersBudgetAndDir) {
   {
+    // Default environment: unbudgeted in-memory store.
     const DedupConfig cfg = DedupConfig::from_env();
-    EXPECT_TRUE(cfg.plain()) << "default environment must mean plain in-memory";
+    EXPECT_FALSE(cfg.disk_tier);
+    EXPECT_EQ(cfg.mem_budget_bytes, 0u);
+    EXPECT_TRUE(cfg.spill_dir.empty());
   }
   {
     EnvGuard t("EFD_DEDUP_TIERS", "tiered");
@@ -321,11 +314,12 @@ TEST(DedupConfig, FromEnvParsesTiersBudgetAndDir) {
     EXPECT_TRUE(cfg.disk_tier);
     EXPECT_EQ(cfg.mem_budget_bytes, 512u * 1024 * 1024);
     EXPECT_EQ(cfg.spill_dir, "/tmp/efd-test-spill");
-    EXPECT_FALSE(cfg.plain());
   }
   {
     EnvGuard t("EFD_DEDUP_TIERS", "mem");
-    EXPECT_TRUE(DedupConfig::from_env().plain());
+    const DedupConfig cfg = DedupConfig::from_env();
+    EXPECT_FALSE(cfg.disk_tier);
+    EXPECT_EQ(cfg.mem_budget_bytes, 0u);
   }
   {
     EnvGuard t("EFD_DEDUP_TIERS", "bogus");
@@ -334,6 +328,17 @@ TEST(DedupConfig, FromEnvParsesTiersBudgetAndDir) {
   {
     EnvGuard m("EFD_DEDUP_MEM_MB", "-3");
     EXPECT_THROW(DedupConfig::from_env(), std::runtime_error);
+  }
+  {
+    // The largest MiB count whose byte count fits in size_t.
+    EnvGuard m("EFD_DEDUP_MEM_MB", std::to_string(SIZE_MAX >> 20));
+    EXPECT_EQ(DedupConfig::from_env().mem_budget_bytes, (SIZE_MAX >> 20) << 20);
+  }
+  // 2^44 + 1 MiB wraps size_t when scaled to bytes; the second value is
+  // out of range for strtoll itself.
+  for (const char* mb : {"17592186044417", "99999999999999999999"}) {
+    EnvGuard m("EFD_DEDUP_MEM_MB", mb);
+    EXPECT_THROW(DedupConfig::from_env(), std::runtime_error) << mb;
   }
 }
 
@@ -412,10 +417,29 @@ TEST(TieredExplore, BudgetBoundaryOutcomeIsThreadCountInvariant) {
   }
 }
 
+TEST(TieredExplore, TierHitsAddUpAtEveryThreadCount) {
+  // Every sweep runs on the tiered store, so the per-tier duplicate counts
+  // are filled at 1 thread too, and each duplicate is answered by exactly
+  // one tier.
+  for (const int threads : {1, 2, 8}) {
+    const ExploreOutcome o = sweep_with_store(DedupConfig{}, threads);
+    ASSERT_TRUE(o.ok) << o.violation;
+    ASSERT_FALSE(o.budget_exhausted);
+    const ExploreStats& st = o.stats;
+    EXPECT_EQ(st.dedup_recent_hits + st.dedup_mem_hits + st.dedup_cold_hits, st.dedup_hits)
+        << "threads=" << threads;
+    EXPECT_GT(st.dedup_recent_hits, 0) << "threads=" << threads;
+  }
+}
+
 TEST(TieredExplore, MemoryCapWithoutDiskReportsLowerBound) {
   DedupConfig capped;
   capped.mem_budget_bytes = 64 * 1024;  // no disk tier: must abort
   const ExploreOutcome o = sweep_with_store(capped, 1);
+  // The per-shard budget floors at 4 KiB, below a fresh 8 KiB shard table,
+  // so the first insert latches the cap and the sweep stops before
+  // charging a second state — not at the end of a reserved budget chunk.
+  EXPECT_EQ(o.states, 1);
   EXPECT_TRUE(o.mem_exhausted);
   EXPECT_TRUE(o.budget_exhausted) << "mem exhaustion must read as budget exhaustion";
   EXPECT_TRUE(o.stats.mem_exhausted);

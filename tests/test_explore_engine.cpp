@@ -18,6 +18,7 @@
 
 #include "algo/one_concurrent.hpp"
 #include "core/bivalence.hpp"
+#include "core/diskset.hpp"
 #include "core/solvability.hpp"
 #include "core/workpool.hpp"
 #include "sim/memory.hpp"
@@ -500,8 +501,13 @@ TEST(ExploreEngine, WorkStealingPoolRunsEveryTaskOnce) {
   for (int i = 0; i < 100; ++i) {
     tasks.push_back([&hits] { hits.fetch_add(1, std::memory_order_relaxed); });
   }
-  WorkStealingPool::run(std::move(tasks), 4);
+  PoolStats st;
+  WorkStealingPool::run(std::move(tasks), 4, &st);
   EXPECT_EQ(hits.load(), 100);
+  EXPECT_EQ(st.tasks, 100);
+  std::int64_t per_worker_sum = 0;
+  for (const std::int64_t n : st.per_worker) per_worker_sum += n;
+  EXPECT_EQ(per_worker_sum, 100);
 }
 
 TEST(ExploreEngine, ResidentPoolReusesItsCrewAcrossBatches) {

@@ -155,7 +155,7 @@ TEST(Coroutine, CollectReadsEachRegisterOnce) {
   w.memory().write(reg("V", 0), Value(10));
   w.memory().write(reg("V", 2), Value(30));
   w.spawn_c(0, [](Context& ctx) -> Proc {
-    const Value v = co_await collect(ctx, "V", 3);
+    const Value v = co_await collect(ctx, sym("V"), 3);
     co_await ctx.decide(v);
   });
   for (int i = 0; i < 4; ++i) w.step(cpid(0));  // 3 reads + decide
@@ -185,7 +185,7 @@ TEST(Coroutine, DoubleCollectStableView) {
   w.memory().write(reg("D", 0), Value(1));
   w.memory().write(reg("D", 1), Value(2));
   w.spawn_c(0, [](Context& ctx) -> Proc {
-    const Value v = co_await double_collect(ctx, "D", 2);
+    const Value v = co_await double_collect(ctx, sym("D"), 2);
     co_await ctx.decide(v);
   });
   for (int i = 0; i < 5; ++i) w.step(cpid(0));  // 2+2 reads + decide

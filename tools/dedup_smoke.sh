@@ -1,13 +1,15 @@
 #!/usr/bin/env sh
 # Tiered dedup store smoke check (ctest -L dedup): the same sweep through the
-# plain in-memory store and through a RAM-capped tiered store must report
-# IDENTICAL semantic counters (states, terminal runs, unique signatures) —
-# the tiers only move where duplicates are found — while the tiered run must
-# actually exercise the disk (spills > 0) and must leave nothing behind in
-# its spill directory. The same sweep at 4 threads, through both store
-# shapes, must reproduce the 1-thread counters. Also checks the capped
-# mem-only configuration degrades to a lower-bound verdict (exit 3) instead
-# of pretending to certify.
+# unbudgeted in-memory store and through a RAM-capped tiered store must
+# report IDENTICAL semantic counters (states, terminal runs, unique
+# signatures) — the tiers only move where duplicates are found — while the
+# tiered run must actually exercise the disk (spills > 0) and must leave
+# nothing behind in its spill directory. The in-memory 1-thread run's tier
+# hits must add up to its duplicates. The same sweep at 4 threads, through
+# both store shapes, must reproduce the 1-thread counters. Also checks the
+# capped mem-only configuration degrades to a lower-bound verdict (exit 3)
+# instead of pretending to certify, and that an out-of-range --mem-mb is a
+# usage error.
 #
 # usage: dedup_smoke.sh <efd_dedup_sweep-binary> [workdir]
 set -eu
@@ -45,8 +47,19 @@ for key in states terminal_runs dedup_queries dedup_misses dedup_hits; do
   }
 done
 
-# The parallel frontier: plain (tier 0 over unbudgeted shards) and tiered
-# stores at 4 threads must report the 1-thread plain run's counters.
+# The 1-thread sweep runs on the tiered store too: with no disk tier every
+# duplicate is answered by tier 0 or by a shard, and tier 0 answers some.
+recent="$(field "$work/mem.json" recent_hits)"
+memhits="$(field "$work/mem.json" mem_hits)"
+hits="$(field "$work/mem.json" dedup_hits)"
+[ "${recent:-0}" -gt 0 ] && [ $((recent + memhits)) -eq "$hits" ] || {
+  echo "FAIL: 1-thread mem run tiers: recent_hits=$recent + mem_hits=$memhits," \
+    "want dedup_hits=$hits with recent_hits > 0" >&2
+  exit 1
+}
+
+# The parallel frontier: in-memory (tier 0 over unbudgeted shards) and
+# tiered stores at 4 threads must report the 1-thread mem run's counters.
 $sweep $common --threads 4 --tiers mem --mem-mb 0 --out "$work/mem_x4.json"
 $sweep $common --threads 4 --tiers tiered --mem-mb 1 --spill-dir "$spill" \
   --out "$work/tiered_x4.json"
@@ -99,5 +112,16 @@ full_states="$(field "$work/mem.json" states)"
   echo "FAIL: capped sweep explored $capped_states states, full sweep $full_states" >&2
   exit 1
 }
+
+# A MiB budget whose byte count would wrap size_t is a usage error (exit 2),
+# as is one strtoll cannot represent.
+for mb in 17592186044417 99999999999999999999; do
+  rc=0
+  $sweep $common --tiers mem --mem-mb "$mb" >/dev/null 2>&1 || rc=$?
+  [ "$rc" -eq 2 ] || {
+    echo "FAIL: --mem-mb $mb exited $rc, want 2 (usage error)" >&2
+    exit 1
+  }
+done
 
 echo "dedup_smoke: OK (states=$full_states, spills=$spills, capped=$capped_states+)"

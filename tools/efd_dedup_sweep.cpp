@@ -22,7 +22,10 @@
 // sweep burned on all its threads) and the per-tier traffic. Exit codes:
 // 0 level certified clean; 3 exhausted (lower bound only); 1 violating run
 // found; 2 usage error; 6 other error.
+#include <cerrno>
 #include <cinttypes>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -115,11 +118,14 @@ int run(int argc, char** argv) {
   cfg.max_states = 400000;
   std::string out_path;
   for (int i = 1; i < argc; ++i) {
-    const auto int_arg = [&](long long lo) -> long long {
+    const auto int_arg = [&](long long lo, long long hi = LLONG_MAX) -> long long {
       if (i + 1 >= argc) { std::exit(usage()); }
       char* end = nullptr;
+      errno = 0;
       const long long v = std::strtoll(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0' || v < lo) std::exit(usage());
+      if (end == argv[i] || *end != '\0' || errno == ERANGE || v < lo || v > hi) {
+        std::exit(usage());
+      }
       return v;
     };
     if (!std::strcmp(argv[i], "--n")) {
@@ -144,8 +150,9 @@ int run(int argc, char** argv) {
         return usage();
       }
     } else if (!std::strcmp(argv[i], "--mem-mb")) {
+      // Above SIZE_MAX >> 20 MiB the byte count would wrap.
       cfg.dedup_store.mem_budget_bytes =
-          static_cast<std::size_t>(int_arg(0)) * 1024 * 1024;
+          static_cast<std::size_t>(int_arg(0, static_cast<long long>(SIZE_MAX >> 20))) << 20;
     } else if (!std::strcmp(argv[i], "--spill-dir") && i + 1 < argc) {
       cfg.dedup_store.spill_dir = argv[++i];
     } else if (!std::strcmp(argv[i], "--out") && i + 1 < argc) {
