@@ -2,12 +2,15 @@
 //
 // The seed's explorer re-executed the whole schedule prefix from a fresh
 // World at every DFS node — O(depth²) coroutine steps per root-to-leaf path.
-// The incremental engine keeps one persistent World, advances it a single
-// step per DFS edge, and backtracks through an exact undo log (memory cells,
-// signatures, decision flags, admission window), respawning only processes
-// that are actually rescheduled after a rewind. The parallel engine shards
-// the DFS frontier of the same tree over a work-stealing pool with a shared
-// sharded signature set; clean-sweep outcomes are thread-count-invariant.
+// It survives as the tests' full-replay oracle
+// (tests/support/explore_oracle.hpp), which this binary links for the
+// "full replay" row. The library's explorer keeps one persistent World,
+// advances it a single step per DFS edge, and backtracks through an exact
+// undo log (memory cells, signatures, decision flags, admission window),
+// respawning only processes that are actually rescheduled after a rewind.
+// The parallel frontier shards the same tree over a work-stealing pool with
+// a shared sharded signature set; clean-sweep outcomes are
+// thread-count-invariant.
 //
 // Workload: (5,2)-set-agreement under the generic 1-concurrent solver at
 // level 2 — a clean sweep of ~190k states whose runs go 61-65 steps deep
@@ -16,6 +19,7 @@
 // the parallel scaling curve; all engines must agree on (states, terminal
 // runs) for the sweep to count.
 #include "bench_common.hpp"
+#include "support/explore_oracle.hpp"
 
 #include <algorithm>
 #include <memory>
@@ -39,17 +43,16 @@ std::function<ProcBody(int, Value)> e14_body(const TaskPtr& task) {
   return [task](int, Value input) { return make_one_concurrent(task, input, "e14"); };
 }
 
-ExploreConfig e14_cfg(ExploreEngine engine, int threads) {
+ExploreConfig e14_cfg(int threads) {
   ExploreConfig cfg;
   cfg.k = 2;
   cfg.arrival = {0, 1, 2, 3, 4};
   cfg.max_states = 400000;
-  cfg.engine = engine;
   cfg.threads = threads;
   return cfg;
 }
 
-void run_one(benchmark::State& state, ExploreEngine engine, int threads, const char* label,
+void run_one(benchmark::State& state, bool full_replay, int threads, const char* label,
              const char* json_name, std::initializer_list<std::int64_t> json_args = {},
              const DedupConfig* dedup = nullptr) {
   const TaskPtr task = e14_task();
@@ -62,9 +65,10 @@ void run_one(benchmark::State& state, ExploreEngine engine, int threads, const c
   bool ok = true;
   const std::uint64_t allocs_before = bench::alloc_count();
   for (auto _ : state) {
-    ExploreConfig cfg = e14_cfg(engine, threads);
+    ExploreConfig cfg = e14_cfg(threads);
     if (dedup != nullptr) cfg.dedup_store = *dedup;
-    const ExploreOutcome o = explore_k_concurrent(task, body, in, cfg);
+    const ExploreOutcome o = full_replay ? explore_full_replay(task, body, in, cfg)
+                                         : explore_k_concurrent(task, body, in, cfg);
     states_total += o.states;
     last_states = o.states;
     last_terminal = o.terminal_runs;
@@ -111,17 +115,17 @@ void run_one(benchmark::State& state, ExploreEngine engine, int threads, const c
 void E14_FullReplay(benchmark::State& state) {
   bench::table_header("E14: schedule exploration engines, (5,2)-set-agreement level 2",
                       "engine                 |   states explored |  terminal runs | clean sweep");
-  run_one(state, ExploreEngine::kFullReplay, 1, "full replay", "E14_FullReplay");
+  run_one(state, /*full_replay=*/true, 1, "full replay", "E14_FullReplay");
 }
 
 void E14_Incremental(benchmark::State& state) {
-  run_one(state, ExploreEngine::kIncremental, 1, "incremental", "E14_Incremental");
+  run_one(state, false, 1, "incremental", "E14_Incremental");
 }
 
 void E14_Parallel(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
   const std::string label = "parallel x" + std::to_string(threads);
-  run_one(state, ExploreEngine::kIncremental, threads, label.c_str(), "E14_Parallel", {threads});
+  run_one(state, false, threads, label.c_str(), "E14_Parallel", {threads});
 }
 
 // Same sweep through the tiered dedup store with a memory budget small
@@ -135,7 +139,7 @@ void E14_Tiered(benchmark::State& state) {
   DedupConfig dedup;
   dedup.disk_tier = true;
   dedup.mem_budget_bytes = 1 << 20;
-  run_one(state, ExploreEngine::kIncremental, 1, "tiered 1MiB+disk", "E14_Tiered", {}, &dedup);
+  run_one(state, false, 1, "tiered 1MiB+disk", "E14_Tiered", {}, &dedup);
 }
 
 }  // namespace

@@ -7,42 +7,12 @@
 #include <utility>
 
 #include "core/diskset.hpp"
+#include "core/explore_sig.hpp"
 #include "core/workpool.hpp"
 #include "sim/schedule.hpp"
 
 namespace efd {
 namespace {
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-constexpr std::uint64_t kDecidedSalt = 7919u;
-
-/// splitmix64 finalizer: avalanches a per-process step chain before it
-/// enters the cross-process fold. Without it the node signature is linear
-/// in the per-process chains over the SAME prime as the per-step fold, so
-/// it degenerates to a hash of the concatenated traces: the process
-/// boundary contributes only kFnvOffset * prime^(steps_i + procs - i),
-/// and that multiset collides whenever two schedules swap step counts
-/// between processes whose step contributions are identical (e.g. writes,
-/// which fold Nil + op regardless of address or value). Observed in the
-/// wild: schedules 0,1,1,1,1 and 1,1,0,0,0 of the set-agreement solver
-/// produced equal signatures for genuinely different configurations,
-/// silently merging their subtrees. Mixing makes the outer fold see
-/// avalanche-distinct summaries, destroying the structural cancellation.
-constexpr std::uint64_t mix64(std::uint64_t x) noexcept {
-  x ^= x >> 30;
-  x *= 0xBF58476D1CE4E5B9ULL;
-  x ^= x >> 27;
-  x *= 0x94D049BB133111EBULL;
-  x ^= x >> 31;
-  return x;
-}
-
-/// The world an engine explores in: the configured factory (substrate
-/// installs, MP worlds) or the legacy pure-register default.
-World make_explore_world(const ExploreConfig& cfg) {
-  return cfg.world_factory ? cfg.world_factory() : World::failure_free(1);
-}
 
 // ---------------------------------------------------------------------------
 // Budget + dedup context: what an explorer charges states against and
@@ -54,7 +24,7 @@ World make_explore_world(const ExploreConfig& cfg) {
 // ---------------------------------------------------------------------------
 
 /// Budget and dedup traffic of a sweep, or of one job. For fully-covered
-/// clean sweeps all three are engine- and thread-count-invariant (unique
+/// clean sweeps all three are thread-count-invariant (unique
 /// signatures are expanded exactly once, so lookup multiplicity is
 /// state-determined).
 struct SweepCounts {
@@ -139,8 +109,8 @@ class WorkerContext {
   WorkerContext& operator=(const WorkerContext&) = delete;
 
   /// Counts one state against the budget; false once the budget is exceeded
-  /// (the over-budget state is still counted, matching the reference
-  /// engine's order) or the store hit its memory cap.
+  /// (the over-budget state is still counted, so an exhausted sweep reports
+  /// max_states + 1 states) or the store hit its memory cap.
   bool charge() {
     // A memory-capped store that overflowed with no disk tier aborts the
     // sweep the same way max_states does: the result is a lower bound.
@@ -240,11 +210,11 @@ class IncrementalExplorer {
         inputs_(inputs),
         cfg_(cfg),
         ctx_(ctx),
-        w_(make_explore_world(cfg)),
+        w_(cfg.world_factory ? cfg.world_factory() : World::failure_free(1)),
         window_(cfg.k, cfg.arrival),
         mp_(w_.substrate_set()) {
     const std::size_t n = static_cast<std::size_t>(task_->n_procs());
-    proc_sig_.assign(n, kFnvOffset);
+    proc_sig_.assign(n, explore_sig::kChainSeed);
     decided_.assign(n, 0);
     terminated_.assign(n, 0);
     exists_.assign(n, 0);
@@ -284,14 +254,10 @@ class IncrementalExplorer {
     elig_stack_.resize(base);
   }
 
-  /// Advances to `prefix` WITHOUT entry bookkeeping (used by parallel
-  /// workers: the frontier expansion already accounted for the ancestors).
-  void seek(const std::vector<int>& prefix) {
-    for (int c : prefix) push_step(c);
-  }
-
-  /// Repositions the world at `prefix`, backtracking only past the common
-  /// ancestor (frontier expansion visits prefixes in near-sibling order).
+  /// Repositions the world at `prefix` WITHOUT entry bookkeeping,
+  /// backtracking only past the common ancestor (frontier expansion visits
+  /// prefixes in near-sibling order). Parallel jobs start here from the
+  /// root: the probe already accounted for the ancestors.
   void move_to(const std::vector<int>& prefix) {
     std::size_t common = 0;
     while (common < prefix.size() && common < sched_.size() &&
@@ -304,8 +270,8 @@ class IncrementalExplorer {
 
   enum class Node { kPruned, kExpand };
 
-  /// Entry bookkeeping for the current configuration, in the same order as
-  /// the reference engine: budget → relation → terminal → depth → dedup.
+  /// Entry bookkeeping for the current configuration, in the order
+  /// budget → relation → terminal → depth → dedup.
   Node enter_node() {
     if (!ctx_.charge()) {
       out_.budget_exhausted = true;
@@ -328,7 +294,7 @@ class IncrementalExplorer {
       fail("no decision within step bound (possible non-termination)");
       return Node::kPruned;
     }
-    if (cfg_.dedup && !ctx_.visit(sig())) return Node::kPruned;
+    if (!ctx_.visit(sig())) return Node::kPruned;
     return Node::kExpand;
   }
 
@@ -472,7 +438,7 @@ class IncrementalExplorer {
       w_.memory().write(gs.addr, gs.value);
     }
     proc_log_[i].push_back(result);
-    proc_sig_[i] = proc_sig_[i] * kFnvPrime + result.hash() + static_cast<std::uint64_t>(ps.op);
+    proc_sig_[i] = explore_sig::chain_step(proc_sig_[i], ps.op, result);
     if (gs.decided && decided_[i] == 0) {
       ps.became_decided = true;
       decided_[i] = 1;
@@ -529,7 +495,7 @@ class IncrementalExplorer {
     }
     w_.step(cpid(c));  // executes exactly `op`
     proc_log_[i].push_back(result);
-    proc_sig_[i] = proc_sig_[i] * kFnvPrime + result.hash() + static_cast<std::uint64_t>(ps.op);
+    proc_sig_[i] = explore_sig::chain_step(proc_sig_[i], ps.op, result);
     if (decided_[i] == 0 && w_.decided(cpid(c))) {
       ps.became_decided = true;
       decided_[i] = 1;
@@ -579,18 +545,15 @@ class IncrementalExplorer {
     path_.pop_back();  // invalidates ps — must stay last
   }
 
-  /// Full-configuration signature; identical formula to the reference
-  /// engine's (shared-state hash — registers plus substrate-held mailbox
-  /// state, byte-identical across backends holding the same contents —
-  /// per-process step-result chains, decided salts, admission progress).
+  /// Full-configuration signature (format: core/explore_sig.hpp). The
+  /// shared-state hash is byte-identical across backends holding the same
+  /// registers and mailbox contents.
   [[nodiscard]] std::uint64_t sig() const {
     std::uint64_t s = w_.state_hash();
     for (std::size_t i = 0; i < proc_sig_.size(); ++i) {
-      s = s * kFnvPrime + mix64(proc_sig_[i]) +
-          (exists_[i] != 0 && decided_[i] != 0 ? kDecidedSalt : 0u);
+      s = explore_sig::fold_proc(s, proc_sig_[i], exists_[i] != 0 && decided_[i] != 0);
     }
-    s = s * kFnvPrime + static_cast<std::uint64_t>(window_.next_arrival());
-    return s;
+    return explore_sig::fold_arrival(s, window_.next_arrival());
   }
 
   void fail(const char* msg) {
@@ -635,144 +598,6 @@ class IncrementalExplorer {
 };
 
 // ---------------------------------------------------------------------------
-// Reference engine: fresh world + full prefix replay per node. Kept as the
-// semantic baseline the incremental engine is tested against.
-// ---------------------------------------------------------------------------
-
-class FullReplayExplorer {
- public:
-  FullReplayExplorer(const TaskPtr& task, const std::function<ProcBody(int, Value)>& body,
-                     const ValueVec& inputs, const ExploreConfig& cfg, WorkerContext& ctx)
-      : task_(task), body_(body), inputs_(inputs), cfg_(cfg), ctx_(ctx) {
-    bodies_.resize(static_cast<std::size_t>(task_->n_procs()));
-    for (int i : cfg_.arrival) {
-      const auto ii = static_cast<std::size_t>(i);
-      bodies_[ii] = body_(i, inputs_[ii]);
-    }
-  }
-
-  void dfs() {
-    std::vector<int> sched;
-    dfs(sched);
-  }
-
-  ExploreOutcome take_outcome() { return std::move(out_); }
-
- private:
-  struct ReplayInfo {
-    std::vector<int> eligible;  ///< admission window after the prefix, minus
-                                ///< blocked-recv processes (substrate worlds)
-    bool blocked = false;       ///< window live but every process blocked
-    bool terminal = false;      ///< everyone arrived and finished
-    bool relation_ok = true;
-    std::uint64_t sig = 0;      ///< full-configuration signature
-  };
-
-  /// Deterministically replays `sched` (a sequence of C-index choices) and
-  /// summarizes the resulting configuration.
-  ReplayInfo replay(const std::vector<int>& sched) {
-    World w = make_explore_world(cfg_);
-    for (int i : cfg_.arrival) {
-      w.spawn_c(i, bodies_[static_cast<std::size_t>(i)]);
-    }
-    w.attach_observer(cfg_.observer);
-    AdmissionWindow win(cfg_.k, cfg_.arrival);
-    win.refresh(w);
-
-    // Per-process signature: fold the result of every delivered step.
-    std::vector<std::uint64_t> proc_sig(static_cast<std::size_t>(task_->n_procs()), kFnvOffset);
-    w.enable_trace();
-    for (int c : sched) {
-      w.step(cpid(c));
-      win.refresh(w);
-    }
-    for (const auto& s : w.trace()) {
-      auto& h = proc_sig[static_cast<std::size_t>(s.pid.index)];
-      h = h * kFnvPrime + s.result.hash() + static_cast<std::uint64_t>(s.op);
-    }
-
-    ReplayInfo info;
-    info.eligible = win.active();
-    info.terminal = win.exhausted();
-    if (w.substrate_set() && !info.eligible.empty()) {
-      // Same blocking-recv rule as the incremental engine: frames here are
-      // exactly at the logical position, so the pending op is authoritative.
-      std::vector<int> elig;
-      for (int c : info.eligible) {
-        const PendingOp* op = w.pending_op(cpid(c));
-        if (op != nullptr && op->kind == OpKind::kRecv &&
-            w.substrate().peek_recv(w.memory(), op->addr).is_nil()) {
-          continue;
-        }
-        elig.push_back(c);
-      }
-      info.blocked = elig.empty();
-      info.eligible = std::move(elig);
-    }
-    ValueVec outs = w.output_vector();
-    outs.resize(static_cast<std::size_t>(task_->n_procs()));
-    info.relation_ok = task_->relation(inputs_, outs);
-    std::uint64_t sig = w.state_hash();
-    for (std::size_t i = 0; i < proc_sig.size(); ++i) {
-      sig = sig * kFnvPrime + mix64(proc_sig[i]) +
-            (w.exists(cpid(static_cast<int>(i))) && w.decided(cpid(static_cast<int>(i)))
-                 ? kDecidedSalt
-                 : 0u);
-    }
-    sig = sig * kFnvPrime + static_cast<std::uint64_t>(win.next_arrival());
-    info.sig = sig;
-    return info;
-  }
-
-  void dfs(std::vector<int>& sched) {
-    if (ctx_.stopped()) return;
-    if (!ctx_.charge()) {
-      out_.budget_exhausted = true;
-      ctx_.stop();
-      return;
-    }
-    const ReplayInfo info = replay(sched);
-    if (!info.relation_ok) {
-      out_.ok = false;
-      out_.violation = "task relation violated";
-      out_.bad_schedule = sched;
-      ctx_.stop();
-      return;
-    }
-    if (info.terminal) {
-      ++out_.terminal_runs;
-      return;
-    }
-    if (static_cast<int>(sched.size()) >= cfg_.max_depth) {
-      out_.ok = false;
-      out_.violation = "no decision within step bound (possible non-termination)";
-      out_.bad_schedule = sched;
-      ctx_.stop();
-      return;
-    }
-    if (cfg_.dedup && !ctx_.visit(info.sig)) return;
-    if (info.blocked) {
-      ++out_.blocked_runs;  // dead end: live window, all blocked on recv
-      return;
-    }
-    for (int c : info.eligible) {
-      sched.push_back(c);
-      dfs(sched);
-      sched.pop_back();
-      if (ctx_.stopped()) return;
-    }
-  }
-
-  TaskPtr task_;
-  const std::function<ProcBody(int, Value)>& body_;
-  ValueVec inputs_;
-  ExploreConfig cfg_;
-  WorkerContext& ctx_;
-  ExploreOutcome out_;
-  std::vector<ProcBody> bodies_;  ///< cached per-process bodies
-};
-
-// ---------------------------------------------------------------------------
 // Drivers.
 // ---------------------------------------------------------------------------
 
@@ -784,15 +609,9 @@ ExploreOutcome explore_sequential(const TaskPtr& task,
   ExploreOutcome out;
   {
     WorkerContext worker(ctx);
-    if (cfg.engine == ExploreEngine::kFullReplay) {
-      FullReplayExplorer e(task, body, inputs, cfg, worker);
-      e.dfs();
-      out = e.take_outcome();
-    } else {
-      IncrementalExplorer e(task, body, inputs, cfg, worker);
-      e.dfs();
-      out = e.take_outcome();
-    }
+    IncrementalExplorer e(task, body, inputs, cfg, worker);
+    e.dfs();
+    out = e.take_outcome();
   }
   finish_sweep(out, ctx, /*threads=*/1, t0);
   return out;
@@ -848,7 +667,7 @@ ExploreOutcome explore_parallel(const TaskPtr& task,
         if (ctx.stopped()) return;
         WorkerContext job_ctx(ctx);
         IncrementalExplorer e(task, body, inputs, cfg, job_ctx);
-        e.seek(roots[i]);
+        e.move_to(roots[i]);
         e.dfs();
         parts[i] = e.take_outcome();
       });
@@ -887,7 +706,7 @@ ExploreOutcome explore_parallel(const TaskPtr& task,
 ExploreOutcome explore_k_concurrent(const TaskPtr& task,
                                     const std::function<ProcBody(int, Value)>& body,
                                     const ValueVec& inputs, const ExploreConfig& cfg) {
-  if (cfg.threads > 1 && cfg.engine == ExploreEngine::kIncremental) {
+  if (cfg.threads > 1) {
     return explore_parallel(task, body, inputs, cfg);
   }
   return explore_sequential(task, body, inputs, cfg);

@@ -10,23 +10,21 @@
 // exhaustively (with state-signature deduplication — different interleavings
 // converge) and checks the task relation at every node.
 //
-// Two engines produce identical outcomes:
-//  * kFullReplay — the reference engine: re-executes the whole prefix from a
-//    fresh World at every node (O(depth²) work per root-to-leaf path);
-//  * kIncremental — the production engine: one persistent World advanced a
-//    single step per DFS edge, with an exact undo log (memory cells,
-//    signatures, decision flags, admission window) for backtracking.
-//    Coroutine frames cannot run backwards, so a backtracked process is
-//    lazily respawned and fast-forwarded by redelivering its logged step
-//    results — deterministic replay makes that equivalent to never having
-//    rewound it. O(1) amortized work per edge.
-// Every sweep, at any thread count and with either engine, charges its
-// states against one chunked budget pool and inserts its signatures into
-// one tiered signature store (core/diskset.hpp). With threads > 1 the
-// incremental engine shards the DFS frontier over a work-stealing pool
-// sharing that pool and store; outcomes are reproducible regardless of
-// thread count (see DESIGN.md, "Exploration engine", for the determinism
-// argument).
+// The explorer is incremental: one persistent World advanced a single step
+// per DFS edge, with an exact undo log (memory cells, signatures, decision
+// flags, admission window) for backtracking. Coroutine frames cannot run
+// backwards, so a backtracked process is lazily respawned and fast-forwarded
+// by redelivering its logged step results — deterministic replay makes that
+// equivalent to never having rewound it. O(1) amortized work per edge.
+// Configuration signatures follow core/explore_sig.hpp. Every sweep, at any
+// thread count, charges its states against one chunked budget pool and
+// inserts its signatures into one tiered signature store
+// (core/diskset.hpp). With threads > 1 the DFS frontier is sharded over a
+// work-stealing pool sharing that pool and store; outcomes are reproducible
+// regardless of thread count (see DESIGN.md, "Exploration engine", for the
+// determinism argument). The tests check this explorer against an
+// independent full-replay oracle (tests/support/explore_oracle.hpp), which
+// re-executes every prefix in a fresh World.
 //
 // This is the constructive face of the paper's solvability definitions:
 //  * a clean sweep at level k is machine-checked evidence that the algorithm
@@ -47,28 +45,21 @@
 
 namespace efd {
 
-enum class ExploreEngine {
-  kIncremental,  ///< persistent world + undo log (default)
-  kFullReplay,   ///< reference: fresh world + full prefix replay per node
-};
-
 struct ExploreConfig {
   int k = 1;                       ///< concurrency window
   std::vector<int> arrival;        ///< participating C-indices in arrival order
   int max_depth = 300;             ///< per-run step bound ("never decides" proxy)
   std::int64_t max_states = 100000;  ///< exploration budget
-  bool dedup = true;               ///< merge states with equal signatures
-  ExploreEngine engine = ExploreEngine::kIncremental;
-  int threads = 1;                 ///< >1: parallel frontier (incremental engine only)
-  /// Optional per-step observer attached to the engine's world(s), e.g. a
+  int threads = 1;                 ///< >1: parallel frontier
+  /// Optional per-step observer attached to the explorer's world(s), e.g. a
   /// core/monitors LivenessMonitor in accounting mode (its step counts are
   /// raw executed steps, INCLUDING backtracked ones — liveness bounds are
   /// meaningless across DFS branches, so attach with zero bounds). Ignored
   /// by parallel sweeps: one observer cannot soundly watch many worlds.
   StepObserver* observer = nullptr;
-  /// Builds the world each engine explores in (null: World::failure_free(1),
-  /// the legacy pure-register world). MUST be deterministic — the reference
-  /// engine calls it once per node — and must NOT spawn C-processes (the
+  /// Builds the world the explorer runs in (null: World::failure_free(1),
+  /// the legacy pure-register world). MUST be deterministic — a parallel
+  /// sweep calls it once per job — and must NOT spawn C-processes (the
   /// explorer spawns the participants itself). The canonical use is a
   /// substrate install, e.g. [n] { World w = World::failure_free(1);
   /// install_msg_eager(w, n, n); return w; } — explored MP worlds are the
@@ -105,14 +96,14 @@ struct ExploreOutcome {
   std::vector<int> bad_schedule;   ///< C-index choices reproducing the violation
   ExploreStats stats;              ///< sweep telemetry (core/telemetry.hpp);
                                    ///< the deterministic subset matches
-                                   ///< across engines and thread counts
+                                   ///< across thread counts
 };
 
 /// Explores every k-concurrent schedule of the restricted algorithm `body`
 /// over `inputs`. `body(i, input)` builds C-process i's coroutine.
-/// Deterministic: the outcome is byte-identical across engines and thread
-/// counts (non-clean parallel sweeps fall back to a canonical sequential
-/// pass, so even bad_schedule is reproducible).
+/// Deterministic: the outcome is byte-identical across thread counts
+/// (non-clean parallel sweeps fall back to a canonical sequential pass, so
+/// even bad_schedule is reproducible).
 ExploreOutcome explore_k_concurrent(const TaskPtr& task,
                                     const std::function<ProcBody(int, Value)>& body,
                                     const ValueVec& inputs, const ExploreConfig& cfg);

@@ -3,12 +3,13 @@
 // Two pieces live here, both consumed by the bench layer (bench_common.hpp)
 // and by tools/bench_diff.py:
 //
-//  * ExploreStats — the counter block threaded through both solvability
-//    engines and the parallel frontier (core/solvability). The first group
-//    of fields is DETERMINISTIC for fully-covered clean sweeps: states,
-//    terminal runs and dedup traffic depend only on the explored signature
-//    closure, so they are byte-identical across engines (full-replay vs
-//    incremental) and thread counts — the property test_telemetry pins.
+//  * ExploreStats — the counter block threaded through the explorer and
+//    its parallel frontier (core/solvability). The first group of fields is
+//    DETERMINISTIC for fully-covered clean sweeps: states, terminal runs and
+//    dedup traffic depend only on the explored signature closure, so they
+//    are byte-identical across thread counts and equal to the full-replay
+//    test oracle's (tests/support/explore_oracle.hpp) — the property
+//    test_telemetry pins.
 //    The second group (undo depth, respawns, steals, timing) describes how
 //    a particular run got there and is excluded from equality checks.
 //
@@ -33,21 +34,22 @@ namespace efd {
 /// of several (max_clean_level, classify). All counts are totals across the
 /// probe + every parallel shard.
 struct ExploreStats {
-  // -- deterministic for fully-covered clean sweeps (engine- and
-  //    thread-count-invariant; see DESIGN.md "Exploration engine") --
+  // -- deterministic for fully-covered clean sweeps (thread-count-invariant
+  //    and equal to the test oracle's; see DESIGN.md "Exploration engine") --
   std::int64_t states = 0;         ///< configurations charged against the budget
   std::int64_t terminal_runs = 0;  ///< complete runs reached
   std::int64_t dedup_queries = 0;  ///< signature-set lookups
   std::int64_t dedup_misses = 0;   ///< lookups that inserted (unique configurations)
 
-  // -- run-shape dependent (schedule, engine and thread-count specific) --
+  // -- run-shape dependent (schedule and thread-count specific), except
+  //    blocked_runs, which is as deterministic as the group above --
   std::int64_t blocked_runs = 0;   ///< dead-end nodes: live processes, every one
                                    ///< blocked on an empty-mailbox recv (substrate
                                    ///< worlds only; see core/solvability "blocking
                                    ///< recv"). Cross-backend equality is asserted
-                                   ///< by tests/test_substrate, not test_telemetry.
+                                   ///< by tests/test_substrate.
   std::int64_t dedup_hits = 0;     ///< lookups pruned as already-seen
-  std::int64_t max_undo_depth = 0; ///< deepest undo log (incremental engine)
+  std::int64_t max_undo_depth = 0; ///< deepest undo log
   std::int64_t respawns = 0;       ///< coroutines rebuilt after a backtrack
   std::int64_t redelivers = 0;     ///< logged results replayed into rebuilt frames
   std::int64_t ghost_hits = 0;     ///< steps replayed against a ran-ahead frame (no rebuild)

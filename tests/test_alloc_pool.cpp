@@ -23,6 +23,7 @@
 #include "sim/schedule.hpp"
 #include "sim/trace.hpp"
 #include "sim/world.hpp"
+#include "support/outcome_eq.hpp"
 #include "tasks/set_agreement.hpp"
 
 namespace efd {
@@ -219,21 +220,8 @@ ExploreOutcome sweep(bool arena, int threads, std::uint64_t seed) {
   cfg.k = 2;
   cfg.arrival = {0, 1, 2, 3};
   cfg.max_states = 400000;
-  cfg.engine = ExploreEngine::kIncremental;
   cfg.threads = threads;
   return explore_k_concurrent(task, body, in, cfg);
-}
-
-void expect_same_outcome(const ExploreOutcome& a, const ExploreOutcome& b,
-                         const std::string& what) {
-  EXPECT_EQ(a.ok, b.ok) << what;
-  EXPECT_EQ(a.budget_exhausted, b.budget_exhausted) << what;
-  EXPECT_EQ(a.states, b.states) << what;
-  EXPECT_EQ(a.terminal_runs, b.terminal_runs) << what;
-  EXPECT_EQ(a.violation, b.violation) << what;
-  EXPECT_EQ(a.bad_schedule, b.bad_schedule) << what;
-  EXPECT_EQ(a.stats.dedup_queries, b.stats.dedup_queries) << what;
-  EXPECT_EQ(a.stats.dedup_hits, b.stats.dedup_hits) << what;
 }
 
 TEST(PoolingTransparency, ExploreOutcomeMatchesHeapBaselineAcrossSeedsAndThreads) {
@@ -241,12 +229,10 @@ TEST(PoolingTransparency, ExploreOutcomeMatchesHeapBaselineAcrossSeedsAndThreads
     const ExploreOutcome heap1 = sweep(false, 1, seed);
     ASSERT_TRUE(heap1.ok) << heap1.violation;
     for (int threads : {1, 2, 8}) {
-      expect_same_outcome(heap1, sweep(true, threads, seed),
-                          "arena x" + std::to_string(threads) + " seed " +
-                              std::to_string(seed));
+      expect_outcome_eq(heap1, sweep(true, threads, seed),
+                        "arena x" + std::to_string(threads) + " seed " + std::to_string(seed));
     }
-    expect_same_outcome(heap1, sweep(false, 8, seed),
-                        "heap x8 seed " + std::to_string(seed));
+    expect_outcome_eq(heap1, sweep(false, 8, seed), "heap x8 seed " + std::to_string(seed));
   }
 }
 

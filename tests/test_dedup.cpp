@@ -39,6 +39,7 @@
 #include "core/diskset.hpp"
 #include "core/sigset.hpp"
 #include "core/solvability.hpp"
+#include "support/outcome_eq.hpp"
 #include "tasks/set_agreement.hpp"
 
 namespace efd {
@@ -358,20 +359,9 @@ ExploreOutcome sweep_with_store(const DedupConfig& store, int threads,
   cfg.k = 2;
   cfg.arrival = {0, 1, 2, 3};
   cfg.max_states = max_states;
-  cfg.engine = ExploreEngine::kIncremental;
   cfg.threads = threads;
   cfg.dedup_store = store;
   return explore_k_concurrent(task, body, in, cfg);
-}
-
-void expect_outcome_eq(const ExploreOutcome& a, const ExploreOutcome& b,
-                       const std::string& what) {
-  EXPECT_EQ(a.ok, b.ok) << what;
-  EXPECT_EQ(a.budget_exhausted, b.budget_exhausted) << what;
-  EXPECT_EQ(a.terminal_runs, b.terminal_runs) << what;
-  EXPECT_EQ(a.states, b.states) << what;
-  EXPECT_EQ(a.violation, b.violation) << what;
-  EXPECT_EQ(a.bad_schedule, b.bad_schedule) << what;
 }
 
 TEST(TieredExplore, OutcomeInvariantAcrossThreadCountsWithDiskTier) {

@@ -3,9 +3,11 @@
 //  * regression coverage for the three soundness fixes — terminated-but-
 //    undecided retirement, budget-exhausted level certification, and the
 //    commutative lasso memory fold;
-//  * determinism properties — outcomes byte-identical across engines
-//    (incremental vs full-replay), thread counts, and interning orders;
-//  * incremental-vs-full-replay equivalence on seeded random process trees.
+//  * determinism properties — outcomes byte-identical across thread counts
+//    and interning orders, and equal to the full-replay oracle
+//    (tests/support/explore_oracle.hpp);
+//  * explorer-vs-oracle equivalence on seeded random process trees and at
+//    the budget boundary.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -24,6 +26,8 @@
 #include "sim/memory.hpp"
 #include "sim/schedule.hpp"
 #include "tasks/consensus.hpp"
+#include "support/explore_oracle.hpp"
+#include "support/outcome_eq.hpp"
 #include "tasks/set_agreement.hpp"
 #include "tasks/task.hpp"
 
@@ -73,8 +77,8 @@ std::function<ProcBody(int, Value)> quitter_body(const std::string& ns) {
 
 /// Seed-parameterized pseudo-random process: a fixed-length mix of reads,
 /// writes, yields, and read-then-copy chains over a small register bank,
-/// then a decide. Deterministic in (seed, self), so both engines explore
-/// the identical choice tree.
+/// then a decide. Deterministic in (seed, self), so the explorer and the
+/// oracle explore the identical choice tree.
 Proc fuzz_proc(Context& ctx, int self, std::uint64_t seed, int len, std::string ns) {
   std::uint64_t s = seed ^ (0x9E3779B97F4A7C15ULL * static_cast<std::uint64_t>(self + 1));
   for (int i = 0; i < len; ++i) {
@@ -104,16 +108,6 @@ std::function<ProcBody(int, Value)> fuzz_body(std::uint64_t seed, int len,
 
 std::function<ProcBody(int, Value)> one_conc(const TaskPtr& task, const std::string& ns) {
   return [task, ns](int, Value input) { return make_one_concurrent(task, input, ns); };
-}
-
-void expect_outcome_eq(const ExploreOutcome& a, const ExploreOutcome& b,
-                       const std::string& what) {
-  EXPECT_EQ(a.ok, b.ok) << what;
-  EXPECT_EQ(a.budget_exhausted, b.budget_exhausted) << what;
-  EXPECT_EQ(a.terminal_runs, b.terminal_runs) << what;
-  EXPECT_EQ(a.states, b.states) << what;
-  EXPECT_EQ(a.violation, b.violation) << what;
-  EXPECT_EQ(a.bad_schedule, b.bad_schedule) << what;
 }
 
 // ---------------------------------------------------------------------------
@@ -172,9 +166,9 @@ TEST(ExploreEngine, QuitterRunsExploreCleanlyInsteadOfFakingNontermination) {
   cfg.k = 1;
   cfg.arrival = {1, 0};  // the quitter first: its slot must free for p0
   cfg.max_depth = 50;
-  for (const ExploreEngine engine : {ExploreEngine::kIncremental, ExploreEngine::kFullReplay}) {
-    cfg.engine = engine;
-    const auto o = explore_k_concurrent(task, quitter_body("quit"), task->sample_input(1), cfg);
+  const ValueVec in = task->sample_input(1);
+  for (const ExploreOutcome& o : {explore_k_concurrent(task, quitter_body("quit"), in, cfg),
+                                  explore_full_replay(task, quitter_body("quit"), in, cfg)}) {
     EXPECT_TRUE(o.ok) << o.violation;
     EXPECT_GT(o.terminal_runs, 0);
     EXPECT_FALSE(o.budget_exhausted);
@@ -182,27 +176,34 @@ TEST(ExploreEngine, QuitterRunsExploreCleanlyInsteadOfFakingNontermination) {
 }
 
 // ---------------------------------------------------------------------------
-// Incremental vs full-replay equivalence.
+// Explorer vs full-replay oracle.
 // ---------------------------------------------------------------------------
 
-ExploreOutcome run_menu(const TaskPtr& task, const std::function<ProcBody(int, Value)>& body,
-                        const ValueVec& in, int k, ExploreEngine engine, int threads = 1,
-                        bool dedup = true) {
+ExploreConfig menu_cfg(const ValueVec& in, int k, int threads = 1) {
   ExploreConfig cfg;
   cfg.k = k;
   cfg.arrival = Task::participants(in);
   cfg.max_states = 400000;
-  cfg.engine = engine;
   cfg.threads = threads;
-  cfg.dedup = dedup;
-  return explore_k_concurrent(task, body, in, cfg);
+  return cfg;
+}
+
+ExploreOutcome run_menu(const TaskPtr& task, const std::function<ProcBody(int, Value)>& body,
+                        const ValueVec& in, int k, int threads = 1) {
+  return explore_k_concurrent(task, body, in, menu_cfg(in, k, threads));
+}
+
+ExploreOutcome oracle_menu(const TaskPtr& task,
+                           const std::function<ProcBody(int, Value)>& body,
+                           const ValueVec& in, int k) {
+  return explore_full_replay(task, body, in, menu_cfg(in, k));
 }
 
 TEST(ExploreEngine, EnginesAgreeOnCleanSweep) {
   auto task = std::make_shared<SetAgreementTask>(3, 2);
   ValueVec in{Value(0), Value(1), Value(2)};
-  const auto inc = run_menu(task, one_conc(task, "eq1"), in, 2, ExploreEngine::kIncremental);
-  const auto full = run_menu(task, one_conc(task, "eq1"), in, 2, ExploreEngine::kFullReplay);
+  const auto inc = run_menu(task, one_conc(task, "eq1"), in, 2);
+  const auto full = oracle_menu(task, one_conc(task, "eq1"), in, 2);
   EXPECT_TRUE(inc.ok) << inc.violation;
   EXPECT_GT(inc.terminal_runs, 0);
   expect_outcome_eq(inc, full, "ksa(3,2) level 2");
@@ -211,21 +212,11 @@ TEST(ExploreEngine, EnginesAgreeOnCleanSweep) {
 TEST(ExploreEngine, EnginesAgreeOnViolation) {
   auto task = std::make_shared<ConsensusTask>(3);
   ValueVec in{Value(0), Value(1), Value(2)};
-  const auto inc = run_menu(task, one_conc(task, "eq2"), in, 2, ExploreEngine::kIncremental);
-  const auto full = run_menu(task, one_conc(task, "eq2"), in, 2, ExploreEngine::kFullReplay);
+  const auto inc = run_menu(task, one_conc(task, "eq2"), in, 2);
+  const auto full = oracle_menu(task, one_conc(task, "eq2"), in, 2);
   EXPECT_FALSE(inc.ok);
   EXPECT_FALSE(inc.bad_schedule.empty());
   expect_outcome_eq(inc, full, "consensus(3) level 2 violation");
-}
-
-TEST(ExploreEngine, EnginesAgreeWithoutDedup) {
-  auto task = std::make_shared<SetAgreementTask>(3, 2);
-  ValueVec in{Value(0), Value(1), Value(2)};
-  const auto inc =
-      run_menu(task, one_conc(task, "eq3"), in, 2, ExploreEngine::kIncremental, 1, false);
-  const auto full =
-      run_menu(task, one_conc(task, "eq3"), in, 2, ExploreEngine::kFullReplay, 1, false);
-  expect_outcome_eq(inc, full, "ksa(3,2) level 2, dedup off");
 }
 
 TEST(ExploreEngine, EnginesAgreeOnSeededRandomTrees) {
@@ -236,8 +227,8 @@ TEST(ExploreEngine, EnginesAgreeOnSeededRandomTrees) {
   for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL, 4ULL, 5ULL}) {
     const std::string ns = "fz" + std::to_string(seed);
     const auto body = fuzz_body(seed, 4 + static_cast<int>(seed % 3), ns);
-    const auto inc = run_menu(task, body, in, 2, ExploreEngine::kIncremental);
-    const auto full = run_menu(task, body, in, 2, ExploreEngine::kFullReplay);
+    const auto inc = run_menu(task, body, in, 2);
+    const auto full = oracle_menu(task, body, in, 2);
     EXPECT_TRUE(inc.ok);
     expect_outcome_eq(inc, full, "fuzz seed " + std::to_string(seed));
   }
@@ -250,9 +241,9 @@ TEST(ExploreEngine, EnginesAgreeOnSeededRandomTrees) {
 TEST(ExploreEngine, OutcomeIsThreadCountInvariantOnCleanSweep) {
   auto task = std::make_shared<SetAgreementTask>(4, 2);
   ValueVec in{Value(0), Value(1), Value(2), Value(3)};
-  const auto t1 = run_menu(task, one_conc(task, "par1"), in, 2, ExploreEngine::kIncremental, 1);
-  const auto t2 = run_menu(task, one_conc(task, "par1"), in, 2, ExploreEngine::kIncremental, 2);
-  const auto t8 = run_menu(task, one_conc(task, "par1"), in, 2, ExploreEngine::kIncremental, 8);
+  const auto t1 = run_menu(task, one_conc(task, "par1"), in, 2, 1);
+  const auto t2 = run_menu(task, one_conc(task, "par1"), in, 2, 2);
+  const auto t8 = run_menu(task, one_conc(task, "par1"), in, 2, 8);
   EXPECT_TRUE(t1.ok) << t1.violation;
   expect_outcome_eq(t1, t2, "ksa(4,2) threads 1 vs 2");
   expect_outcome_eq(t1, t8, "ksa(4,2) threads 1 vs 8");
@@ -263,21 +254,12 @@ TEST(ExploreEngine, OutcomeIsThreadCountInvariantOnViolation) {
   // bad_schedule is byte-identical.
   auto task = std::make_shared<ConsensusTask>(3);
   ValueVec in{Value(0), Value(1), Value(2)};
-  const auto t1 = run_menu(task, one_conc(task, "par2"), in, 2, ExploreEngine::kIncremental, 1);
-  const auto t2 = run_menu(task, one_conc(task, "par2"), in, 2, ExploreEngine::kIncremental, 2);
-  const auto t8 = run_menu(task, one_conc(task, "par2"), in, 2, ExploreEngine::kIncremental, 8);
+  const auto t1 = run_menu(task, one_conc(task, "par2"), in, 2, 1);
+  const auto t2 = run_menu(task, one_conc(task, "par2"), in, 2, 2);
+  const auto t8 = run_menu(task, one_conc(task, "par2"), in, 2, 8);
   EXPECT_FALSE(t1.ok);
   expect_outcome_eq(t1, t2, "consensus(3) threads 1 vs 2");
   expect_outcome_eq(t1, t8, "consensus(3) threads 1 vs 8");
-}
-
-/// The deterministic ExploreStats subset (see core/telemetry.hpp).
-void expect_stats_subset_eq(const ExploreStats& a, const ExploreStats& b,
-                            const std::string& what) {
-  EXPECT_EQ(a.states, b.states) << what;
-  EXPECT_EQ(a.terminal_runs, b.terminal_runs) << what;
-  EXPECT_EQ(a.dedup_queries, b.dedup_queries) << what;
-  EXPECT_EQ(a.dedup_misses, b.dedup_misses) << what;
 }
 
 void expect_clean_level_eq(const CleanLevelResult& a, const CleanLevelResult& b,
@@ -324,7 +306,7 @@ TEST(ExploreEngine, BudgetBoundaryOutcomeIsThreadCountInvariant) {
   auto task = std::make_shared<SetAgreementTask>(4, 2);
   ValueVec in{Value(0), Value(1), Value(2), Value(3)};
   const auto body = one_conc(task, "bb");
-  const ExploreOutcome full = run_menu(task, body, in, 2, ExploreEngine::kIncremental);
+  const ExploreOutcome full = run_menu(task, body, in, 2);
   ASSERT_TRUE(full.ok) << full.violation;
   ASSERT_FALSE(full.budget_exhausted);
   const std::int64_t n = full.states;
@@ -349,6 +331,29 @@ TEST(ExploreEngine, BudgetBoundaryOutcomeIsThreadCountInvariant) {
   }
 }
 
+TEST(ExploreEngine, OracleAgreesAtBudgetBoundary) {
+  // The oracle counts its budget on its own, so the explorer's chunked
+  // budget pool is checked against an independent count: with N the clean
+  // sweep's state count, max_states = N certifies with N states, and an
+  // exhausted sweep reports max_states + 1 states (the over-budget state is
+  // counted) on both sides.
+  auto task = std::make_shared<SetAgreementTask>(4, 2);
+  ValueVec in{Value(0), Value(1), Value(2), Value(3)};
+  const auto body = one_conc(task, "ob");
+  const std::int64_t n = run_menu(task, body, in, 2).states;
+  ExploreConfig cfg = menu_cfg(in, 2);
+  for (const std::int64_t budget : {n, n - 1, std::int64_t{1000}}) {
+    cfg.max_states = budget;
+    const std::string what = "max_states " + std::to_string(budget);
+    const ExploreOutcome inc = explore_k_concurrent(task, body, in, cfg);
+    const ExploreOutcome full = explore_full_replay(task, body, in, cfg);
+    expect_outcome_eq(inc, full, what);
+    EXPECT_TRUE(full.ok) << what;
+    EXPECT_EQ(full.budget_exhausted, budget < n) << what;
+    EXPECT_EQ(full.states, std::min(budget + 1, n)) << what;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Interning-order independence.
 // ---------------------------------------------------------------------------
@@ -360,7 +365,7 @@ TEST(ExploreEngine, OutcomeInvariantUnderInterningOrder) {
   auto task = std::make_shared<FreeTask>(3);
   const ValueVec in = task->sample_input(0);
   auto run = [&](const std::string& ns) {
-    return run_menu(task, fuzz_body(7, 5, ns), in, 2, ExploreEngine::kIncremental);
+    return run_menu(task, fuzz_body(7, 5, ns), in, 2);
   };
   const auto a = run("ordA");
   for (int i = 31; i >= 0; --i) {

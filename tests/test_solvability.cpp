@@ -6,6 +6,7 @@
 #include "algo/one_concurrent.hpp"
 #include "algo/renaming.hpp"
 #include "core/solvability.hpp"
+#include "support/explore_oracle.hpp"
 #include "tasks/consensus.hpp"
 #include "tasks/identity.hpp"
 #include "tasks/renaming.hpp"
@@ -161,7 +162,8 @@ TEST(Explorer, ViolatingScheduleReplays) {
 }
 
 TEST(Explorer, DedupMatchesNoDedupVerdict) {
-  // Signature dedup is an optimization, not a semantics change.
+  // Signature dedup is an optimization, not a semantics change: the
+  // explorer's verdict equals the unpruned full-replay oracle's.
   const int n = 3;
   auto task = std::make_shared<SetAgreementTask>(n, 2);
   ValueVec in{Value(0), Value(1), Value(2)};
@@ -170,8 +172,7 @@ TEST(Explorer, DedupMatchesNoDedupVerdict) {
   cfg.arrival = {0, 1, 2};
   cfg.max_states = 30000;  // the undeduped tree is exponential; cap both runs
   const auto with = explore_k_concurrent(task, one_conc(task, "s"), in, cfg);
-  cfg.dedup = false;
-  const auto without = explore_k_concurrent(task, one_conc(task, "s"), in, cfg);
+  const auto without = explore_full_replay(task, one_conc(task, "s"), in, cfg, /*dedup=*/false);
   EXPECT_EQ(with.ok, without.ok);
   EXPECT_LE(with.states, without.states);
 }

@@ -4,7 +4,8 @@
 // every semantic observable must agree:
 //
 //  * exploration verdicts and semantic counters (states, terminal runs,
-//    dedup traffic, blocked dead ends) — per level, per thread count;
+//    dedup traffic, blocked dead ends) — per level, per thread count, and
+//    against the full-replay oracle (tests/support/explore_oracle.hpp);
 //  * hierarchy rows (core/hierarchy classify) — byte-identical formatting;
 //  * driven runs — step-for-step identical traces and state hashes;
 //  * daemon-mode record/replay — MP tapes round-trip bit-identically
@@ -16,14 +17,19 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "algo/mp_protocols.hpp"
 #include "core/hierarchy.hpp"
 #include "core/repro_scenarios.hpp"
 #include "core/solvability.hpp"
+#include "sim/channel.hpp"
+#include "sim/msg_world.hpp"
 #include "sim/replay.hpp"
 #include "sim/schedule.hpp"
+#include "support/explore_oracle.hpp"
+#include "support/outcome_eq.hpp"
 #include "tasks/set_agreement.hpp"
 
 namespace efd {
@@ -44,6 +50,22 @@ std::function<World()> msg_factory() {
   return [] {
     World w = World::failure_free(1);
     install_msg_eager(w, kN, kN);
+    return w;
+  };
+}
+
+/// Eager msg world with every cross link lossy: each process hears only
+/// itself, so every schedule dead-ends in a blocked recv.
+std::function<World()> lossy_msg_factory() {
+  return [] {
+    World w = World::failure_free(1);
+    install_msg_eager(w, kN, kN);
+    ChannelFabric& fab = msg_substrate(w)->fabric();
+    for (int i = 0; i < kN; ++i) {
+      for (int j = 0; j < kN; ++j) {
+        if (i != j) fab.set_lossy(i, mp_mailbox(j), true);
+      }
+    }
     return w;
   };
 }
@@ -75,15 +97,20 @@ struct SweepSummary {
   bool operator==(const SweepSummary&) const = default;
 };
 
-SweepSummary sweep(const std::function<World()>& factory, int kset, int k, int threads) {
-  const TaskPtr task = std::make_shared<SetAgreementTask>(kN, kset);
+ExploreConfig sweep_cfg(const std::function<World()>& factory, int k, int threads) {
   ExploreConfig cfg;
   cfg.k = k;
   cfg.arrival = Task::participants(floodmin_inputs());
   cfg.threads = threads;
   cfg.max_states = 2000000;
   cfg.world_factory = factory;
-  const ExploreOutcome out = explore_k_concurrent(task, floodmin_body(), floodmin_inputs(), cfg);
+  return cfg;
+}
+
+SweepSummary sweep(const std::function<World()>& factory, int kset, int k, int threads) {
+  const TaskPtr task = std::make_shared<SetAgreementTask>(kN, kset);
+  const ExploreOutcome out = explore_k_concurrent(task, floodmin_body(), floodmin_inputs(),
+                                                  sweep_cfg(factory, k, threads));
   SweepSummary s;
   s.ok = out.ok;
   s.exhausted = out.budget_exhausted;
@@ -109,6 +136,33 @@ TEST(Substrate, CountersAndVerdictsIdenticalAcrossBackendsAndThreads) {
             << "shm backend diverged at threads=" << threads;
         EXPECT_EQ(sweep(msg_factory(), kset, k, threads), baseline)
             << "msg backend diverged at threads=" << threads;
+      }
+    }
+  }
+}
+
+TEST(Substrate, ExplorerMatchesFullReplayOracle) {
+  // The oracle re-executes every prefix in a fresh world and keeps its own
+  // budget count and dedup set, so this checks the explorer's substrate
+  // undo (cell_state / restore_cell), its blocking-recv rule and its
+  // counters independently of its store. The lossy world only dead-ends.
+  const std::vector<std::pair<std::string, std::function<World()>>> worlds = {
+      {"shm", shm_factory()}, {"msg", msg_factory()}, {"msg lossy", lossy_msg_factory()}};
+  for (const auto& [name, factory] : worlds) {
+    for (int kset : {1, 2}) {
+      const TaskPtr task = std::make_shared<SetAgreementTask>(kN, kset);
+      for (int k = 1; k <= kN; ++k) {
+        const std::string what =
+            name + " kset=" + std::to_string(kset) + " k=" + std::to_string(k);
+        const ExploreConfig cfg = sweep_cfg(factory, k, 1);
+        const ExploreOutcome full =
+            explore_full_replay(task, floodmin_body(), floodmin_inputs(), cfg);
+        ASSERT_FALSE(full.budget_exhausted) << what;
+        if (name == "msg lossy") {
+          EXPECT_GT(full.blocked_runs, 0) << what;
+        }
+        expect_outcome_eq(explore_k_concurrent(task, floodmin_body(), floodmin_inputs(), cfg),
+                          full, what);
       }
     }
   }

@@ -1,5 +1,6 @@
 // Tests for the telemetry layer: RunStats (sim/stats.hpp), AdmissionStats,
-// ExploreStats determinism across engines and thread counts, and the
+// ExploreStats determinism across thread counts and against the full-replay
+// oracle (tests/support/explore_oracle.hpp), and the
 // telemetry::Json / BenchEmitter machinery behind BENCH_E<n>.json.
 #include <gtest/gtest.h>
 
@@ -15,6 +16,8 @@
 #include "sim/schedule.hpp"
 #include "sim/stats.hpp"
 #include "sim/world.hpp"
+#include "support/explore_oracle.hpp"
+#include "support/outcome_eq.hpp"
 #include "tasks/set_agreement.hpp"
 
 namespace efd {
@@ -112,7 +115,9 @@ TEST(AdmissionStats, CountsAdmissionsAndRetirements) {
 // ExploreStats
 // ---------------------------------------------------------------------------
 
-ExploreOutcome sweep(ExploreEngine engine, int threads) {
+/// The (3,2)-set-agreement level-2 sweep, by the explorer at `threads`
+/// threads or by the full-replay oracle.
+ExploreOutcome sweep(int threads, bool oracle = false) {
   auto task = std::make_shared<SetAgreementTask>(3, 2);
   ValueVec in(3);
   for (int i = 0; i < 3; ++i) in[static_cast<std::size_t>(i)] = Value(i);
@@ -121,21 +126,13 @@ ExploreOutcome sweep(ExploreEngine engine, int threads) {
   cfg.k = 2;
   cfg.arrival = {0, 1, 2};
   cfg.max_states = 200000;
-  cfg.engine = engine;
   cfg.threads = threads;
-  return explore_k_concurrent(task, body, in, cfg);
-}
-
-void expect_deterministic_subset_eq(const ExploreStats& a, const ExploreStats& b,
-                                    const char* what) {
-  EXPECT_EQ(a.states, b.states) << what;
-  EXPECT_EQ(a.terminal_runs, b.terminal_runs) << what;
-  EXPECT_EQ(a.dedup_queries, b.dedup_queries) << what;
-  EXPECT_EQ(a.dedup_misses, b.dedup_misses) << what;
+  return oracle ? explore_full_replay(task, body, in, cfg)
+                : explore_k_concurrent(task, body, in, cfg);
 }
 
 TEST(ExploreStats, MirrorsTheOutcome) {
-  const ExploreOutcome o = sweep(ExploreEngine::kIncremental, 1);
+  const ExploreOutcome o = sweep(1);
   ASSERT_TRUE(o.ok);
   ASSERT_FALSE(o.budget_exhausted);
   EXPECT_EQ(o.stats.states, o.states);
@@ -150,24 +147,23 @@ TEST(ExploreStats, MirrorsTheOutcome) {
 }
 
 TEST(ExploreStats, DeterministicSubsetMatchesAcrossEngines) {
-  const ExploreOutcome full = sweep(ExploreEngine::kFullReplay, 1);
-  const ExploreOutcome inc = sweep(ExploreEngine::kIncremental, 1);
+  const ExploreOutcome full = sweep(1, /*oracle=*/true);
+  const ExploreOutcome inc = sweep(1);
   ASSERT_TRUE(full.ok);
   ASSERT_TRUE(inc.ok);
-  expect_deterministic_subset_eq(full.stats, inc.stats, "full-replay vs incremental");
-  // The reference engine has no undo log, so its run-shape fields stay zero.
+  expect_outcome_eq(full, inc, "full-replay oracle vs explorer");
+  // The oracle has no undo log, so its run-shape fields stay zero.
   EXPECT_EQ(full.stats.respawns, 0);
   EXPECT_EQ(full.stats.max_undo_depth, 0);
 }
 
 TEST(ExploreStats, DeterministicSubsetMatchesAcrossThreadCounts) {
-  const ExploreOutcome one = sweep(ExploreEngine::kIncremental, 1);
+  const ExploreOutcome one = sweep(1);
   ASSERT_TRUE(one.ok);
   for (int threads : {2, 8}) {
-    const ExploreOutcome many = sweep(ExploreEngine::kIncremental, threads);
+    const ExploreOutcome many = sweep(threads);
     ASSERT_TRUE(many.ok) << threads;
-    expect_deterministic_subset_eq(one.stats, many.stats,
-                                   "1 thread vs parallel frontier");
+    expect_outcome_eq(one, many, "1 thread vs parallel frontier");
     EXPECT_EQ(many.stats.threads, threads);
   }
 }

@@ -66,4 +66,18 @@ if [ "$rc" != "7" ]; then
   exit 1
 fi
 
+# Numeric flags take whole, in-range tokens only: anything else is a usage
+# error (exit 2) before a single plan runs.
+for bad in "--plans 3x" "--plans 0" "--plans -1" "--plans 99999999999" \
+           "--seed foo" "--seed 7x" "--seed -5" "--seed 99999999999999999999"; do
+  rc=0
+  # shellcheck disable=SC2086  # $bad is a flag and its value
+  "$campaign" run --target cons --save-dir "$work/bad_pending" \
+    --out "$work/bad.json" $bad 2>/dev/null || rc=$?
+  if [ "$rc" != "2" ]; then
+    echo "FAIL: run $bad exited $rc, want 2 (usage)" >&2
+    exit 1
+  fi
+done
+
 echo "campaign smoke ok: $out"

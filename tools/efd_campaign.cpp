@@ -31,10 +31,15 @@
 // Restarting with the same --corpus resumes from the persisted finding set,
 // so known findings are reported as duplicates, not rediscoveries.
 //
+// Numeric flags take whole tokens only (tools/cli_args.hpp): --plans,
+// --workers and --batch >= 1, --max-plans >= 0 (0: unbounded), --duration
+// and --soak-interval finite and >= 0, --seed an unsigned 64-bit integer.
+//
 // Exit codes: 0 every target met its verdict (clean targets clean, buggy
 // targets caught with a verified shrunk tape; serve: clean exit or drain);
-// 1 some verdict failed; 2 usage error; 6 any other error; 7 a save/corpus
-// directory could not be created or written.
+// 1 some verdict failed; 2 usage error (including a malformed or
+// out-of-range number); 6 any other error; 7 a save/corpus directory could
+// not be created or written.
 #include <atomic>
 #include <cerrno>
 #include <cinttypes>
@@ -52,6 +57,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include "cli_args.hpp"
 #include "core/campaign.hpp"
 
 namespace {
@@ -112,9 +118,9 @@ int cmd_run(int argc, char** argv) {
   std::string out_path;
   for (int i = 0; i < argc; ++i) {
     if (!std::strcmp(argv[i], "--seed") && i + 1 < argc) {
-      opts.seed = std::strtoull(argv[++i], nullptr, 0);
+      if (!cli::parse_seed(argv[++i], opts.seed)) return usage();
     } else if (!std::strcmp(argv[i], "--plans") && i + 1 < argc) {
-      opts.plans = std::atoi(argv[++i]);
+      if (!cli::parse_int(argv[++i], opts.plans, 1)) return usage();
     } else if (!std::strcmp(argv[i], "--target") && i + 1 < argc) {
       names.emplace_back(argv[++i]);
     } else if (!std::strcmp(argv[i], "--save-dir") && i + 1 < argc) {
@@ -129,7 +135,6 @@ int cmd_run(int argc, char** argv) {
       return usage();
     }
   }
-  if (opts.plans <= 0) return usage();
 
   bool names_ok = false;
   const std::vector<const CampaignTarget*> picked = pick_targets(names, &names_ok);
@@ -238,7 +243,7 @@ int cmd_serve(int argc, char** argv) {
   std::string queue_path;
   for (int i = 0; i < argc; ++i) {
     if (!std::strcmp(argv[i], "--seed") && i + 1 < argc) {
-      opts.seed = std::strtoull(argv[++i], nullptr, 0);
+      if (!cli::parse_seed(argv[++i], opts.seed)) return usage();
     } else if (!std::strcmp(argv[i], "--target") && i + 1 < argc) {
       names.emplace_back(argv[++i]);
     } else if (!std::strcmp(argv[i], "--corpus") && i + 1 < argc) {
@@ -246,17 +251,17 @@ int cmd_serve(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--seed-corpus") && i + 1 < argc) {
       opts.seed_corpora.emplace_back(argv[++i]);
     } else if (!std::strcmp(argv[i], "--workers") && i + 1 < argc) {
-      opts.workers = std::atoi(argv[++i]);
+      if (!cli::parse_int(argv[++i], opts.workers, 1)) return usage();
     } else if (!std::strcmp(argv[i], "--batch") && i + 1 < argc) {
-      opts.batch = std::atoi(argv[++i]);
+      if (!cli::parse_int(argv[++i], opts.batch, 1)) return usage();
     } else if (!std::strcmp(argv[i], "--duration") && i + 1 < argc) {
-      opts.duration_s = std::atof(argv[++i]);
+      if (!cli::parse_seconds(argv[++i], opts.duration_s)) return usage();
     } else if (!std::strcmp(argv[i], "--max-plans") && i + 1 < argc) {
-      opts.max_plans = std::atoll(argv[++i]);
+      if (!cli::parse_int(argv[++i], opts.max_plans, 0)) return usage();
     } else if (!std::strcmp(argv[i], "--queue") && i + 1 < argc) {
       queue_path = argv[++i];
     } else if (!std::strcmp(argv[i], "--soak-interval") && i + 1 < argc) {
-      opts.soak_interval_s = std::atof(argv[++i]);
+      if (!cli::parse_seconds(argv[++i], opts.soak_interval_s)) return usage();
     } else if (!std::strcmp(argv[i], "--out") && i + 1 < argc) {
       out_path = argv[++i];
     } else if (!std::strcmp(argv[i], "--no-monitors")) {
@@ -269,7 +274,6 @@ int cmd_serve(int argc, char** argv) {
       return usage();
     }
   }
-  if (opts.workers <= 0 || opts.batch <= 0) return usage();
 
   bool names_ok = false;
   const std::vector<const CampaignTarget*> picked = pick_targets(names, &names_ok);

@@ -22,9 +22,7 @@
 // sweep burned on all its threads) and the per-tier traffic. Exit codes:
 // 0 level certified clean; 3 exhausted (lower bound only); 1 violating run
 // found; 2 usage error; 6 other error.
-#include <cerrno>
 #include <cinttypes>
-#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -36,6 +34,7 @@
 #include <string>
 
 #include "algo/one_concurrent.hpp"
+#include "cli_args.hpp"
 #include "core/solvability.hpp"
 #include "core/telemetry.hpp"
 #include "tasks/set_agreement.hpp"
@@ -118,28 +117,18 @@ int run(int argc, char** argv) {
   cfg.max_states = 400000;
   std::string out_path;
   for (int i = 1; i < argc; ++i) {
-    const auto int_arg = [&](long long lo, long long hi = LLONG_MAX) -> long long {
-      if (i + 1 >= argc) { std::exit(usage()); }
-      char* end = nullptr;
-      errno = 0;
-      const long long v = std::strtoll(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0' || errno == ERANGE || v < lo || v > hi) {
-        std::exit(usage());
-      }
-      return v;
-    };
-    if (!std::strcmp(argv[i], "--n")) {
-      n = static_cast<int>(int_arg(1));
-    } else if (!std::strcmp(argv[i], "--set-k")) {
-      set_k = static_cast<int>(int_arg(1));
-    } else if (!std::strcmp(argv[i], "--level")) {
-      cfg.k = static_cast<int>(int_arg(1));
-    } else if (!std::strcmp(argv[i], "--max-states")) {
-      cfg.max_states = int_arg(1);
-    } else if (!std::strcmp(argv[i], "--max-depth")) {
-      cfg.max_depth = static_cast<int>(int_arg(1));
-    } else if (!std::strcmp(argv[i], "--threads")) {
-      cfg.threads = static_cast<int>(int_arg(1));
+    if (!std::strcmp(argv[i], "--n") && i + 1 < argc) {
+      if (!cli::parse_int(argv[++i], n, 1)) return usage();
+    } else if (!std::strcmp(argv[i], "--set-k") && i + 1 < argc) {
+      if (!cli::parse_int(argv[++i], set_k, 1)) return usage();
+    } else if (!std::strcmp(argv[i], "--level") && i + 1 < argc) {
+      if (!cli::parse_int(argv[++i], cfg.k, 1)) return usage();
+    } else if (!std::strcmp(argv[i], "--max-states") && i + 1 < argc) {
+      if (!cli::parse_int(argv[++i], cfg.max_states, 1)) return usage();
+    } else if (!std::strcmp(argv[i], "--max-depth") && i + 1 < argc) {
+      if (!cli::parse_int(argv[++i], cfg.max_depth, 1)) return usage();
+    } else if (!std::strcmp(argv[i], "--threads") && i + 1 < argc) {
+      if (!cli::parse_int(argv[++i], cfg.threads, 1)) return usage();
     } else if (!std::strcmp(argv[i], "--tiers") && i + 1 < argc) {
       const std::string t = argv[++i];
       if (t == "mem") {
@@ -149,10 +138,13 @@ int run(int argc, char** argv) {
       } else {
         return usage();
       }
-    } else if (!std::strcmp(argv[i], "--mem-mb")) {
+    } else if (!std::strcmp(argv[i], "--mem-mb") && i + 1 < argc) {
       // Above SIZE_MAX >> 20 MiB the byte count would wrap.
-      cfg.dedup_store.mem_budget_bytes =
-          static_cast<std::size_t>(int_arg(0, static_cast<long long>(SIZE_MAX >> 20))) << 20;
+      long long mb = 0;
+      if (!cli::parse_int(argv[++i], mb, 0, static_cast<long long>(SIZE_MAX >> 20))) {
+        return usage();
+      }
+      cfg.dedup_store.mem_budget_bytes = static_cast<std::size_t>(mb) << 20;
     } else if (!std::strcmp(argv[i], "--spill-dir") && i + 1 < argc) {
       cfg.dedup_store.spill_dir = argv[++i];
     } else if (!std::strcmp(argv[i], "--out") && i + 1 < argc) {

@@ -23,6 +23,9 @@
 //   4  tape file could not be read or written (TapeIoError)
 //   5  tape names an unknown or missing scenario
 //   6  any other error
+//
+// --seed takes an unsigned 64-bit integer and --max-rounds an integer >= 1,
+// as whole tokens (tools/cli_args.hpp); anything else is a usage error.
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -30,6 +33,7 @@
 #include <exception>
 #include <string>
 
+#include "cli_args.hpp"
 #include "core/repro_scenarios.hpp"
 #include "core/shrink.hpp"
 #include "sim/replay.hpp"
@@ -107,7 +111,7 @@ int cmd_record(int argc, char** argv) {
   std::string out = name + ".tape";
   for (int i = 1; i < argc; ++i) {
     if (!std::strcmp(argv[i], "--seed") && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 0);
+      if (!cli::parse_seed(argv[++i], seed)) return usage();
     } else if (!std::strcmp(argv[i], "-o") && i + 1 < argc) {
       out = argv[++i];
     } else {
@@ -191,7 +195,7 @@ int cmd_shrink(int argc, char** argv) {
     if (!std::strcmp(argv[i], "-o") && i + 1 < argc) {
       out = argv[++i];
     } else if (!std::strcmp(argv[i], "--max-rounds") && i + 1 < argc) {
-      opts.max_rounds = std::atoi(argv[++i]);
+      if (!cli::parse_int(argv[++i], opts.max_rounds, 1)) return usage();
     } else {
       return usage();
     }

@@ -104,4 +104,24 @@ grep -q '^  "external": 2,' "$work/final4.json" || {
   exit 1
 }
 
+# --- 5: malformed numeric flags are usage errors ---------------------------
+# Each bad value exits 2 before the farm starts. The bounding flag placed
+# before it (--duration 1 or --max-plans 1) keeps a regression that accepts
+# the value from running unbounded: it would exit 0 after the bound instead.
+for bad in "--duration 1 --max-plans 1e3" "--duration 1 --max-plans -1" \
+           "--max-plans 1 --workers 0" "--max-plans 1 --workers 4x" \
+           "--max-plans 1 --batch 0" "--max-plans 1 --batch -2" \
+           "--max-plans 1 --duration nan" "--max-plans 1 --duration -1" \
+           "--max-plans 1 --soak-interval inf" "--max-plans 1 --soak-interval 1s" \
+           "--max-plans 1 --seed 1.5" "--max-plans 1 --seed -1"; do
+  rc=0
+  # shellcheck disable=SC2086  # $bad is flags and their values
+  "$campaign" serve --target cons --corpus "$work/corpus_bad" \
+    --out "$work/bad.json" $bad > /dev/null 2>&1 || rc=$?
+  if [ "$rc" != "2" ]; then
+    echo "FAIL: serve $bad exited $rc, want 2 (usage)" >&2
+    exit 1
+  fi
+done
+
 echo "farm smoke ok: $work"

@@ -52,4 +52,24 @@ if [ $? != 3 ]; then
   fail=1
 fi
 
+# Numeric flags take whole, in-range tokens only: a malformed seed or round
+# count is a usage error (2), decided before any scenario runs or any tape
+# is read.
+expect_usage() {
+  "$@" >/dev/null 2>&1
+  got=$?
+  if [ "$got" != "2" ]; then
+    echo "FAIL: '$*' exited $got, want 2 (usage)" >&2
+    fail=1
+    return
+  fi
+  echo "ok: $* -> 2"
+}
+expect_usage "$repro" record synth_write_race -o /dev/null --seed 7x
+expect_usage "$repro" record synth_write_race -o /dev/null --seed -7
+expect_usage "$repro" record synth_write_race -o /dev/null --seed 99999999999999999999
+expect_usage "$repro" shrink "$dir/truncated.tape" -o /dev/null --max-rounds -3
+expect_usage "$repro" shrink "$dir/truncated.tape" -o /dev/null --max-rounds 0
+expect_usage "$repro" shrink "$dir/truncated.tape" -o /dev/null --max-rounds 2x
+
 exit $fail
