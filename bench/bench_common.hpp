@@ -1,11 +1,13 @@
-// Shared helpers for the experiment benches (E1..E14, see EXPERIMENTS.md).
+// Shared helpers for the experiment benches (E1..E20, see EXPERIMENTS.md).
 //
 // Every bench binary regenerates one experiment's tables on stdout (printed
 // once, before the google-benchmark timing output), exposes the same
-// quantities as benchmark counters so runs are machine-comparable, and — via
-// the telemetry::BenchEmitter behind these helpers — writes the whole run
-// (counters + tables + git describe) to BENCH_E<n>.json at exit. Validate or
-// diff the JSON files with tools/bench_diff.py.
+// quantities as benchmark counters, and — via the telemetry::BenchEmitter
+// behind these helpers — writes the deterministic part of the run (tables,
+// counters that are not rates, git describe) to BENCH_E<n>.json at exit.
+// tools/bench_diff.py validates the JSON files and diffs them against the
+// committed baselines in bench/baseline/. Rates (anything divided by wall
+// time) stay on stdout: perfbench/ is the repo's one timed benchmark.
 #pragma once
 
 #include <benchmark/benchmark.h>
@@ -84,6 +86,8 @@ inline void table_header(const char* title, const char* columns) {
 /// re-invokes benchmark functions while calibrating iteration counts).
 /// Sized by a measuring vsnprintf pass, so long rows are never silently
 /// truncated (a truncated row would also defeat the duplicate suppression).
+/// Every row ends in exactly one newline, whether or not `fmt` has one, so
+/// a row never runs into the google-benchmark output that follows it.
 inline void row(const char* fmt, ...) {
   static std::set<std::string> seen;
   static std::mutex mu;
@@ -100,9 +104,10 @@ inline void row(const char* fmt, ...) {
   std::string buf(static_cast<std::size_t>(need), '\0');
   std::vsnprintf(buf.data(), buf.size() + 1, fmt, ap2);
   va_end(ap2);
+  while (!buf.empty() && buf.back() == '\n') buf.pop_back();
   const std::lock_guard<std::mutex> guard(mu);
   if (seen.insert(buf).second) {
-    std::fputs(buf.c_str(), stdout);
+    std::printf("%s\n", buf.c_str());
     emitter().add_row(buf);
   }
 }
@@ -129,21 +134,17 @@ inline std::set<Value> distinct_decisions(const World& w, int n) {
 /// Records the finished state's counters into the JSON emitter. `name` is the
 /// benchmark function name (the installed google-benchmark has no
 /// State::name(), so it is passed explicitly); `args` render as "/arg"
-/// suffixes to match the stdout report. Counters are stored as their raw
-/// accumulated values; rate counters additionally appear normalized
-/// per-iteration so two runs with different calibrated iteration counts stay
-/// comparable in tools/bench_diff.py.
+/// suffixes to match the stdout report. Rate counters (kIsRate, including
+/// SetItemsProcessed's items_per_second) are left out: google-benchmark
+/// divides them by wall time only when it reports, so here they would hold
+/// raw iteration-count sums. They stay in the stdout report.
 inline void json_run(const benchmark::State& state, std::string name,
                      std::initializer_list<std::int64_t> args = {}) {
   for (const std::int64_t a : args) name += "/" + std::to_string(a);
-  const auto iters = static_cast<double>(state.iterations());
   std::vector<std::pair<std::string, double>> counters;
-  counters.reserve(state.counters.size() * 2);
+  counters.reserve(state.counters.size());
   for (const auto& [key, c] : state.counters) {
-    counters.emplace_back(key, c.value);
-    if ((c.flags & benchmark::Counter::kIsRate) != 0 && iters > 0) {
-      counters.emplace_back(key + "_per_iter", c.value / iters);
-    }
+    if ((c.flags & benchmark::Counter::kIsRate) == 0) counters.emplace_back(key, c.value);
   }
   emitter().record_benchmark(name, std::move(counters), state.iterations());
 }

@@ -56,7 +56,7 @@ void E10_EfdVsClassical(benchmark::State& state) {
   bench::table_header(
       "E10 (Prop. 3/5): EFD runs vs personified (classical) runs, KSA algorithm",
       "n   k   faults  EFD-decided  classical-decided  correct-S  both-satisfied");
-  efd::bench::row("%-3d %-3d %-7d %-12d %-18d %-10d %s\n", n, k, faults, n, personified_decided,
+  efd::bench::row("%-3d %-3d %-7d %-12d %-18d %-10d %s", n, k, faults, n, personified_decided,
               correct_cnt, (fair.satisfied && personified.satisfied) ? "yes" : "NO");
 }
 

@@ -48,7 +48,7 @@ void E11_OneResilientWrapper(benchmark::State& state) {
 
   bench::table_header("E11 (Fig. 3): 1-resilient wrapper around Fig. 4 renaming",
                       "j   participants  max-name  2-conc-bound(j+1)  unique  steps");
-  efd::bench::row("%-3d %-13d %-9lld %-18d %-7s %lld\n", j, participants,
+  efd::bench::row("%-3d %-13d %-9lld %-18d %-7s %lld", j, participants,
               static_cast<long long>(max_name), j + 1, unique ? "yes" : "NO",
               static_cast<long long>(steps));
 }

@@ -38,7 +38,7 @@ void E12_LatencyVsGst(benchmark::State& state) {
 
   bench::table_header("E12 (ablation): leader-driven consensus, latency vs GST",
                       "server        n   GST    steps-to-all-decided");
-  efd::bench::row("%-13s %-3d %-6lld %lld\n", ac ? "adopt-commit" : "paxos", n,
+  efd::bench::row("%-13s %-3d %-6lld %lld", ac ? "adopt-commit" : "paxos", n,
                   static_cast<long long>(gst), static_cast<long long>(steps));
 }
 
@@ -72,7 +72,7 @@ void E12_SafetyUnderChaos(benchmark::State& state) {
 
   bench::table_header("E12b (ablation): safety with a never-stabilizing leader oracle",
                       "n   runs  decided-anyway  agreement-held");
-  efd::bench::row("%-3d %-5d %-15d %d\n", n, total, decided_runs, safe_runs);
+  efd::bench::row("%-3d %-5d %-15d %d", n, total, decided_runs, safe_runs);
 }
 
 }  // namespace

@@ -15,9 +15,10 @@
 // Workload: (5,2)-set-agreement under the generic 1-concurrent solver at
 // level 2 — a clean sweep of ~190k states whose runs go 61-65 steps deep
 // (the sweep fails a max_depth=60 bound and is clean at 65), the regime
-// where full-prefix replay hurts most. The table reports states/second per engine and
-// the parallel scaling curve; all engines must agree on (states, terminal
-// runs) for the sweep to count.
+// where full-prefix replay hurts most. The table reports states and terminal
+// runs per engine and thread count, which must agree for the sweep to count;
+// states/second per engine (the parallel scaling curve) is reported on
+// stdout.
 #include "bench_common.hpp"
 #include "support/explore_oracle.hpp"
 

@@ -75,7 +75,7 @@ void e19_boundary_table() {
       const auto verdict = [](const ExploreOutcome& o) {
         return o.budget_exhausted ? "exhausted" : (o.ok ? "clean" : "violated");
       };
-      bench::row("%4d | %5d | %15s | %15s | %7lld | %7lld\n", kset, k, verdict(shm),
+      bench::row("%4d | %5d | %15s | %15s | %7lld | %7lld", kset, k, verdict(shm),
                  verdict(msg), static_cast<long long>(shm.states),
                  static_cast<long long>(shm.blocked_runs));
     }
@@ -94,7 +94,7 @@ void e19_agreement_table() {
                          o.terminal_runs == base.terminal_runs &&
                          o.blocked_runs == base.blocked_runs &&
                          o.stats.dedup_misses == base.stats.dedup_misses;
-      bench::row("%7s | %7d | %7lld | %8lld | %7lld | %7s | %s\n", msg ? "msg" : "shm",
+      bench::row("%7s | %7d | %7lld | %8lld | %7lld | %7s | %s", msg ? "msg" : "shm",
                  threads, static_cast<long long>(o.states),
                  static_cast<long long>(o.terminal_runs),
                  static_cast<long long>(o.blocked_runs), o.ok ? "clean" : "violated",
@@ -149,7 +149,7 @@ void E19_DaemonDrive(benchmark::State& state) {
   bool d1 = true;
   std::int64_t s1 = 0, del1 = 0;
   one_run(1, d1, s1, del1);
-  bench::row("daemon drive n=%d (seed 1) | %6lld steps | %6lld deliveries | decided=%d\n",
+  bench::row("daemon drive n=%d (seed 1) | %6lld steps | %6lld deliveries | decided=%d",
              n, static_cast<long long>(s1), static_cast<long long>(del1), d1 ? 1 : 0);
 
   std::int64_t steps_total = 0;

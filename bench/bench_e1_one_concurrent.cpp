@@ -67,7 +67,7 @@ void E1_OneConcurrent(benchmark::State& state) {
 
   bench::table_header("E1 (Prop. 1): every task is 1-concurrently solvable",
                       "task                                   n   steps-to-all-decided");
-  efd::bench::row("%-38s %-3d %lld\n", task->name().c_str(), n,
+  efd::bench::row("%-38s %-3d %lld", task->name().c_str(), n,
                   static_cast<long long>(rs.stats.steps));
 }
 

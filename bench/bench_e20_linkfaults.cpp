@@ -10,8 +10,9 @@
 // E20 campaign targets (mpfm_raw / mpfm_rt) and reports the link-plan mix.
 // The timing rows price the fault layer itself: daemon-mode deliveries/s
 // with charges off vs on (the off row measures the `faults_idle` fast path,
-// which must stay at E19-level throughput — bench_diff.py polices the
-// regression), and campaign plans/s with link dimensions off vs on.
+// which must stay at E19-level throughput), and campaign plans/s with link
+// dimensions off vs on. Those rates are reported on stdout only; perfbench/
+// times the fast path as its channel.deliver_ns layer.
 #include "bench_common.hpp"
 
 #include <memory>
@@ -87,7 +88,7 @@ void e20_acceptance_table() {
       // Raw: everyone starves, times out, decides its OWN input — 3 distinct
       // decisions violate 2-set agreement. Hardened: retransmits get through.
       const bool violated = r.distinct > kF + 1;
-      bench::row("%8s | %4llu | %6lld | %8lld | %7lld | %7d | %8d | %s\n",
+      bench::row("%8s | %4llu | %6lld | %8lld | %7lld | %7d | %8d | %s",
                  hardened ? "rt" : "raw", static_cast<unsigned long long>(seed),
                  static_cast<long long>(r.steps), static_cast<long long>(r.delivers),
                  static_cast<long long>(r.dropped), r.decided, r.distinct,
@@ -103,7 +104,7 @@ void e20_campaign_table() {
   for (const char* name : {"mpfm_raw", "mpfm_rt"}) {
     const CampaignTarget* t = find_campaign_target(name);
     if (t == nullptr) {
-      bench::row("%-8s | MISSING target\n", name);
+      bench::row("%-8s | MISSING target", name);
       continue;
     }
     const int plans = 60;
@@ -117,7 +118,7 @@ void e20_campaign_table() {
       if (out.retransmit_storm) ++storms;
       if (!out.violated()) ++clean;
     }
-    bench::row("%-8s | %5d | %9d | %6d | %10d | %5d\n", name, plans, with_link, safety,
+    bench::row("%-8s | %5d | %9d | %6d | %10d | %5d", name, plans, with_link, safety,
                storms, clean);
   }
 }

@@ -32,7 +32,7 @@ void E2_NoAdviceSetAgreement(benchmark::State& state) {
 
   bench::table_header("E2 (sec. 2.2): (Pi,n)-set agreement with NO detector",
                       "n   faults  distinct-decided  bound(n)  steps");
-  efd::bench::row("%-3d %-7d %-17zu %-9d %lld\n", n, faults, distinct, n,
+  efd::bench::row("%-3d %-7d %-17zu %-9d %lld", n, faults, distinct, n,
               static_cast<long long>(steps));
 }
 

@@ -67,7 +67,7 @@ void E3_KCodes(benchmark::State& state) {
 
   bench::table_header("E3 (Fig. 2 / Thm. 14): k-codes simulation with vec-Omega-k",
                       "n   k   faults  steps-to-first-completion  total-agreed-reads");
-  efd::bench::row("%-3d %-3d %-7d %-26lld %lld\n", n, k, faults, static_cast<long long>(steps),
+  efd::bench::row("%-3d %-3d %-7d %-26lld %lld", n, k, faults, static_cast<long long>(steps),
               static_cast<long long>(prog_total));
 }
 

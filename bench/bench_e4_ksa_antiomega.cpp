@@ -34,7 +34,7 @@ void E4_KsaWithAdvice(benchmark::State& state) {
 
   bench::table_header("E4 (Thm. 9): k-set agreement with vec-Omega-k advice",
                       "n   k   GST   distinct(<=k)  steps-to-all-decided");
-  efd::bench::row("%-3d %-3d %-5lld %-14zu %lld\n", n, k, static_cast<long long>(gst), distinct,
+  efd::bench::row("%-3d %-3d %-5lld %-14zu %lld", n, k, static_cast<long long>(gst), distinct,
               static_cast<long long>(steps));
 }
 
@@ -71,7 +71,7 @@ void E4b_Theorem9DoubleSimulation(benchmark::State& state) {
   bench::table_header(
       "E4b (Thm. 9): full double simulation (k-codes of BG-simulators of the task)",
       "n   k   distinct(<=k)  steps");
-  efd::bench::row("%-3d %-3d %-14zu %lld\n", n, k, distinct, static_cast<long long>(steps));
+  efd::bench::row("%-3d %-3d %-14zu %lld", n, k, distinct, static_cast<long long>(steps));
 }
 
 }  // namespace

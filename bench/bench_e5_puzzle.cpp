@@ -41,7 +41,7 @@ void E5_Booster(benchmark::State& state) {
   bench::table_header(
       "E5 (Thm. 7): boosting (U,k)-agreement (|U| = k+1) to all n processes",
       "n   k   inner-scope  distinct(<=k)  steps");
-  efd::bench::row("%-3d %-3d %-12d %-14zu %lld\n", n, k, k + 1, distinct,
+  efd::bench::row("%-3d %-3d %-12d %-14zu %lld", n, k, k + 1, distinct,
               static_cast<long long>(steps));
 }
 

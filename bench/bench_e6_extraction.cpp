@@ -72,7 +72,7 @@ void E6_Extraction(benchmark::State& state) {
   bench::table_header(
       "E6 (Thm. 8 / Fig. 1): emulating anti-Omega-k from a KSA-solving detector",
       "n   k   faults  antiOmega-spec  stabilized-at  horizon");
-  efd::bench::row("%-3d %-3d %-7d %-15s %-14lld %lld\n", n, k, faults,
+  efd::bench::row("%-3d %-3d %-7d %-15s %-14lld %lld", n, k, faults,
               res.anti_ok ? "PASS" : "fail", static_cast<long long>(res.stable_from),
               static_cast<long long>(res.horizon));
 }

@@ -44,7 +44,7 @@ void E7_Renaming(benchmark::State& state) {
 
   bench::table_header("E7 (Thm. 15 / Fig. 4): (j, j+k-1)-renaming under k-concurrency",
                       "j   k   max-name  bound(j+k-1)  unique  steps");
-  efd::bench::row("%-3d %-3d %-9lld %-13d %-7s %lld\n", j, k, static_cast<long long>(max_name),
+  efd::bench::row("%-3d %-3d %-9lld %-13d %-7s %lld", j, k, static_cast<long long>(max_name),
               j + k - 1, unique ? "yes" : "NO", static_cast<long long>(steps));
 }
 

@@ -65,7 +65,7 @@ void E8a_LassoSearch(benchmark::State& state) {
 
   bench::table_header("E8a (Thm. 12): non-deciding 2-concurrent run of a candidate",
                       "candidate          lasso-found  states-explored  cycle-length");
-  efd::bench::row("%-18s %-12s %-16lld %zu\n", "naive-flip", r.found ? "yes" : "no",
+  efd::bench::row("%-18s %-12s %-16lld %zu", "naive-flip", r.found ? "yes" : "no",
               static_cast<long long>(r.states), r.cycle.size());
 }
 
@@ -92,9 +92,9 @@ void E8b_Fig4BreaksAtTwo(benchmark::State& state) {
 
   bench::table_header("E8b (Thm. 12): Fig. 4 on strong 2-renaming, by concurrency level",
                       "level  clean-sweep  violation");
-  efd::bench::row("1      %-12s %s\n", lvl1.ok ? "yes" : "no",
+  efd::bench::row("1      %-12s %s", lvl1.ok ? "yes" : "no",
               lvl1.violation.empty() ? "-" : lvl1.violation.c_str());
-  efd::bench::row("2      %-12s %s\n", lvl2.ok ? "yes" : "no",
+  efd::bench::row("2      %-12s %s", lvl2.ok ? "yes" : "no",
               lvl2.violation.empty() ? "-" : lvl2.violation.c_str());
 }
 
@@ -135,7 +135,7 @@ void E8c_Lemma11Construction(benchmark::State& state) {
 
   bench::table_header("E8c (Lemma 11): consensus from a strong 2-renaming box",
                       "seed  agreement  steps");
-  efd::bench::row("%-5lld %-10s %lld\n", static_cast<long long>(seed), agreement ? "yes" : "NO",
+  efd::bench::row("%-5lld %-10s %lld", static_cast<long long>(seed), agreement ? "yes" : "NO",
               static_cast<long long>(steps));
 }
 

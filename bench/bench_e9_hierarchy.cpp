@@ -29,7 +29,7 @@ void E9_Hierarchy(benchmark::State& state) {
   bench::json_run(state, "E9_Hierarchy", {n});
 
   bench::table_header("E9 (Thm. 10): task hierarchy / weakest-FD classification", "");
-  bench::row("%s\n", format_hierarchy(rows).c_str());
+  bench::row("%s", format_hierarchy(rows).c_str());
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include "core/repro_scenarios.hpp"
 #include "core/shrink.hpp"
 #include "core/workpool.hpp"
+#include "sim/hash.hpp"
 #include "sim/msg_world.hpp"
 #include "sim/replay.hpp"
 #include "sim/schedule.hpp"
@@ -20,19 +21,7 @@ namespace efd {
 namespace {
 
 std::uint64_t mix_seed(std::uint64_t seed, int i) {
-  std::uint64_t z = seed + 0x9E3779B97F4A7C15ULL * (static_cast<std::uint64_t>(i) + 1);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
-
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  for (const unsigned char c : s) {
-    h ^= c;
-    h *= 0x100000001B3ULL;
-  }
-  return h;
+  return splitmix64_finalize(seed + kGoldenGamma * (static_cast<std::uint64_t>(i) + 1));
 }
 
 std::string hex16(std::uint64_t x) {

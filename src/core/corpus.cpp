@@ -6,25 +6,15 @@
 #include <sstream>
 #include <system_error>
 
+#include "sim/hash.hpp"
+
 namespace efd {
 namespace {
 
 namespace fs = std::filesystem;
 
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  for (const unsigned char c : s) {
-    h ^= c;
-    h *= 0x100000001B3ULL;
-  }
-  return h;
-}
-
 std::uint64_t mix(std::uint64_t h, std::uint64_t x) {
-  std::uint64_t z = h ^ (x + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2));
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
+  return splitmix64_finalize(h ^ (x + kGoldenGamma + (h << 6) + (h >> 2)));
 }
 
 std::string key_hex(std::uint64_t key) {

@@ -13,17 +13,10 @@
 #include <stdexcept>
 #include <string>
 
+#include "sim/hash.hpp"
+
 namespace efd {
 namespace {
-
-constexpr std::uint64_t mix64(std::uint64_t x) noexcept {
-  x ^= x >> 30;
-  x *= 0xBF58476D1CE4E5B9ULL;
-  x ^= x >> 27;
-  x *= 0x94D049BB133111EBULL;
-  x ^= x >> 31;
-  return x;
-}
 
 [[noreturn]] void die(const std::string& what) {
   throw std::runtime_error("diskset: " + what + ": " + std::strerror(errno));
@@ -102,7 +95,7 @@ void DiskTier::Bloom::reset(std::size_t expected_keys) {
 }
 
 void DiskTier::Bloom::add(std::uint64_t sig) noexcept {
-  const std::uint64_t h = mix64(sig);
+  const std::uint64_t h = splitmix64_finalize(sig);
   const std::uint64_t mask = words.size() * 64 - 1;
   const std::uint64_t b1 = h & mask;
   const std::uint64_t b2 = (h >> 32 | h << 32) & mask;
@@ -112,7 +105,7 @@ void DiskTier::Bloom::add(std::uint64_t sig) noexcept {
 
 bool DiskTier::Bloom::maybe(std::uint64_t sig) const noexcept {
   if (words.empty()) return false;
-  const std::uint64_t h = mix64(sig);
+  const std::uint64_t h = splitmix64_finalize(sig);
   const std::uint64_t mask = words.size() * 64 - 1;
   const std::uint64_t b1 = h & mask;
   const std::uint64_t b2 = (h >> 32 | h << 32) & mask;
@@ -268,7 +261,8 @@ bool TieredSigSet::insert(std::uint64_t sig) {
     rc.owner = id_;
     rc.slots.assign(kRecentSlots, 0);
   }
-  const std::size_t slot = static_cast<std::size_t>(mix64(sig)) & (kRecentSlots - 1);
+  const std::size_t slot =
+      static_cast<std::size_t>(splitmix64_finalize(sig)) & (kRecentSlots - 1);
   if (sig != 0 && rc.slots[slot] == sig) {
     hits.recent_hits.fetch_add(1, std::memory_order_relaxed);
     return false;

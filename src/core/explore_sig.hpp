@@ -16,6 +16,7 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "sim/hash.hpp"
 #include "sim/proc.hpp"
 #include "sim/value.hpp"
 
@@ -25,27 +26,6 @@ inline constexpr std::uint64_t kChainSeed = 1469598103934665603ULL;  ///< FNV-1a
 inline constexpr std::uint64_t kPrime = 1099511628211ULL;            ///< FNV-1a prime
 inline constexpr std::uint64_t kDecidedSalt = 7919u;
 
-/// splitmix64 finalizer: avalanches a per-process step chain before it
-/// enters the cross-process fold. Without it the node signature is linear
-/// in the per-process chains over the SAME prime as the per-step fold, so
-/// it degenerates to a hash of the concatenated traces: the process
-/// boundary contributes only kChainSeed * prime^(steps_i + procs - i),
-/// and that multiset collides whenever two schedules swap step counts
-/// between processes whose step contributions are identical (e.g. writes,
-/// which fold Nil + op regardless of address or value). Observed in the
-/// wild: schedules 0,1,1,1,1 and 1,1,0,0,0 of the set-agreement solver
-/// produced equal signatures for genuinely different configurations,
-/// silently merging their subtrees. Mixing makes the outer fold see
-/// avalanche-distinct summaries, destroying the structural cancellation.
-constexpr std::uint64_t mix64(std::uint64_t x) noexcept {
-  x ^= x >> 30;
-  x *= 0xBF58476D1CE4E5B9ULL;
-  x ^= x >> 27;
-  x *= 0x94D049BB133111EBULL;
-  x ^= x >> 31;
-  return x;
-}
-
 /// Extends a process's chain by one delivered step: its op and the result
 /// the step handed back to the coroutine.
 inline std::uint64_t chain_step(std::uint64_t chain, OpKind op, const Value& result) noexcept {
@@ -54,8 +34,21 @@ inline std::uint64_t chain_step(std::uint64_t chain, OpKind op, const Value& res
 
 /// Folds one process into the configuration signature; `decided` is true
 /// iff the process exists and has decided.
+///
+/// The chain is avalanched (splitmix64 finalizer) before it enters the
+/// cross-process fold. Without it the node signature is linear in the
+/// per-process chains over the SAME prime as the per-step fold, so it
+/// degenerates to a hash of the concatenated traces: the process boundary
+/// contributes only kChainSeed * prime^(steps_i + procs - i), and that
+/// multiset collides whenever two schedules swap step counts between
+/// processes whose step contributions are identical (e.g. writes, which
+/// fold Nil + op regardless of address or value). Observed in the wild:
+/// schedules 0,1,1,1,1 and 1,1,0,0,0 of the set-agreement solver produced
+/// equal signatures for genuinely different configurations, silently
+/// merging their subtrees. Mixing makes the outer fold see
+/// avalanche-distinct summaries, destroying the structural cancellation.
 constexpr std::uint64_t fold_proc(std::uint64_t sig, std::uint64_t chain, bool decided) noexcept {
-  return sig * kPrime + mix64(chain) + (decided ? kDecidedSalt : 0u);
+  return sig * kPrime + splitmix64_finalize(chain) + (decided ? kDecidedSalt : 0u);
 }
 
 /// Closes the signature with the admission progress (arrivals admitted).

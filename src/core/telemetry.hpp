@@ -111,9 +111,6 @@ class Json {
 
   [[nodiscard]] Kind kind() const noexcept { return kind_; }
   [[nodiscard]] bool is_null() const noexcept { return kind_ == Kind::kNull; }
-  [[nodiscard]] bool is_number() const noexcept {
-    return kind_ == Kind::kInt || kind_ == Kind::kDouble;
-  }
 
   [[nodiscard]] bool as_bool() const { return bool_; }
   [[nodiscard]] std::int64_t as_int() const {

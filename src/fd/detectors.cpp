@@ -5,15 +5,6 @@
 namespace efd {
 namespace {
 
-// Deterministic noise: hash of (seed, qi, t, salt).
-std::uint64_t noise(std::uint64_t seed, int qi, Time t, std::uint64_t salt) {
-  std::uint64_t z = seed ^ (static_cast<std::uint64_t>(qi) << 32) ^
-                    static_cast<std::uint64_t>(t) ^ (salt * 0x9E3779B97F4A7C15ULL);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
-
 // The canonical "safe" correct process: the smallest correct index.
 int safe_process(const FailurePattern& f) {
   const auto c = f.correct_set();
@@ -37,7 +28,7 @@ std::vector<int> noise_subset(int n, int sz, std::uint64_t seed, int qi, Time t)
   for (int i = 0; i < n; ++i) ids[static_cast<std::size_t>(i)] = i;
   for (int i = 0; i < sz; ++i) {
     const auto j =
-        i + static_cast<int>(noise(seed, qi, t, static_cast<std::uint64_t>(i)) %
+        i + static_cast<int>(detector_noise(seed, qi, t, static_cast<std::uint64_t>(i)) %
                              static_cast<std::uint64_t>(n - i));
     std::swap(ids[static_cast<std::size_t>(i)], ids[static_cast<std::size_t>(j)]);
   }
@@ -66,7 +57,7 @@ HistoryPtr OmegaFd::history(const FailurePattern& f, std::uint64_t seed) const {
   const Time stable = stabilization_time(f);
   return std::make_shared<FnHistory>([n, safe, stable, seed](int qi, Time t) {
     if (t >= stable) return Value(safe);
-    return Value(static_cast<int>(noise(seed, qi, t, 7) % static_cast<std::uint64_t>(n)));
+    return Value(static_cast<int>(detector_noise(seed, qi, t, 7) % static_cast<std::uint64_t>(n)));
   });
 }
 
@@ -227,7 +218,7 @@ HistoryPtr EventuallyPerfectFd::history(const FailurePattern& f, std::uint64_t s
       }
       return sorted_set_value(std::move(suspects));
     }
-    const int sz = static_cast<int>(noise(seed, qi, t, 3) % static_cast<std::uint64_t>(n));
+    const int sz = static_cast<int>(detector_noise(seed, qi, t, 3) % static_cast<std::uint64_t>(n));
     return sorted_set_value(noise_subset(n, sz, seed, qi, t));
   });
 }

@@ -15,8 +15,18 @@
 
 #include "fd/failure_pattern.hpp"
 #include "fd/history.hpp"
+#include "sim/hash.hpp"
 
 namespace efd {
+
+/// Seeded noise: a splitmix64-finalized hash of (seed, qi, t, salt). The
+/// concrete detectors draw their pre-GST output from it, and the faulty
+/// wrappers (fd/faulty.hpp) their corruption.
+[[nodiscard]] constexpr std::uint64_t detector_noise(std::uint64_t seed, int qi, Time t,
+                                                     std::uint64_t salt) noexcept {
+  return splitmix64_finalize(seed ^ (static_cast<std::uint64_t>(qi) << 32) ^
+                             static_cast<std::uint64_t>(t) ^ (salt * kGoldenGamma));
+}
 
 /// Abstract failure detector D.
 class FailureDetector {

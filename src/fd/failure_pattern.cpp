@@ -3,19 +3,9 @@
 #include <algorithm>
 #include <sstream>
 
+#include "sim/hash.hpp"
+
 namespace efd {
-namespace {
-
-// SplitMix64: small deterministic PRNG step used for pattern sampling.
-std::uint64_t mix(std::uint64_t& s) {
-  s += 0x9E3779B97F4A7C15ULL;
-  std::uint64_t z = s;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
 
 std::vector<int> FailurePattern::correct_set() const {
   std::vector<int> out;
@@ -83,18 +73,18 @@ FailurePattern Environment::sample(std::uint64_t seed, int faults, Time horizon)
   // -1) must sample the failure-free pattern, not run a negative-length
   // Fisher-Yates prefix.
   faults = std::max(0, std::min({faults, t_, n_ - 1}));
-  std::uint64_t s = seed * 0x9E3779B97F4A7C15ULL + 1;
+  SplitMix64 rng{seed * kGoldenGamma + 1};
   std::vector<int> ids(static_cast<std::size_t>(n_));
   for (int i = 0; i < n_; ++i) ids[static_cast<std::size_t>(i)] = i;
   // Deterministic Fisher-Yates prefix to pick the faulty set.
   for (int i = 0; i < faults; ++i) {
-    const auto j = i + static_cast<int>(mix(s) % static_cast<std::uint64_t>(n_ - i));
+    const auto j = i + static_cast<int>(rng.below(static_cast<std::uint64_t>(n_ - i)));
     std::swap(ids[static_cast<std::size_t>(i)], ids[static_cast<std::size_t>(j)]);
   }
   FailurePattern f(n_);
   for (int i = 0; i < faults; ++i) {
-    const Time when = horizon > 0 ? static_cast<Time>(mix(s) % static_cast<std::uint64_t>(horizon))
-                                  : 0;
+    const Time when =
+        horizon > 0 ? static_cast<Time>(rng.below(static_cast<std::uint64_t>(horizon))) : 0;
     f.crash(ids[static_cast<std::size_t>(i)], when);
   }
   return f;

@@ -4,19 +4,6 @@
 #include <stdexcept>
 
 namespace efd {
-namespace {
-
-// SplitMix64-style hash of (seed, qi, t, salt) — same construction the
-// concrete detectors use for their pre-GST noise.
-std::uint64_t noise(std::uint64_t seed, int qi, Time t, std::uint64_t salt) {
-  std::uint64_t z = seed ^ (static_cast<std::uint64_t>(qi) << 32) ^
-                    static_cast<std::uint64_t>(t) ^ (salt * 0x9E3779B97F4A7C15ULL);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
 
 const char* to_string(FdFaultKind k) {
   switch (k) {
@@ -64,9 +51,10 @@ HistoryPtr LyingFd::history(const FailurePattern& f, std::uint64_t seed) const {
   return std::make_shared<FnHistory>([inner_h, n, until, lie_span, seed](int qi, Time t) {
     if (t >= until) return inner_h->at(qi, t);
     const int fake_q =
-        n > 0 ? static_cast<int>(noise(seed, qi, t, 11) % static_cast<std::uint64_t>(n)) : qi;
+        n > 0 ? static_cast<int>(detector_noise(seed, qi, t, 11) % static_cast<std::uint64_t>(n))
+              : qi;
     const Time fake_t =
-        static_cast<Time>(noise(seed, qi, t, 13) % static_cast<std::uint64_t>(lie_span));
+        static_cast<Time>(detector_noise(seed, qi, t, 13) % static_cast<std::uint64_t>(lie_span));
     return inner_h->at(fake_q, fake_t);
   });
 }
@@ -88,7 +76,7 @@ HistoryPtr OmissiveFd::history(const FailurePattern& f, std::uint64_t seed) cons
   // module falls back to the initial sample, which is still a legal omissive
   // behaviour (every update since start was dropped).
   const auto refreshes = [seed, period](int qi, Time t) {
-    return t == 0 || noise(seed, qi, t, 17) % period == 0;
+    return t == 0 || detector_noise(seed, qi, t, 17) % period == 0;
   };
   return std::make_shared<FnHistory>([inner_h, until, refreshes](int qi, Time t) {
     if (t >= until) return inner_h->at(qi, t);

@@ -126,7 +126,6 @@ void ChannelFabric::send(Pid sender, RegAddr mbox, const Value& msg) {
   Link& l = links_[static_cast<std::size_t>(sender.index) * mailboxes_.size() +
                    static_cast<std::size_t>(slot)];
   l.in_flight.push_back(msg);
-  ++total_in_flight_;
 }
 
 Value ChannelFabric::recv(RegAddr mbox) {
@@ -154,7 +153,6 @@ Value ChannelFabric::deliver(RegAddr link) {
   if (l.in_flight.empty()) return Value{};
   Value msg = std::move(l.in_flight.front());
   l.in_flight.pop_front();
-  --total_in_flight_;
   Mailbox& m = mailboxes_[static_cast<std::size_t>(l.mbox_slot)];
   m.pending.push_back(msg);
   rehash(m);
@@ -193,7 +191,6 @@ Value ChannelFabric::faulty_deliver(Link& l, int slot) {
   }
   Value msg = std::move(l.in_flight[pick]);
   l.in_flight.erase(l.in_flight.begin() + static_cast<std::ptrdiff_t>(pick));
-  --total_in_flight_;
   if (f.drop_next > 0) {
     --f.drop_next;
     ++fault_counters_.dropped;
@@ -204,7 +201,6 @@ Value ChannelFabric::faulty_deliver(Link& l, int slot) {
     --f.dup_next;
     ++fault_counters_.duplicated;
     l.in_flight.push_back(msg);
-    ++total_in_flight_;
   }
   reclaim();
   Mailbox& m = mailboxes_[static_cast<std::size_t>(l.mbox_slot)];

@@ -9,7 +9,7 @@
 //              daemon: message lands on the (sender, mailbox) link's
 //              in-flight channel and only a later deliver step moves it
 //              onto the mailbox — delivery order/timing is the scheduler's
-//              choice, so RecordingScheduler/ReplayScheduler drive it
+//              choice, so RecordingScheduler and replay_tape drive it
 //              unchanged, and crashing a link's daemon severs the link
 //              permanently (a partition is just a set of daemon crashes).
 //     recv  —  pops the mailbox head; an empty recv marks the mailbox
@@ -104,9 +104,6 @@ class ChannelFabric {
 
   [[nodiscard]] bool eager() const noexcept { return eager_; }
   [[nodiscard]] int num_senders() const noexcept { return num_senders_; }
-  [[nodiscard]] int num_mailboxes() const noexcept {
-    return static_cast<int>(mailboxes_.size());
-  }
 
   /// One send step. Eager: straight onto the mailbox. Daemon: onto the
   /// (sender, mbox) link's in-flight FIFO — `sender` must then be a
@@ -135,8 +132,6 @@ class ChannelFabric {
 
   /// Messages sitting in `link`'s in-flight channel (0 in eager mode).
   [[nodiscard]] std::size_t in_flight(RegAddr link) const;
-  /// Total undelivered messages across all links.
-  [[nodiscard]] std::size_t total_in_flight() const noexcept { return total_in_flight_; }
 
   /// Adds `amount` fault charges of `kind` to a daemon-mode link (sever /
   /// heal ignore the amount). Throws std::logic_error in eager mode and
@@ -187,7 +182,6 @@ class ChannelFabric {
   std::vector<Link> links_;
   std::unordered_map<RegId, int> mbox_slot_;  ///< RegId -> mailboxes_ index
   std::unordered_map<RegId, int> link_slot_;  ///< RegId -> links_ index
-  std::size_t total_in_flight_ = 0;
   std::uint64_t hash_acc_ = 0;
   std::unordered_map<int, LinkFaultModel> link_faults_;  ///< links_ index -> charges
   std::vector<std::uint64_t> lossy_;  ///< packed (sender, mbox slot) lossy pairs

@@ -5,24 +5,11 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "sim/hash.hpp"
 #include "sim/world.hpp"
 
 namespace efd {
 namespace {
-
-// splitmix64: the same generator family the detectors use for seeded noise.
-struct Rng {
-  std::uint64_t s;
-
-  std::uint64_t next() {
-    std::uint64_t z = (s += 0x9E3779B97F4A7C15ULL);
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-    return z ^ (z >> 31);
-  }
-  /// Uniform in [0, n); 0 when n == 0.
-  std::uint64_t below(std::uint64_t n) { return n == 0 ? 0 : next() % n; }
-};
 
 std::optional<Pid> parse_pid_token(const std::string& tok) {
   if (tok.size() < 2 || (tok[0] != 'p' && tok[0] != 'q')) return std::nullopt;
@@ -169,7 +156,7 @@ std::vector<LinkFaultPoint> FaultPlan::resolve_links() const {
 }
 
 FaultPlan FaultPlan::sample(std::uint64_t seed, const Space& space) {
-  Rng rng{seed * 0x2545F4914F6CDD1DULL + 0x632BE59BD9B4E019ULL};
+  SplitMix64 rng{seed * 0x2545F4914F6CDD1DULL + 0x632BE59BD9B4E019ULL};
   FaultPlan plan;
   const std::int64_t horizon = std::max<std::int64_t>(1, space.horizon);
 
@@ -314,7 +301,7 @@ FaultPlan clamp_to_space(FaultPlan plan, const FaultPlan::Space& space) {
 }  // namespace
 
 FaultPlan FaultPlan::mutate(std::uint64_t seed, const Space& space) const {
-  Rng rng{seed * 0xD1342543DE82EF95ULL + 0x9E6C63D0876A9A47ULL};
+  SplitMix64 rng{seed * 0xD1342543DE82EF95ULL + 0x9E6C63D0876A9A47ULL};
   FaultPlan plan = *this;
   const std::int64_t horizon = std::max<std::int64_t>(1, space.horizon);
   const std::int64_t jitter = std::max<std::int64_t>(1, horizon / 8);
@@ -475,7 +462,7 @@ FaultPlan FaultPlan::mutate(std::uint64_t seed, const Space& space) const {
 
 FaultPlan FaultPlan::splice(const FaultPlan& a, const FaultPlan& b, std::uint64_t seed,
                             const Space& space) {
-  Rng rng{seed * 0xA24BAED4963EE407ULL + 0x9FB21C651E98DF25ULL};
+  SplitMix64 rng{seed * 0xA24BAED4963EE407ULL + 0x9FB21C651E98DF25ULL};
   FaultPlan plan;
   plan.storm = a.storm;
   plan.triggers = a.triggers;

@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/hash.hpp"
 #include "sim/regid.hpp"
 #include "sim/value.hpp"
 
@@ -35,13 +36,7 @@ namespace efd {
 /// values of two registers changes the total.
 [[nodiscard]] constexpr std::uint64_t cell_content_hash(std::uint64_t name_hash,
                                                         std::uint64_t value_hash) noexcept {
-  std::uint64_t x = name_hash ^ (value_hash * 0x9E3779B97F4A7C15ULL);
-  x ^= x >> 30;
-  x *= 0xBF58476D1CE4E5B9ULL;
-  x ^= x >> 27;
-  x *= 0x94D049BB133111EBULL;
-  x ^= x >> 31;
-  return x;
+  return splitmix64_finalize(name_hash ^ (value_hash * kGoldenGamma));
 }
 
 /// The shared store. One instance per World.

@@ -6,7 +6,7 @@
 //  * in daemon mode, link (i, j)'s delivery daemon is S-process
 //    q_{mp_link_s_index(m, i, j) + 1} = q_{i*m + j + 1}: a delivery is just
 //    another schedulable step, recorded on tapes as that daemon's pid, so
-//    RecordingScheduler/ReplayScheduler and crash points work unchanged.
+//    RecordingScheduler, replay_tape and crash points work unchanged.
 //    Crashing a daemon severs its link permanently — a PARTITION is nothing
 //    but a set of daemon crashes in the ordinary FailurePattern, and
 //    FaultPlan storms/triggers reach them with no new machinery.

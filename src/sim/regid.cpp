@@ -8,26 +8,22 @@
 #include <unordered_map>
 #include <vector>
 
+#include "sim/hash.hpp"
+
 namespace efd {
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-std::uint64_t fnv1a(std::string_view s) noexcept {
-  std::uint64_t h = kFnvOffset;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= kFnvPrime;
-  }
-  return h;
-}
+/// FNV-1a offset basis of register name hashes: the standard basis
+/// 14695981039346656037 with its last digit dropped. Name hashes feed
+/// trace_hash, which tapes store as their expected hash, and every register
+/// file's content hash, so this basis is part of the persisted format.
+constexpr std::uint64_t kNameHashBasis = 1469598103934665603ULL;
 
 /// Transparent string hashing for map lookups without temporary strings.
 struct StrHash {
   using is_transparent = void;
   std::size_t operator()(std::string_view s) const noexcept {
-    return static_cast<std::size_t>(fnv1a(s));
+    return static_cast<std::size_t>(fnv1a(s, kNameHashBasis));
   }
 };
 
@@ -41,17 +37,12 @@ struct AddrKey {
 
 struct AddrKeyHash {
   std::size_t operator()(const AddrKey& a) const noexcept {
-    // splitmix64-style integer mix over the packed fields.
+    // splitmix64 finalizer over the packed fields.
     std::uint64_t x = (static_cast<std::uint64_t>(a.sym) << 32) ^
                       (static_cast<std::uint64_t>(static_cast<std::uint32_t>(a.i)));
-    x ^= static_cast<std::uint64_t>(static_cast<std::uint32_t>(a.j)) * 0x9E3779B97F4A7C15ULL;
+    x ^= static_cast<std::uint64_t>(static_cast<std::uint32_t>(a.j)) * kGoldenGamma;
     x ^= static_cast<std::uint64_t>(static_cast<std::uint32_t>(a.k)) * 0xBF58476D1CE4E5B9ULL;
-    x ^= x >> 30;
-    x *= 0xBF58476D1CE4E5B9ULL;
-    x ^= x >> 27;
-    x *= 0x94D049BB133111EBULL;
-    x ^= x >> 31;
-    return static_cast<std::size_t>(x);
+    return static_cast<std::size_t>(splitmix64_finalize(x));
   }
 };
 
@@ -173,7 +164,7 @@ class Interner {
     if (hit != by_name_.end()) return hit->second;
     const auto id = static_cast<RegId>(regs_.size());
     if (id == kInvalidRegId) throw std::length_error("register interner exhausted");
-    regs_.push_back(RegEntry{std::string(name), fnv1a(name)});
+    regs_.push_back(RegEntry{std::string(name), fnv1a(name, kNameHashBasis)});
     by_name_.emplace(regs_.back().name, id);
     return id;
   }

@@ -173,23 +173,6 @@ class RecordingScheduler final : public Scheduler {
   std::vector<Pid> steps_;
 };
 
-/// Replays a tape's step sequence (an ExplicitSchedule over tape.steps; the
-/// crash points are applied by drive_with_crashes / replay_tape, since a
-/// scheduler cannot mutate the world).
-class ReplayScheduler final : public Scheduler {
- public:
-  explicit ReplayScheduler(const ScheduleTape& tape) : steps_(tape.steps) {}
-
-  [[nodiscard]] std::optional<Pid> next(const World&) override {
-    if (pos_ >= steps_.size()) return std::nullopt;
-    return steps_[pos_++];
-  }
-
- private:
-  std::vector<Pid> steps_;
-  std::size_t pos_ = 0;
-};
-
 /// drive() with crash-point fault injection: immediately before attempting
 /// step index i (= DriveResult::steps so far), every CrashPoint with
 /// step_index == i is applied via World::inject_crash, and every

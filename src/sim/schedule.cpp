@@ -12,14 +12,6 @@ bool eligible(const World& w, Pid pid) {
   return !w.terminated(pid);
 }
 
-std::uint64_t mix(std::uint64_t& s) {
-  s += 0x9E3779B97F4A7C15ULL;
-  std::uint64_t z = s;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
-
 }  // namespace
 
 std::optional<Pid> RoundRobinScheduler::next(const World& w) {
@@ -39,7 +31,7 @@ std::optional<Pid> RandomScheduler::next(const World& w) {
     if (eligible(w, pid)) pool.push_back(pid);
   }
   if (pool.empty()) return std::nullopt;
-  return pool[static_cast<std::size_t>(mix(state_) % pool.size())];
+  return pool[static_cast<std::size_t>(rng_.below(pool.size()))];
 }
 
 std::optional<Pid> KConcurrencyScheduler::next(const World& w) {

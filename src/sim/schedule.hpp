@@ -23,6 +23,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "sim/hash.hpp"
 #include "sim/ids.hpp"
 #include "sim/stats.hpp"
 #include "sim/world.hpp"
@@ -64,11 +65,11 @@ class RoundRobinScheduler final : public Scheduler {
 /// Fair with probability 1; deterministic given the seed.
 class RandomScheduler final : public Scheduler {
  public:
-  explicit RandomScheduler(std::uint64_t seed) : state_(seed * 2862933555777941757ULL + 3037ULL) {}
+  explicit RandomScheduler(std::uint64_t seed) : rng_{seed * 2862933555777941757ULL + 3037ULL} {}
   [[nodiscard]] std::optional<Pid> next(const World& w) override;
 
  private:
-  std::uint64_t state_;
+  SplitMix64 rng_;
 };
 
 /// The admission window of a k-concurrent run (paper §2.2): C-processes are

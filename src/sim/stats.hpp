@@ -1,10 +1,10 @@
 // Run-level telemetry: cheap, always-on counters of one World execution.
 //
 // RunStats is carried by every World and incremented inside step()/respawn()/
-// redeliver() — a handful of integer adds per model step, so it stays on even
-// in exploration hot loops. The block absorbs the ad-hoc per-bench counters
-// of earlier PRs (steps, footprint, writes) into one place with a checkable
-// invariant:
+// redeliver_all() — a handful of integer adds per model step, so it stays on
+// even in exploration hot loops. The block absorbs the ad-hoc per-bench
+// counters of earlier PRs (steps, footprint, writes) into one place with a
+// checkable invariant:
 //
 //     steps == reads + writes + queries + yields + decides + null_steps
 //     steps == trace.size()                     (when tracing is enabled)

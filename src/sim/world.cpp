@@ -58,33 +58,14 @@ const PendingOp* World::pending_op(Pid pid) {
   return &s.ctx->pending();
 }
 
-void World::redeliver(Pid pid, Value result) {
-  if (!pid.is_c()) throw std::logic_error("World::redeliver: C-processes only");
-  Slot& s = slot(pid);
-  prime(s);
-  if (s.proc.done() || !s.ctx->has_pending()) {
-    throw std::logic_error("World::redeliver: " + pid.to_string() + " has no pending op");
-  }
-  if (s.ctx->pending().kind == OpKind::kDecide) {
-    s.ctx->record_decision(s.ctx->pending().value);
-  }
-  {
-    FrameArena::Scope scope(arena_.get());
-    s.ctx->deliver(std::move(result));
-  }
-  if (auto err = s.proc.handle().promise().error) std::rethrow_exception(err);
-  ++s.steps;
-  ++stats_.redelivers;
-}
-
 void World::redeliver_all(Pid pid, const std::vector<Value>& results) {
-  if (!pid.is_c()) throw std::logic_error("World::redeliver: C-processes only");
+  if (!pid.is_c()) throw std::logic_error("World::redeliver_all: C-processes only");
   Slot& s = slot(pid);
   prime(s);
   FrameArena::Scope scope(arena_.get());
   for (const Value& result : results) {
     if (s.proc.done() || !s.ctx->has_pending()) {
-      throw std::logic_error("World::redeliver: " + pid.to_string() + " has no pending op");
+      throw std::logic_error("World::redeliver_all: " + pid.to_string() + " has no pending op");
     }
     if (s.ctx->pending().kind == OpKind::kDecide) {
       s.ctx->record_decision(s.ctx->pending().value);

@@ -10,9 +10,9 @@
 // bivalence search) sound.
 //
 // Allocation (PR 6): every path that can resume or construct a coroutine
-// (spawn/respawn/prime/step/redeliver) installs the world's FrameArena as the
-// thread's current arena, so all frames — bodies and their subroutines — are
-// pooled per World. respawn() additionally reuses the process's Context
+// (spawn/respawn/prime/step/redeliver_all) installs the world's FrameArena as
+// the thread's current arena, so all frames — bodies and their subroutines —
+// are pooled per World. respawn() additionally reuses the process's Context
 // (reset in place) instead of reallocating it, and step() only assembles a
 // trace record when tracing is enabled. Steady-state stepping is
 // allocation-free; see sim/arena.hpp for the pooling contract.
@@ -85,7 +85,7 @@ class World {
   /// Replaces pid's coroutine with a fresh instance of `body` (Context reset
   /// in place: undecided, zero steps). Used by the incremental explorer to
   /// rewind a single process: coroutine frames cannot run backwards, so a
-  /// backtracked process is respawned and fast-forwarded with redeliver().
+  /// backtracked process is respawned and fast-forwarded with redeliver_all().
   /// The old frame is recycled through the world's arena into the new one.
   void respawn(Pid pid, const ProcBody& body);
 
@@ -110,20 +110,15 @@ class World {
   /// execute exactly this operation. (Primes the coroutine if needed.)
   [[nodiscard]] const PendingOp* pending_op(Pid pid);
 
-  /// Replays one step of pid from a recorded run WITHOUT touching memory,
-  /// the FD history, the trace, or model time: delivers `result` (the value
-  /// the original step produced) straight to the coroutine, recording a
-  /// decision if the pending op is a decide. Deterministic replay makes this
-  /// equivalent to the original step from the coroutine's point of view —
-  /// the caller is responsible for the shared-memory side (the incremental
-  /// explorer restores memory via its undo log). C-processes only.
-  void redeliver(Pid pid, Value result);
-
-  /// Batched redeliver(): fast-forwards pid through `results` in order,
-  /// paying the slot lookup, priming check, and arena scope once for the
-  /// whole replay instead of per step. Exactly equivalent to redelivering
-  /// each element in sequence; the incremental explorer replays whole
-  /// per-process logs through this.
+  /// Replays steps of pid from a recorded run WITHOUT touching memory, the
+  /// FD history, the trace, or model time: delivers each of `results` (the
+  /// values the original steps produced), in order, straight to the
+  /// coroutine, recording a decision whenever the pending op is a decide.
+  /// Deterministic replay makes this equivalent to the original steps from
+  /// the coroutine's point of view — the caller is responsible for the
+  /// shared-memory side (the incremental explorer restores memory via its
+  /// undo log, and replays whole per-process logs through this).
+  /// C-processes only.
   void redeliver_all(Pid pid, const std::vector<Value>& results);
 
   [[nodiscard]] Time now() const noexcept { return now_; }
@@ -157,8 +152,6 @@ class World {
   /// True once a substrate is installed — the explorers' cheap gate for
   /// MP-aware paths (pure register worlds skip them entirely).
   [[nodiscard]] bool substrate_set() const noexcept { return substrate_ != nullptr; }
-  /// The installed substrate, or nullptr.
-  [[nodiscard]] const Substrate* substrate_if() const noexcept { return substrate_.get(); }
   /// The substrate, lazily defaulting to registers-as-mailboxes: a world
   /// whose processes send/recv without an explicit install behaves as if
   /// every mailbox were one register holding its pending FIFO.

@@ -1,7 +1,9 @@
 // Tests for the persistent finding corpus (core/corpus.hpp) and the farm
 // engine built on it (core/campaign.hpp run_farm): content keys, atomic
 // novel-vs-duplicate classification across reopen, alias persistence,
-// quarantine of malformed entries, and restart-with-corpus resume.
+// quarantine of malformed entries, and restart-with-corpus resume. Also
+// pins the golden values of the hash mixers (sim/hash.hpp) that corpus
+// keys, plan seeds and state hashes are built from.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -11,7 +13,10 @@
 #include "core/campaign.hpp"
 #include "core/corpus.hpp"
 #include "core/repro_scenarios.hpp"
+#include "fd/faulty.hpp"
+#include "sim/memory.hpp"
 #include "sim/replay.hpp"
+#include "sim/schedule.hpp"
 
 namespace efd {
 namespace {
@@ -259,6 +264,41 @@ TEST(Farm, StopFlagDrainsGracefully) {
   const FarmStats r = run_farm(targets, o);
   EXPECT_TRUE(r.drained);
   EXPECT_EQ(r.plans, 0);
+}
+
+// The simulator's integer mixers (the splitmix64 finalizer and generator
+// step, FNV-1a over a string), read through the public functions built on
+// them. Tapes, corpus keys and plan seeds persist these values, so each one
+// is pinned to the value it had before the mixers moved into one header.
+TEST(GoldenHash, MixersAndTheirCallersAreBitStable) {
+  // cell_content_hash(x, 0) is the bare splitmix64 finalizer, and
+  // cell_content_hash(0, 1) finalizes 0x9E3779B97F4A7C15: the first output
+  // of splitmix64 seeded 0 (reference vector).
+  EXPECT_EQ(cell_content_hash(0, 1), 0xE220A8397B1DCDAFULL);
+  // campaign_plan_seed(0, name, -1) finalizes FNV-1a(name): FNV-1a("a") is
+  // 0xAF63DC4C8601EC8C (reference vector).
+  EXPECT_EQ(campaign_plan_seed(0, "a", -1), cell_content_hash(0xAF63DC4C8601EC8CULL, 0));
+  // Register name hashes are FNV-1a from the interner's own offset basis.
+  EXPECT_EQ(RegAddr("a").name_hash(), 0x44BD8AD473CD9906ULL);
+
+  EXPECT_EQ(campaign_plan_seed(42, "cons", 3), 0x960CBCEDBCBFDDB9ULL);
+  EXPECT_EQ(corpus_key(sample_tape(1)), 0xB8B09627908EF95BULL);
+
+  // A fixed world that runs through the remaining mixers: a sampled failure
+  // pattern, noisy advice under a lying wrapper, a random schedule, a
+  // sampled fault plan, and the register file's content hash.
+  const CampaignTarget* t = find_campaign_target("cons");
+  ASSERT_NE(t, nullptr);
+  const Scenario* sc = find_scenario(t->scenario);
+  ASSERT_NE(sc, nullptr);
+  const FailurePattern f = Environment(t->num_s, t->num_s - 1).sample(5, 1, 40);
+  const DetectorPtr lying = std::make_shared<LyingFd>(t->advice(), 60);
+  World w = sc->make_world(f, lying->history(f, 42));
+  RandomScheduler sched(9);
+  (void)drive(w, sched, 300);
+  EXPECT_EQ(w.state_hash(), 0xE08D2E4CF3B3C2F4ULL);
+  EXPECT_EQ(FaultPlan::sample(campaign_plan_seed(42, "cons", 3), t->space).to_string(),
+            "plan-v1; burst 141 208 p1");
 }
 
 }  // namespace

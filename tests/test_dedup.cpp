@@ -13,11 +13,12 @@
 //    random streams with duplicates, forced spills at tiny byte budgets,
 //    merge-then-query equivalence, exact per-tier duplicate counts under
 //    8 concurrent inserters, and the mem-exhaustion latch;
-//  * explorer integration — ExploreOutcome through the disk tier is
-//    byte-identical to the default store across {1,2,8} threads, also at
-//    the exact budget boundary; per-tier duplicate counts add up at every
-//    thread count; and a memory-capped store with no disk tier degrades to
-//    a lower bound at the first state after the cap.
+//  * explorer integration — ExploreOutcome through the disk tier (a 1 MiB
+//    budget that spills) is byte-identical to the default store across
+//    {1,2,8} threads, also at the exact budget boundary over {1,2,4,8};
+//    per-tier duplicate counts add up at every thread count; and a
+//    memory-capped store with no disk tier degrades to a lower bound at the
+//    first state after the cap.
 //
 // Labeled `dedup` in ctest; sized to stay viable under ASan/TSan builds.
 #include <gtest/gtest.h>
@@ -39,6 +40,7 @@
 #include "core/diskset.hpp"
 #include "core/sigset.hpp"
 #include "core/solvability.hpp"
+#include "sim/hash.hpp"
 #include "support/outcome_eq.hpp"
 #include "tasks/set_agreement.hpp"
 
@@ -53,13 +55,9 @@ namespace {
 std::vector<std::uint64_t> distinct_sigs(std::size_t n, std::uint64_t seed = 42) {
   std::vector<std::uint64_t> out;
   out.reserve(n);
-  std::uint64_t x = seed;
+  SplitMix64 rng{seed};
   while (out.size() < n) {
-    x += 0x9E3779B97F4A7C15ULL;
-    std::uint64_t z = x;
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-    z ^= z >> 31;
+    const std::uint64_t z = rng.next();
     if (z != 0) out.push_back(z);
   }
   return out;
@@ -348,32 +346,48 @@ TEST(DedupConfig, FromEnvParsesTiersBudgetAndDir) {
 // memory-capped lower-bound path.
 // ---------------------------------------------------------------------------
 
+/// Level-2 sweep of (n,2)-set-agreement under the 1-concurrent solver.
 ExploreOutcome sweep_with_store(const DedupConfig& store, int threads,
-                                std::int64_t max_states = 400000) {
-  const TaskPtr task = std::make_shared<SetAgreementTask>(4, 2);
+                                std::int64_t max_states = 400000, int n = 4) {
+  const TaskPtr task = std::make_shared<SetAgreementTask>(n, 2);
   const ValueVec in = task->sample_input(1);
   const auto body = [task](int, Value input) {
     return make_one_concurrent(task, input, "dedup/sweep");
   };
   ExploreConfig cfg;
   cfg.k = 2;
-  cfg.arrival = {0, 1, 2, 3};
+  for (int i = 0; i < n; ++i) cfg.arrival.push_back(i);
   cfg.max_states = max_states;
   cfg.threads = threads;
   cfg.dedup_store = store;
   return explore_k_concurrent(task, body, in, cfg);
 }
 
+// The two disk-tier cases below sweep (5,2) under a 1 MiB budget: 16 KiB
+// per shard, the smallest budget a whole-MiB CLI or env setting produces.
+// Each sweep spills a few dozen runs holding tens of thousands of
+// signatures. A 64 KiB budget floors every shard at 4 KiB, below a fresh
+// 8 KiB shard table, so each first insert spills a one-signature run:
+// thousands of run files and merges per sweep, which only tests reach and
+// which made these cases tier-1's slowest. TieredSigSet's
+// TinyBudgetSpillsToDiskAndMatchesOracle keeps that regime covered.
+constexpr int kDiskTierN = 5;
+
+DedupConfig disk_tier_store() {
+  DedupConfig tiered;
+  tiered.disk_tier = true;
+  tiered.mem_budget_bytes = std::size_t{1} << 20;
+  return tiered;
+}
+
 TEST(TieredExplore, OutcomeInvariantAcrossThreadCountsWithDiskTier) {
-  const ExploreOutcome plain = sweep_with_store(DedupConfig{}, 1);
+  const ExploreOutcome plain = sweep_with_store(DedupConfig{}, 1, 400000, kDiskTierN);
   ASSERT_TRUE(plain.ok) << plain.violation;
   ASSERT_FALSE(plain.budget_exhausted);
 
-  DedupConfig tiered;
-  tiered.disk_tier = true;
-  tiered.mem_budget_bytes = 64 * 1024;  // tiny: the sweep spills constantly
+  const DedupConfig tiered = disk_tier_store();
   for (const int threads : {1, 2, 8}) {
-    const ExploreOutcome o = sweep_with_store(tiered, threads);
+    const ExploreOutcome o = sweep_with_store(tiered, threads, 400000, kDiskTierN);
     EXPECT_TRUE(o.ok) << o.violation;
     EXPECT_FALSE(o.budget_exhausted);
     EXPECT_FALSE(o.mem_exhausted);
@@ -389,20 +403,20 @@ TEST(TieredExplore, BudgetBoundaryOutcomeIsThreadCountInvariant) {
   // The chunked budget reservation of parallel sweeps, through the disk
   // tier: with N the clean sweep's state count, max_states = N certifies and
   // N - 1 exhausts at every thread count, each outcome equal to threads = 1.
-  DedupConfig tiered;
-  tiered.disk_tier = true;
-  tiered.mem_budget_bytes = 64 * 1024;
-  const std::int64_t n = sweep_with_store(DedupConfig{}, 1).states;
+  const DedupConfig tiered = disk_tier_store();
+  const std::int64_t n = sweep_with_store(DedupConfig{}, 1, 400000, kDiskTierN).states;
   for (const std::int64_t budget : {n, n - 1}) {
-    const ExploreOutcome seq = sweep_with_store(tiered, 1, budget);
+    const ExploreOutcome seq = sweep_with_store(tiered, 1, budget, kDiskTierN);
     EXPECT_TRUE(seq.ok) << seq.violation;
     EXPECT_EQ(seq.budget_exhausted, budget < n) << "max_states " << budget;
+    EXPECT_GT(seq.stats.dedup_spills, 0) << "max_states " << budget;
     for (const int threads : {2, 4, 8}) {
-      const ExploreOutcome o = sweep_with_store(tiered, threads, budget);
+      const ExploreOutcome o = sweep_with_store(tiered, threads, budget, kDiskTierN);
       const std::string what =
           "max_states " + std::to_string(budget) + " threads " + std::to_string(threads);
       expect_outcome_eq(o, seq, what);
       EXPECT_TRUE(o.budget_exhausted || o.states <= budget) << what;
+      EXPECT_GT(o.stats.dedup_spills, 0) << what;
     }
   }
 }

@@ -1,5 +1,6 @@
-// Unit tests for the register file (sim/memory.hpp) and the address
-// interner (sim/regid.hpp).
+// Unit tests for the register file (sim/memory.hpp), the address
+// interner (sim/regid.hpp) and the integer mixers they hash with
+// (sim/hash.hpp).
 #include "sim/memory.hpp"
 
 #include <gtest/gtest.h>
@@ -9,10 +10,30 @@
 #include <stdexcept>
 #include <vector>
 
+#include "sim/hash.hpp"
 #include "sim/regid.hpp"
 
 namespace efd {
 namespace {
+
+// Published reference vectors, checked at compile time and at run time.
+static_assert(SplitMix64{0}.next() == 0xE220A8397B1DCDAFULL);
+static_assert(fnv1a("a") == 0xAF63DC4C8601EC8CULL);
+static_assert(fnv1a("") == kFnv1aOffsetBasis);
+
+TEST(Mixers, MatchReferenceVectors) {
+  SplitMix64 rng{0};
+  EXPECT_EQ(rng.next(), 0xE220A8397B1DCDAFULL);
+  EXPECT_EQ(rng.next(), 0x6E789E6AA1B965F4ULL);
+  EXPECT_EQ(splitmix64_finalize(kGoldenGamma), 0xE220A8397B1DCDAFULL);
+  EXPECT_EQ(fnv1a("foobar"), 0x85944171F73967E8ULL);
+  // The generator's bounded draw is next() % n, and 0 for an empty range
+  // without consuming a draw.
+  SplitMix64 a{7};
+  SplitMix64 b{7};
+  EXPECT_EQ(a.below(0), 0u);
+  EXPECT_EQ(a.below(10), b.next() % 10);
+}
 
 TEST(RegisterFile, UnwrittenReadsAsNil) {
   RegisterFile m;

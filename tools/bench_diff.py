@@ -27,17 +27,25 @@ Usage:
     bench_diff.py --validate FILE...
         Schema-check each file: exit 1 on the first invalid one.
 
-    bench_diff.py BASELINE_DIR CANDIDATE_DIR [--threshold PCT] [--rate-key SUBSTR]
-        Compare every BENCH_*.json present in both directories, counter by
-        counter. Counters whose name contains a rate marker ("per_s",
-        "per_iter", "/s") are treated as rates: a drop of more than
-        --threshold percent (default 10) against the baseline is a
-        regression and makes the exit status 1. Counters whose name
-        contains "allocs_per" are lower-is-better: an increase beyond
-        the threshold (and beyond an absolute epsilon, so 0 -> ~0 noise
-        never trips) is a regression. Other counters are reported when
-        they differ but never fail the diff (they are workload-shape
-        figures, not performance).
+    bench_diff.py BASELINE_DIR CANDIDATE_DIR
+        Compare every BENCH_*.json present in both directories; exit 1 on
+        any failure below. The experiments' tables are the gate: a table
+        whose title, columns or any row differs from the baseline, or that
+        exists on one side only, fails the diff, and the report names the
+        experiment, the table and the row. Two counter rules also fail it:
+        a counter whose name contains "hit_rate" (the tiered dedup store's
+        per-tier hit rates, higher is better) dropping by more than 10%,
+        and one containing "allocs_per" (heap traffic, lower is better)
+        rising by more than 10% and by more than an absolute epsilon, so
+        0 -> ~0 noise never trips. Other counters are reported when they
+        differ but never fail the diff: they are workload-shape figures or
+        sums over google-benchmark's calibrated iteration count. The files
+        carry no rates; those stay on the benches' stdout, and perfbench/
+        is the timed benchmark.
+
+The committed baselines live in bench/baseline/ (one smoke-settings run of
+all 17 bench binaries); tools/bench_smoke.sh diffs every fresh smoke run
+against them.
 """
 
 import argparse
@@ -48,12 +56,13 @@ import sys
 SCHEMA = "efd-bench-v1"
 CAMPAIGN_SCHEMA = "efd-campaign-v1"
 FARM_SCHEMA = "efd-campaign-farm-v1"
+# Relative change (percent) beyond which a marked counter fails the diff.
+THRESHOLD_PCT = 10.0
 # "hit_rate" covers the tiered dedup store's per-tier hit rates: higher is
-# better (a drop means duplicates migrated to a slower tier), so they use the
-# same drop-beyond-threshold rule as throughput rates. Spill byte/sig counts
-# deliberately carry NO marker — they are workload-shape figures, reported
-# when they differ but never a failure.
-RATE_MARKERS = ("per_s", "per_iter", "/s", "hit_rate")
+# better (a drop means duplicates migrated to a slower tier). Spill byte/sig
+# counts deliberately carry NO marker — they are workload-shape figures,
+# reported when they differ but never a failure.
+HIGHER_BETTER_MARKERS = ("hit_rate",)
 # Counters where smaller is better (heap traffic): an *increase* beyond the
 # threshold is the regression. ALLOC_EPSILON absorbs jitter around zero —
 # since the respawn-path fix the sweep hot loop performs no steady-state
@@ -269,12 +278,43 @@ def is_lower_better(counter_name):
     return any(m in counter_name for m in LOWER_BETTER_MARKERS)
 
 
-def is_rate(counter_name):
+def is_higher_better(counter_name):
     return not is_lower_better(counter_name) and any(
-        m in counter_name for m in RATE_MARKERS)
+        m in counter_name for m in HIGHER_BETTER_MARKERS)
 
 
-def diff_dirs(base_dir, cand_dir, threshold):
+def diff_tables(exp, base, cand):
+    """One report line per difference between two documents' tables."""
+    def show(row):
+        return "(no row)" if row is None else row
+
+    out = []
+    base_tables = {t["title"]: t for t in base["tables"]}
+    cand_tables = {t["title"]: t for t in cand["tables"]}
+    for title in base_tables:
+        if title not in cand_tables:
+            out.append(f'TABLE {exp} "{title}": missing from the candidate')
+    for title in cand_tables:
+        if title not in base_tables:
+            out.append(f'TABLE {exp} "{title}": not in the baseline')
+    for title, b in base_tables.items():
+        c = cand_tables.get(title)
+        if c is None:
+            continue
+        if b.get("columns") != c.get("columns"):
+            out.append(f'TABLE {exp} "{title}": columns differ\n'
+                       f'  baseline:  {b.get("columns")}\n  candidate: {c.get("columns")}')
+        brows, crows = b["rows"], c["rows"]
+        for i in range(max(len(brows), len(crows))):
+            old = brows[i] if i < len(brows) else None
+            new = crows[i] if i < len(crows) else None
+            if old != new:
+                out.append(f'TABLE {exp} "{title}": row {i + 1} differs\n'
+                           f'  baseline:  {show(old)}\n  candidate: {show(new)}')
+    return out
+
+
+def diff_dirs(base_dir, cand_dir):
     base_files = {f for f in os.listdir(base_dir)
                   if f.startswith("BENCH_") and f.endswith(".json")}
     cand_files = {f for f in os.listdir(cand_dir)
@@ -287,6 +327,7 @@ def diff_dirs(base_dir, cand_dir, threshold):
         for f in sorted(only):
             print(f"note: {f} present only in {where}")
 
+    table_diffs = 0
     regressions = 0
     for fname in common:
         base = load(os.path.join(base_dir, fname))
@@ -298,6 +339,9 @@ def diff_dirs(base_dir, cand_dir, threshold):
         if CAMPAIGN_SCHEMA in (base.get("schema"), cand.get("schema")):
             print(f"note: {fname} is an {CAMPAIGN_SCHEMA} document; not diffable, skipping")
             continue
+        for line in diff_tables(cand["experiment"], base, cand):
+            print(line)
+            table_diffs += 1
         base_by_name = {b["name"]: b for b in base["benchmarks"]}
         for b in cand["benchmarks"]:
             ref = base_by_name.get(b["name"])
@@ -312,20 +356,20 @@ def diff_dirs(base_dir, cand_dir, threshold):
                     continue
                 pct = (val - old) / abs(old) * 100 if old else float("inf")
                 tag = f"{fname}: {b['name']} {key}: {old:g} -> {val:g} ({pct:+.1f}%)"
-                if is_rate(key) and pct < -threshold:
+                if is_higher_better(key) and pct < -THRESHOLD_PCT:
                     print(f"REGRESSION {tag}")
                     regressions += 1
                 elif (is_lower_better(key) and val > old + ALLOC_EPSILON
-                      and pct > threshold):
+                      and pct > THRESHOLD_PCT):
                     print(f"REGRESSION {tag}")
                     regressions += 1
                 else:
                     print(f"  {tag}")
-    if regressions:
-        print(f"bench_diff: {regressions} regression(s) beyond "
-              f"{threshold:g}%", file=sys.stderr)
+    if table_diffs or regressions:
+        print(f"bench_diff: {table_diffs} table difference(s), {regressions} counter "
+              f"regression(s) beyond {THRESHOLD_PCT:g}%", file=sys.stderr)
         return 1
-    print("bench_diff: no regressions")
+    print("bench_diff: tables identical, no counter regressions")
     return 0
 
 
@@ -334,8 +378,6 @@ def main():
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--validate", action="store_true",
                     help="schema-check the given files instead of diffing directories")
-    ap.add_argument("--threshold", type=float, default=10.0,
-                    help="rate-drop percentage that counts as a regression (default 10)")
     ap.add_argument("paths", nargs="+",
                     help="files (--validate) or BASELINE_DIR CANDIDATE_DIR")
     args = ap.parse_args()
@@ -349,7 +391,7 @@ def main():
         return 0
     if len(args.paths) != 2:
         fail("diff mode takes exactly two directories (or use --validate)")
-    return diff_dirs(args.paths[0], args.paths[1], args.threshold)
+    return diff_dirs(args.paths[0], args.paths[1])
 
 
 if __name__ == "__main__":
