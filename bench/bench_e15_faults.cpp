@@ -27,13 +27,18 @@
 #include <string>
 
 EFD_BENCH_JSON("E15")
+EFD_BENCH_ALLOC_PROBE()
 
 namespace efd {
 namespace {
 
 /// One campaign sweep over a built-in target: N seeded plans, monitors on,
 /// shrinking on (a no-op for clean targets, the real shrink+verify cost for
-/// buggy ones), no tape saving (pure compute).
+/// buggy ones), no tape saving (pure compute). allocs_per_step counts heap
+/// allocations per driven step (authoritative plus rehearsal) over the
+/// timed sweeps; an untimed warm-up sweep first pays the one-time interning
+/// and set-up, and every sweep repeats the same plans, so the figure does
+/// not depend on the iteration count.
 void run_campaign_bench(benchmark::State& state, const char* target_name, int plans,
                         const char* json_name) {
   const CampaignTarget* target = find_campaign_target(target_name);
@@ -49,12 +54,15 @@ void run_campaign_bench(benchmark::State& state, const char* target_name, int pl
   opts.save_dir = "";
   std::int64_t plans_total = 0;
   std::int64_t steps_total = 0;
-  CampaignRun last;
+  CampaignRun last = run_campaign(*target, opts);
+  const std::uint64_t allocs_before = bench::alloc_count();
   for (auto _ : state) {
     last = run_campaign(*target, opts);
     plans_total += last.plans;
     steps_total += last.total_steps + last.rehearsal_steps;
   }
+  bench::alloc_counter(state, bench::alloc_count() - allocs_before,
+                       static_cast<double>(steps_total));
   state.counters["plans"] = static_cast<double>(plans_total);
   state.counters["plans/s"] =
       benchmark::Counter(static_cast<double>(plans_total), benchmark::Counter::kIsRate);

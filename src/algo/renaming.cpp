@@ -8,20 +8,19 @@
 namespace efd {
 namespace {
 
-Proc renaming_kconc(Context& ctx, RenamingConfig cfg, Value input) {
+Proc renaming_kconc(Context& ctx, int n, Sym r_base, Value input) {
   const int i = ctx.pid().index;
-  const Sym r_base = sym(cfg.ns + "/R");
   const RegAddr mine = reg(r_base, i);
   std::int64_t s = 1;  // current name suggestion
 
   for (;;) {
     co_await ctx.write(mine, vec(Value(i), Value(s), Value(1), input));
-    const Value view = co_await collect(ctx, r_base, cfg.n);
+    const Value view = co_await collect(ctx, r_base, n);
 
     bool conflict = false;
     std::vector<int> contenders;                 // {ℓ | R_ℓ = (ℓ, s_ℓ, true)}
     std::vector<std::int64_t> foreign_names;     // {s_ℓ | R_ℓ ≠ ⊥, ℓ ≠ i}
-    for (int l = 0; l < cfg.n; ++l) {
+    for (int l = 0; l < n; ++l) {
       const Value r = view.at(static_cast<std::size_t>(l));
       if (r.is_nil()) continue;
       const std::int64_t sl = r.at(1).int_or(0);
@@ -62,8 +61,10 @@ Proc renaming_kconc(Context& ctx, RenamingConfig cfg, Value input) {
 }  // namespace
 
 ProcBody make_renaming_kconc(RenamingConfig cfg, Value input) {
-  return [cfg = std::move(cfg), input = std::move(input)](Context& ctx) {
-    return renaming_kconc(ctx, cfg, input);
+  // The register base is interned once per binding: the explorer binds the
+  // body once and respawns it on every backtrack.
+  return [n = cfg.n, r_base = sym(cfg.ns + "/R"), input = std::move(input)](Context& ctx) {
+    return renaming_kconc(ctx, n, r_base, input);
   };
 }
 

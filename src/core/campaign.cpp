@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <deque>
 #include <filesystem>
+#include <initializer_list>
+#include <limits>
 #include <stdexcept>
 #include <system_error>
 #include <unordered_set>
@@ -54,6 +56,17 @@ std::uint64_t trace_coverage_sig(const Trace& tr) {
     if (op == OpKind::kDecide) ++decisions;
   }
   return map ^ (0x632BE59BD9B4E019ULL * static_cast<std::uint64_t>(decisions + 1));
+}
+
+/// Sum of non-negative terms, saturating at INT64_MAX: plan text is
+/// unclamped, so a burst length near INT64_MAX must widen a monitor bound,
+/// not wrap it negative.
+std::int64_t saturating_sum(std::initializer_list<std::int64_t> terms) {
+  std::int64_t out = 0;
+  for (const std::int64_t t : terms) {
+    if (__builtin_add_overflow(out, t, &out)) return std::numeric_limits<std::int64_t>::max();
+  }
+  return out;
 }
 
 /// Hoisted, checked ONCE per run (the old code re-ran create_directories
@@ -404,7 +417,7 @@ PlanOutcome run_plan(const CampaignTarget& target, const FaultPlan& plan,
   w.enable_trace();
 
   std::int64_t total_burst = 0;
-  for (const auto& b : plan.bursts) total_burst += b.length;
+  for (const auto& b : plan.bursts) total_burst = saturating_sum({total_burst, b.length});
   // Link-fault liveness allowance: every lost delivery costs the hardened
   // protocols a doubling-backoff retry wait, so the worst-case recovery time
   // is exponential in the per-run loss budget (capped well below the retry
@@ -426,15 +439,15 @@ PlanOutcome run_plan(const CampaignTarget& target, const FaultPlan& plan,
   const Time stab = eff_advice->stabilization_time(eff);
   MonitorBounds mb;
   if (target.bounds.own_steps_to_decide > 0) {
-    mb.own_steps_to_decide =
-        target.bounds.own_steps_to_decide + 2 * stab + total_burst + link_wait;
+    mb.own_steps_to_decide = saturating_sum(
+        {target.bounds.own_steps_to_decide, 2 * stab, total_burst, link_wait});
   }
   if (target.bounds.starvation_window > 0) {
-    mb.starvation_window = target.bounds.starvation_window + total_burst;
+    mb.starvation_window = saturating_sum({target.bounds.starvation_window, total_burst});
   }
   if (target.bounds.livelock_window > 0) {
-    mb.livelock_window =
-        target.bounds.livelock_window + 4 * stab + 2 * total_burst + 2 * link_wait;
+    mb.livelock_window = saturating_sum({target.bounds.livelock_window, 4 * stab, total_burst,
+                                         total_burst, 2 * link_wait});
   }
   if (target.bounds.retransmit_storm_window > 0) {
     // Each lost delivery legitimately buys extra retransmissions; the storm

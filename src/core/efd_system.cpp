@@ -44,7 +44,7 @@ EfdRunResult run_efd_fair(const EfdSetup& setup, std::int64_t max_steps, bool tr
 }
 
 std::optional<Pid> PersonifiedScheduler::next(const World& w) {
-  const auto pids = w.pids();
+  const std::vector<Pid>& pids = w.pids();
   for (std::size_t tries = 0; tries < pids.size(); ++tries) {
     const Pid cand = pids[cursor_ % pids.size()];
     ++cursor_;

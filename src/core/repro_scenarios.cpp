@@ -41,16 +41,19 @@ Proc yield_n_then_quit(Context& ctx, int n) {
   // retire (the terminated-undecided case of AdmissionWindow::refresh).
 }
 
+// The fixed register names below are resolved once per process: the farm
+// builds a fresh world for every run and every shrink candidate.
 Proc bcf_client(Context& ctx, int i) {
-  const Sym v = sym("bcf/V");
+  static const Sym v = sym("bcf/V");
   co_await ctx.write(reg(v, i), Value(100 + i));
   const Value first = co_await ctx.read(reg(v, 0));
   co_await ctx.decide(first.is_nil() ? Value(100 + i) : first);
 }
 
 Proc brn_client(Context& ctx, int i) {
-  const Sym claim = sym("brn/C");
-  co_await ctx.write(reg(sym("brn/P"), i), Value(i));
+  static const Sym claim = sym("brn/C");
+  static const Sym proposal = sym("brn/P");
+  co_await ctx.write(reg(proposal, i), Value(i));
   for (int s = 1; s <= 9; ++s) {
     const Value cur = co_await ctx.read(reg(claim, s));
     if (cur.is_nil()) {
@@ -63,8 +66,8 @@ Proc brn_client(Context& ctx, int i) {
 }
 
 Proc tw_writer(Context& ctx) {
-  const RegAddr a{"tw/A"};
-  const RegAddr b{"tw/B"};
+  static const RegAddr a{"tw/A"};
+  static const RegAddr b{"tw/B"};
   for (std::int64_t e = 1;; ++e) {
     co_await ctx.write(a, Value(e));
     co_await ctx.write(b, Value(e));  // the commit; a crash in between tears the pair
@@ -73,8 +76,8 @@ Proc tw_writer(Context& ctx) {
 }
 
 Proc tw_client(Context& ctx) {
-  const RegAddr a{"tw/A"};
-  const RegAddr b{"tw/B"};
+  static const RegAddr a{"tw/A"};
+  static const RegAddr b{"tw/B"};
   int torn = 0;
   for (;;) {
     const Value va = co_await ctx.read(a);

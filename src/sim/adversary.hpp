@@ -64,7 +64,7 @@ class SuppressScheduler final : public Scheduler {
     }
     // The inner scheduler kept proposing suppressed pids. Consult the world
     // directly (rotating for fairness) before declaring exhaustion.
-    const auto pids = w.pids();
+    const std::vector<Pid>& pids = w.pids();
     for (std::size_t tries = 0; tries < pids.size(); ++tries) {
       const Pid cand = pids[fallback_cursor_ % pids.size()];
       ++fallback_cursor_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -142,8 +143,13 @@ std::vector<LinkFaultPoint> FaultPlan::resolve_links() const {
         "ch[" + std::to_string(l.from) + "][" + std::to_string(l.to) + "]";
     if (l.kind == LinkFaultKind::kSever) {
       out.push_back(LinkFaultPoint{l.step, name, LinkFaultKind::kSever, 1});
-      out.push_back(
-          LinkFaultPoint{l.step + std::max(1, l.amount), name, LinkFaultKind::kHeal, 1});
+      // Saturating: a sever parsed near INT64_MAX heals "never", not at a
+      // wrapped negative step.
+      const std::int64_t hold = std::max(1, l.amount);
+      const std::int64_t heal = l.step > std::numeric_limits<std::int64_t>::max() - hold
+                                    ? std::numeric_limits<std::int64_t>::max()
+                                    : l.step + hold;
+      out.push_back(LinkFaultPoint{heal, name, LinkFaultKind::kHeal, 1});
     } else {
       out.push_back(LinkFaultPoint{l.step, name, l.kind, l.amount});
     }
@@ -483,7 +489,9 @@ FaultPlan FaultPlan::splice(const FaultPlan& a, const FaultPlan& b, std::uint64_
 
 bool BurstScheduler::suppressed(Pid pid, std::int64_t step) const {
   for (const auto& b : bursts_) {
-    if (b.victim == pid && step >= b.start_step && step < b.start_step + b.length) return true;
+    // step - start_step cannot overflow once step >= start_step >= 0, where
+    // start_step + length can for plan text naming huge values.
+    if (b.victim == pid && step >= b.start_step && step - b.start_step < b.length) return true;
   }
   return false;
 }

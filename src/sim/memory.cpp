@@ -4,12 +4,6 @@
 
 namespace efd {
 
-std::uint64_t RegisterFile::cached_name_hash(RegId id) noexcept {
-  std::uint64_t& slot = name_hash_[id];
-  if (slot == 0) slot = reg_name_hash(id);
-  return slot;
-}
-
 void RegisterFile::write(RegAddr addr, Value v) {
   if (!addr.valid()) throw std::logic_error("RegisterFile::write: invalid register address");
   const RegId id = addr.id();
@@ -20,9 +14,8 @@ void RegisterFile::write(RegAddr addr, Value v) {
     cells_.resize(need);
     written_.resize(need, 0);
     cell_hash_.resize(need, 0);
-    name_hash_.resize(need, 0);
   }
-  const std::uint64_t h = cell_content_hash(cached_name_hash(id), v.hash());
+  const std::uint64_t h = cell_content_hash(reg_name_hash(id), v.hash());
   if (written_[id] != 0) {
     hash_acc_ -= cell_hash_[id];
   } else {
@@ -42,7 +35,7 @@ void RegisterFile::undo_write(RegAddr addr, const Value& prev, bool was_written)
   }
   hash_acc_ -= cell_hash_[id];
   if (was_written) {
-    const std::uint64_t h = cell_content_hash(cached_name_hash(id), prev.hash());
+    const std::uint64_t h = cell_content_hash(reg_name_hash(id), prev.hash());
     hash_acc_ += h;
     cell_hash_[id] = h;
     cells_[id] = prev;

@@ -97,16 +97,9 @@ class RegisterFile {
   [[nodiscard]] std::uint64_t content_hash_slow() const noexcept;
 
  private:
-  [[nodiscard]] std::uint64_t cached_name_hash(RegId id) noexcept;
-
   std::vector<Value> cells_;          ///< RegId-indexed; holes read as Nil
   std::vector<std::uint8_t> written_; ///< 1 iff the cell was ever written
   std::vector<std::uint64_t> cell_hash_;  ///< last cell_content_hash per id
-  // Per-store cache of the interner's name hashes (the interner is now
-  // lock-guarded for thread safety; caching keeps hot write loops off the
-  // process-global shared lock). 0 marks "not fetched yet": FNV-1a of a
-  // register name is never 0 in practice, and a false miss only re-fetches.
-  std::vector<std::uint64_t> name_hash_;
   std::uint64_t hash_acc_ = 0;        ///< commutative sum of cell hashes
   std::size_t footprint_ = 0;
   std::size_t writes_ = 0;

@@ -1,11 +1,13 @@
 #include "sim/regid.hpp"
 
-#include <cassert>
-#include <deque>
+#include <array>
+#include <atomic>
+#include <bit>
 #include <mutex>
 #include <shared_mutex>
 #include <stdexcept>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "sim/hash.hpp"
@@ -50,13 +52,82 @@ struct AddrKeyHash {
 /// indices below this resolve by plain array lookup.
 constexpr std::size_t kDenseChildren = 1024;
 
+/// Append-only table whose entries never move: chunk c holds
+/// kFirstChunk << c entries, so a fixed directory of chunk pointers covers
+/// every 32-bit id and no append relocates a published entry. Appends run
+/// under the interner's exclusive lock; reads take no lock. An append fills
+/// its slot (allocating and publishing its chunk first if needed) and then
+/// release-stores the new size, so a reader that acquire-loads a size above
+/// its id sees the entry fully written.
+template <class T>
+class StableTable {
+ public:
+  StableTable() = default;
+  StableTable(const StableTable&) = delete;
+  StableTable& operator=(const StableTable&) = delete;
+  ~StableTable() {
+    for (auto& chunk : dir_) delete[] chunk.load(std::memory_order_relaxed);
+  }
+
+  [[nodiscard]] std::uint32_t size() const noexcept {
+    return size_.load(std::memory_order_acquire);
+  }
+
+  /// Lock-free read of a published entry; throws past the end.
+  [[nodiscard]] const T& at(std::uint32_t id) const {
+    if (id >= size()) throw std::out_of_range("register interner: unknown id");
+    const Loc l = locate(id);
+    return dir_[l.chunk].load(std::memory_order_acquire)[l.offset];
+  }
+  /// Mutable access for fields the owner guards with its own lock.
+  [[nodiscard]] T& at(std::uint32_t id) {
+    return const_cast<T&>(std::as_const(*this).at(id));
+  }
+
+  /// Appends `value` and returns its id. Precondition: the owner's
+  /// exclusive lock is held (one writer at a time).
+  std::uint32_t push_back(T value) {
+    const std::uint32_t id = size_.load(std::memory_order_relaxed);
+    if (id == kInvalidRegId) throw std::length_error("register interner exhausted");
+    const Loc l = locate(id);
+    T* chunk = dir_[l.chunk].load(std::memory_order_relaxed);
+    if (chunk == nullptr) {
+      chunk = new T[kFirstChunk << l.chunk];
+      dir_[l.chunk].store(chunk, std::memory_order_release);
+    }
+    chunk[l.offset] = std::move(value);
+    size_.store(id + 1, std::memory_order_release);
+    return id;
+  }
+
+ private:
+  static constexpr unsigned kFirstChunkBits = 8;
+  static constexpr std::size_t kFirstChunk = std::size_t{1} << kFirstChunkBits;
+
+  struct Loc {
+    std::size_t chunk;
+    std::size_t offset;
+  };
+  /// Chunk c starts at id (kFirstChunk << c) - kFirstChunk.
+  static Loc locate(std::uint32_t id) noexcept {
+    const std::uint64_t v = std::uint64_t{id} + kFirstChunk;
+    const auto top = static_cast<unsigned>(std::bit_width(v)) - 1;
+    return {top - kFirstChunkBits, static_cast<std::size_t>(v - (std::uint64_t{1} << top))};
+  }
+
+  // Ids reach 2^32 - 2, so the last chunk index is 32 - kFirstChunkBits.
+  std::array<std::atomic<T*>, 33 - kFirstChunkBits> dir_{};
+  std::atomic<std::uint32_t> size_{0};
+};
+
 /// Process-global append-only interner. Thread-safe: the parallel frontier
-/// explorer runs many Worlds concurrently, all resolving register addresses
-/// through this table. Reads (the overwhelmingly common case once a program
-/// is warmed up) take a shared lock; the first resolution of a new name
-/// upgrades to an exclusive lock, re-checks, and appends. Entry storage uses
-/// std::deque so references returned to callers (reg_name) stay valid across
-/// concurrent appends; ids are handed out densely and never change.
+/// explorer and the campaign farm run many Worlds concurrently, all
+/// resolving register addresses through this table. Id reads (a name or a
+/// name hash by id) take no lock: entries live in StableTables and never
+/// change once published, so trace hashing on every worker only reads
+/// shared memory. Name->id lookups take a shared lock; the first
+/// resolution of a new name takes the exclusive lock, re-checks, and
+/// appends.
 class Interner {
  public:
   static Interner& instance() {
@@ -73,16 +144,12 @@ class Interner {
     std::unique_lock lk(mu_);
     const auto hit = sym_ids_.find(name);
     if (hit != sym_ids_.end()) return hit->second;
-    const auto id = static_cast<std::uint32_t>(syms_.size());
-    syms_.push_back(SymEntry{std::string(name), kInvalidRegId, {}});
-    sym_ids_.emplace(syms_.back().name, id);
+    const std::uint32_t id = syms_.push_back(SymEntry{std::string(name), kInvalidRegId, {}});
+    sym_ids_.emplace(syms_.at(id).name, id);
     return id;
   }
 
-  const std::string& sym_name(std::uint32_t id) const {
-    std::shared_lock lk(mu_);
-    return syms_.at(id).name;
-  }
+  const std::string& sym_name(std::uint32_t id) const { return syms_.at(id).name; }
 
   RegId resolve0(std::uint32_t s) {
     {
@@ -112,7 +179,7 @@ class Interner {
         e.children.resize(static_cast<std::size_t>(i) + 1, kInvalidRegId);
       }
       RegId& slot = e.children[static_cast<std::size_t>(i)];
-      if (slot == kInvalidRegId) slot = intern_name_locked(render_locked(s, i, nullptr, nullptr));
+      if (slot == kInvalidRegId) slot = intern_name_locked(render(s, i, nullptr, nullptr));
       return slot;
     }
     return resolve_slow(AddrKey{s, i, -1, -1});
@@ -134,24 +201,15 @@ class Interner {
     return intern_name_locked(name);
   }
 
-  const std::string& reg_name(RegId id) const {
-    std::shared_lock lk(mu_);
-    return regs_.at(id).name;
-  }
-  std::uint64_t reg_name_hash(RegId id) const {
-    std::shared_lock lk(mu_);
-    return regs_.at(id).name_hash;
-  }
-  std::size_t count() const noexcept {
-    std::shared_lock lk(mu_);
-    return regs_.size();
-  }
+  const std::string& reg_name(RegId id) const { return regs_.at(id).name; }
+  std::uint64_t reg_name_hash(RegId id) const { return regs_.at(id).name_hash; }
+  std::size_t count() const noexcept { return regs_.size(); }
 
  private:
   struct SymEntry {
-    std::string name;
-    RegId self;                   ///< arity-0 RegId, lazily interned
-    std::vector<RegId> children;  ///< reg(base, i) fast path for small i
+    std::string name;             ///< immutable once published (read lock-free)
+    RegId self;                   ///< arity-0 RegId, lazily interned; guarded by mu_
+    std::vector<RegId> children;  ///< reg(base, i) fast path for small i; guarded by mu_
   };
   struct RegEntry {
     std::string name;        ///< canonical register name
@@ -162,10 +220,8 @@ class Interner {
   RegId intern_name_locked(std::string_view name) {
     const auto hit = by_name_.find(name);
     if (hit != by_name_.end()) return hit->second;
-    const auto id = static_cast<RegId>(regs_.size());
-    if (id == kInvalidRegId) throw std::length_error("register interner exhausted");
-    regs_.push_back(RegEntry{std::string(name), fnv1a(name, kNameHashBasis)});
-    by_name_.emplace(regs_.back().name, id);
+    const RegId id = regs_.push_back(RegEntry{std::string(name), fnv1a(name, kNameHashBasis)});
+    by_name_.emplace(regs_.at(id).name, id);
     return id;
   }
 
@@ -178,16 +234,15 @@ class Interner {
     std::unique_lock lk(mu_);
     const auto hit = by_addr_.find(key);
     if (hit != by_addr_.end()) return hit->second;
-    const RegId id = intern_name_locked(render_locked(
-        key.sym, key.i, key.j >= 0 ? &key.j : nullptr, key.k >= 0 ? &key.k : nullptr));
+    const RegId id = intern_name_locked(
+        render(key.sym, key.i, key.j >= 0 ? &key.j : nullptr, key.k >= 0 ? &key.k : nullptr));
     by_addr_.emplace(key, id);
     return id;
   }
 
-  /// Precondition: a lock (shared suffices) is held.
-  std::string render_locked(std::uint32_t s, int i, const std::int32_t* j,
-                            const std::int32_t* k) {
-    std::string out = syms_.at(s).name;
+  std::string render(std::uint32_t s, int i, const std::int32_t* j,
+                     const std::int32_t* k) const {
+    std::string out = sym_name(s);
     out += '[';
     out += std::to_string(i);
     out += ']';
@@ -204,15 +259,16 @@ class Interner {
     return out;
   }
 
-  // Map keys are owned copies; transparent hashing lets lookups run on
-  // string_views without building a temporary std::string. Entry storage is
-  // a deque so concurrent readers can keep references across later appends.
+  // The name->id maps are guarded by mu_; their keys are owned copies, and
+  // transparent hashing lets lookups run on string_views without building a
+  // temporary std::string. The entry tables sit on their own cache lines so
+  // lock-free id reads never share one with the lock word.
   mutable std::shared_mutex mu_;
   std::unordered_map<std::string, std::uint32_t, StrHash, std::equal_to<>> sym_ids_;
-  std::deque<SymEntry> syms_;
   std::unordered_map<std::string, RegId, StrHash, std::equal_to<>> by_name_;
   std::unordered_map<AddrKey, RegId, AddrKeyHash> by_addr_;
-  std::deque<RegEntry> regs_;
+  alignas(64) StableTable<SymEntry> syms_;
+  alignas(64) StableTable<RegEntry> regs_;
 };
 
 }  // namespace

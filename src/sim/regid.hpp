@@ -24,11 +24,15 @@
 //
 // The interner is process-global, append-only, and thread-safe: a single
 // World still steps one coroutine at a time, but the parallel frontier
-// explorer (core/solvability.hpp) runs many independent Worlds concurrently,
-// all resolving addresses through this table. Lookups of already-interned
-// names take a shared (read) lock; the first resolution of a new name takes
-// an exclusive lock, re-checks, and appends. Ids are dense and immutable
-// once handed out, and name references stay valid across appends.
+// explorer (core/solvability.hpp) and the campaign farm run many independent
+// Worlds concurrently, all resolving addresses through this table. Id reads
+// (reg_name, reg_name_hash, RegAddr::name/name_hash, Sym::name,
+// interned_register_count) are lock-free: entries are stored in chunks that
+// never move and never change once published. Name->id lookups of
+// already-interned names take a shared (read) lock; the first resolution of
+// a new name takes an exclusive lock, re-checks, and appends. Ids are dense
+// and immutable once handed out, and name references stay valid across
+// appends.
 #pragma once
 
 #include <cstdint>

@@ -441,6 +441,7 @@ DriveResult drive_with_crashes(World& w, Scheduler& sched, std::int64_t max_step
 
 ReplayResult replay_tape(World& w, const ScheduleTape& tape) {
   w.enable_trace();
+  w.reserve_trace(tape.steps.size());
   ExplicitSchedule rs(tape.steps);
   ReplayResult out;
   out.drive = drive_with_crashes(w, rs, static_cast<std::int64_t>(tape.steps.size()),

@@ -15,7 +15,7 @@ bool eligible(const World& w, Pid pid) {
 }  // namespace
 
 std::optional<Pid> RoundRobinScheduler::next(const World& w) {
-  const auto pids = w.pids();
+  const std::vector<Pid>& pids = w.pids();
   if (pids.empty()) return std::nullopt;
   for (std::size_t tries = 0; tries < pids.size(); ++tries) {
     const Pid cand = pids[cursor_ % pids.size()];
@@ -26,12 +26,12 @@ std::optional<Pid> RoundRobinScheduler::next(const World& w) {
 }
 
 std::optional<Pid> RandomScheduler::next(const World& w) {
-  std::vector<Pid> pool;
+  pool_.clear();
   for (const Pid pid : w.pids()) {
-    if (eligible(w, pid)) pool.push_back(pid);
+    if (eligible(w, pid)) pool_.push_back(pid);
   }
-  if (pool.empty()) return std::nullopt;
-  return pool[static_cast<std::size_t>(rng_.below(pool.size()))];
+  if (pool_.empty()) return std::nullopt;
+  return pool_[static_cast<std::size_t>(rng_.below(pool_.size()))];
 }
 
 std::optional<Pid> KConcurrencyScheduler::next(const World& w) {

@@ -70,6 +70,7 @@ class RandomScheduler final : public Scheduler {
 
  private:
   SplitMix64 rng_;
+  std::vector<Pid> pool_;  ///< eligible pids of the current pick, reused
 };
 
 /// The admission window of a k-concurrent run (paper §2.2): C-processes are

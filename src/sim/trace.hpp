@@ -76,6 +76,15 @@ class Trace {
 
   [[nodiscard]] std::size_t size() const noexcept { return time_.size(); }
   [[nodiscard]] bool empty() const noexcept { return time_.empty(); }
+  /// Pre-sizes the record columns (the value pool grows on demand).
+  void reserve(std::size_t records) {
+    time_.reserve(records);
+    pid_.reserve(records);
+    opflags_.reserve(records);
+    addr_.reserve(records);
+    value_.reserve(records);
+    result_.reserve(records);
+  }
   void clear() noexcept {
     time_.clear();
     pid_.clear();

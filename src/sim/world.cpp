@@ -1,5 +1,7 @@
 #include "sim/world.hpp"
 
+#include <algorithm>
+
 #include "fd/detectors.hpp"
 
 namespace efd {
@@ -28,6 +30,7 @@ void World::spawn(Pid pid, const ProcBody& body) {
     s.ctx.reset();
     throw std::invalid_argument("World::spawn: body produced no coroutine");
   }
+  pids_.insert(std::upper_bound(pids_.begin(), pids_.end(), pid), pid);
   if (pid.is_c()) {
     num_c_ = std::max(num_c_, pid.index + 1);
   } else {
@@ -77,19 +80,6 @@ void World::redeliver_all(Pid pid, const std::vector<Value>& results) {
   }
   s.steps += static_cast<int>(results.size());
   stats_.redelivers += static_cast<std::int64_t>(results.size());
-}
-
-std::vector<Pid> World::pids() const {
-  std::vector<Pid> out;
-  out.reserve(c_slots_.size() + s_slots_.size());
-  // C before S, ascending index: already Pid order (kind is the major key).
-  for (std::size_t i = 0; i < c_slots_.size(); ++i) {
-    if (c_slots_[i].ctx) out.push_back(cpid(static_cast<int>(i)));
-  }
-  for (std::size_t i = 0; i < s_slots_.size(); ++i) {
-    if (s_slots_[i].ctx) out.push_back(spid(static_cast<int>(i)));
-  }
-  return out;
 }
 
 const World::Slot& World::slot(Pid pid) const {

@@ -94,7 +94,10 @@ class World {
     return pid.index >= 0 && static_cast<std::size_t>(pid.index) < v.size() &&
            v[static_cast<std::size_t>(pid.index)].ctx != nullptr;
   }
-  [[nodiscard]] std::vector<Pid> pids() const;
+  /// Every spawned pid in Pid order (C before S, ascending index). The list
+  /// is maintained by spawn(), so reading it allocates nothing; schedulers
+  /// call this on every pick.
+  [[nodiscard]] const std::vector<Pid>& pids() const noexcept { return pids_; }
   [[nodiscard]] int num_c() const noexcept { return num_c_; }
   [[nodiscard]] int num_s() const noexcept { return num_s_; }
 
@@ -193,6 +196,8 @@ class World {
   // ---- tracing & telemetry ----
 
   void enable_trace(bool on = true) noexcept { tracing_ = on; }
+  /// Pre-sizes the trace for `records` steps (replay knows its length).
+  void reserve_trace(std::size_t records) { trace_.reserve(records); }
   [[nodiscard]] const Trace& trace() const noexcept { return trace_; }
 
   /// Attaches a per-step observer (nullptr detaches). The world does not own
@@ -228,6 +233,7 @@ class World {
   std::unique_ptr<FrameArena> arena_ = std::make_unique<FrameArena>();
   std::vector<Slot> c_slots_;
   std::vector<Slot> s_slots_;
+  std::vector<Pid> pids_;  ///< spawned pids, sorted
   Time now_ = 0;
   int num_c_ = 0;
   int num_s_ = 0;

@@ -194,6 +194,19 @@ TEST(Campaign, WaitFreeOnlyFindingsAreStampedAndKept) {
   EXPECT_TRUE(found) << "tight bound produced no wait-freedom finding";
 }
 
+// Regression: plan text reaches run_plan unclamped (serve --queue), and the
+// monitor bounds were widened by the burst lengths with plain adds, so a
+// burst near INT64_MAX overflowed them (UBSan). Saturated, the starved
+// victim is never flagged.
+TEST(Campaign, HugeBurstSaturatesMonitorBounds) {
+  const CampaignTarget* t = find_campaign_target("cons");
+  ASSERT_NE(t, nullptr);
+  const FaultPlan plan = FaultPlan::parse("plan-v1; burst 5 9223372036854775807 p1");
+  const PlanOutcome out = run_plan(*t, plan, campaign_plan_seed(42, t->name, 0), true);
+  EXPECT_FALSE(out.wait_free_bad) << out.detail;
+  EXPECT_EQ(out.starvation_observations, 0);
+}
+
 // Regression: the save-dir was (re-)created inside the per-violation loop
 // with the failure ignored — an unwritable directory silently dropped every
 // tape. It must be checked once, up front, with a typed error.

@@ -10,6 +10,7 @@
 //    the budget boundary.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <mutex>
 #include <set>
@@ -592,6 +593,74 @@ TEST(ExploreEngine, InternerIsThreadSafe) {
   for (auto& th : crew) th.join();
   for (const RegId id : shared_ids) EXPECT_EQ(id, shared_ids[0]);
   EXPECT_EQ(reg_name(reg("mt/shared", 3).id()), "mt/shared[3]");
+
+  // Lock-free id reads racing appends: 4 writers intern fresh register and
+  // symbol names (far past the first storage chunk of each table) and
+  // publish each id with the name hash they saw; 4 readers meanwhile read
+  // names and hashes of published ids through the lock-free id reads.
+  constexpr int kWriters = 4;
+  constexpr int kPerWriter = 600;
+  struct Published {
+    RegId id = kInvalidRegId;
+    std::uint64_t hash = 0;
+    Sym sym;
+  };
+  std::vector<std::vector<Published>> published(kWriters, std::vector<Published>(kPerWriter));
+  std::vector<std::atomic<int>> counts(kWriters);
+  std::atomic<int> writers_done{0};
+  std::atomic<int> mismatches{0};
+  std::atomic<long> reads{0};
+  const std::size_t regs_before = interned_register_count();
+  const auto sym_name_of = [](int t, int i) {
+    return "mt/sym" + std::to_string(t) + "_" + std::to_string(i);
+  };
+  std::vector<std::thread> writers;
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kWriters; ++t) {
+    writers.emplace_back([&, t] {
+      for (int i = 0; i < kPerWriter; ++i) {
+        const RegAddr a("mt/fresh" + std::to_string(t) + "/" + std::to_string(i));
+        published[static_cast<std::size_t>(t)][static_cast<std::size_t>(i)] =
+            Published{a.id(), a.name_hash(), sym(sym_name_of(t, i))};
+        counts[static_cast<std::size_t>(t)].store(i + 1, std::memory_order_release);
+      }
+      writers_done.fetch_add(1, std::memory_order_release);
+    });
+  }
+  for (int r = 0; r < 4; ++r) {
+    readers.emplace_back([&] {
+      const auto check_all = [&] {
+        for (int t = 0; t < kWriters; ++t) {
+          const int n = counts[static_cast<std::size_t>(t)].load(std::memory_order_acquire);
+          for (int i = 0; i < n; ++i) {
+            const Published& p = published[static_cast<std::size_t>(t)][static_cast<std::size_t>(i)];
+            const std::string& name = reg_name(p.id);
+            if (RegAddr(name).id() != p.id || reg_name_hash(p.id) != p.hash ||
+                RegAddr::from_id(p.id).name_hash() != p.hash ||
+                p.sym.name() != sym_name_of(t, i)) {
+              mismatches.fetch_add(1, std::memory_order_relaxed);
+            }
+            reads.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+        // The newest ids, published only through the interner's own size,
+        // newest first: every id below interned_register_count() must be
+        // readable without the lock (RegAddr's lookup then takes it).
+        const auto n = static_cast<RegId>(interned_register_count());
+        for (RegId k = 1; k <= std::min<RegId>(n, 32); ++k) {
+          const RegId id = n - k;
+          if (RegAddr(reg_name(id)).id() != id) mismatches.fetch_add(1, std::memory_order_relaxed);
+        }
+      };
+      while (writers_done.load(std::memory_order_acquire) < kWriters) check_all();
+      check_all();  // every id is published by now
+    });
+  }
+  for (auto& th : writers) th.join();
+  for (auto& th : readers) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_GE(reads.load(), 4L * kWriters * kPerWriter);
+  EXPECT_GE(interned_register_count(), regs_before + kWriters * kPerWriter);
 }
 
 }  // namespace

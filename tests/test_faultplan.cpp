@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <vector>
 
 #include "sim/faultplan.hpp"
@@ -183,6 +184,24 @@ TEST(BurstScheduler, SuppressesVictimInsideWindow) {
   EXPECT_TRUE(std::count(order.begin(), order.end(), 0) > 0);
 }
 
+TEST(BurstScheduler, HugeLengthSuppressesVictimWithoutOverflow) {
+  // Parsed plan text is unclamped: start + length must not be computed.
+  const FaultPlan plan = FaultPlan::parse("plan-v1; burst 5 9223372036854775807 p1");
+  World w = World::failure_free(0);
+  w.spawn_c(0, spin);
+  w.spawn_c(1, spin);
+  RoundRobinScheduler rr;
+  BurstScheduler bs(rr, plan.bursts);
+  for (int i = 0; i < 40; ++i) {
+    const auto pid = bs.next(w);
+    ASSERT_TRUE(pid.has_value());
+    if (i >= 5) {
+      EXPECT_EQ(*pid, cpid(1)) << "step " << i;
+    }
+    w.step(*pid);
+  }
+}
+
 TEST(BurstScheduler, YieldsWhenInnerInsists) {
   // One process only: the inner scheduler can never propose anyone else, so
   // the burst must yield instead of stalling the world.
@@ -260,6 +279,17 @@ TEST(DriveWithPlan, AppliedPointsReplayIdentically) {
 
   EXPECT_EQ(r1.drive.steps, r2.steps);
   EXPECT_EQ(trace_hash(w1.trace()), trace_hash(w2.trace()));
+}
+
+TEST(FaultPlan, SeverNearInt64MaxHealsSaturated) {
+  const FaultPlan plan = FaultPlan::parse("plan-v1; link sever 9223372036854775807 0 0 5");
+  const std::vector<LinkFaultPoint> points = plan.resolve_links();
+  ASSERT_EQ(points.size(), 2u);
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  EXPECT_EQ(points[0].kind, LinkFaultKind::kSever);
+  EXPECT_EQ(points[0].step_index, kMax);
+  EXPECT_EQ(points[1].kind, LinkFaultKind::kHeal);
+  EXPECT_EQ(points[1].step_index, kMax);
 }
 
 TEST(FaultPlan, CorruptWrapsAdvice) {

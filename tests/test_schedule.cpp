@@ -4,8 +4,10 @@
 
 #include <algorithm>
 
+#include "core/efd_system.hpp"
 #include "fd/detectors.hpp"
 #include "sim/adversary.hpp"
+#include "sim/faultplan.hpp"
 #include "sim/replay.hpp"
 #include "sim/schedule.hpp"
 
@@ -77,6 +79,71 @@ TEST(RandomScheduler, DeterministicGivenSeed) {
   };
   EXPECT_EQ(run(5), run(5));
   EXPECT_NE(run(5), run(6));
+}
+
+/// Always proposes q1; paired with a predicate suppressing q1 it drives a
+/// SuppressScheduler into its own fallback rotation on every pick.
+class StubbornScheduler final : public Scheduler {
+ public:
+  [[nodiscard]] std::optional<Pid> next(const World&) override { return spid(0); }
+};
+
+TEST(Schedulers, PickSequencesArePinned) {
+  // One world shape for every World-driven scheduler: a hole in the C
+  // indices (p1, p3), q1 crashing at time 20, and p3 terminating after its
+  // 8th step. Each scheduler's 64 picks are pinned, so any change to how a
+  // scheduler filters or indexes the pid list shows up as a diff here.
+  const auto picks = [](Scheduler& sched) {
+    FailurePattern f(3);
+    f.crash(0, 20);
+    World w(f, TrivialFd{}.history(f, 0));
+    w.spawn_c(0, count_steps);
+    w.spawn_c(2, [](Context& ctx) { return decide_after(ctx, 7); });
+    for (int i = 0; i < 3; ++i) w.spawn_s(i, count_steps);
+    std::string out;
+    for (int i = 0; i < 64; ++i) {
+      const auto pid = sched.next(w);
+      if (!pid) {
+        out += '-';
+        break;
+      }
+      out += pid->to_string() + ' ';
+      w.step(*pid);
+    }
+    return out;
+  };
+  RandomScheduler random(7);
+  RoundRobinScheduler rr;
+  StubbornScheduler stubborn;
+  SuppressScheduler suppress(stubborn, [](Pid pid, const World&) { return pid == spid(0); });
+  PersonifiedScheduler personified;
+  RandomScheduler inner(11);
+  BurstScheduler bursts(inner, {StarvationBurst{4, 12, cpid(0)}, StarvationBurst{30, 10, spid(2)}});
+  EXPECT_EQ(picks(random),
+            "q3 q3 q1 p1 q2 p3 q1 p3 p3 p1 q1 p1 p3 p1 q3 q3 "
+            "q3 q1 p1 q1 q2 q2 p1 q2 q3 q2 q2 p3 q3 q2 p3 p1 "
+            "q3 q3 p3 q3 p1 q2 q2 q2 q2 q2 q3 q3 q3 q2 q3 q2 "
+            "p3 q3 q2 q2 q3 q2 q3 q3 q2 q3 q3 q2 q2 q2 q3 p1 ");
+  EXPECT_EQ(picks(rr),
+            "p1 p3 q1 q2 q3 p1 p3 q1 q2 q3 p1 p3 q1 q2 q3 p1 "
+            "p3 q1 q2 q3 p1 p3 q2 q3 p1 p3 q2 q3 p1 p3 q2 q3 "
+            "p1 p3 q2 q3 p1 q2 q3 p1 q2 q3 p1 q2 q3 p1 q2 q3 "
+            "p1 q2 q3 p1 q2 q3 p1 q2 q3 p1 q2 q3 p1 q2 q3 p1 ");
+  EXPECT_EQ(picks(suppress),
+            "p1 p3 q2 q3 p1 p3 q2 q3 p1 p3 q2 q3 p1 p3 q2 q3 "
+            "p1 p3 q2 q3 p1 p3 q2 q3 p1 p3 q2 q3 p1 p3 q2 q3 "
+            "p1 q2 q3 p1 q2 q3 p1 q2 q3 p1 q2 q3 p1 q2 q3 p1 "
+            "q2 q3 p1 q2 q3 p1 q2 q3 p1 q2 q3 p1 q2 q3 p1 q2 ");
+  EXPECT_EQ(picks(personified),
+            "p1 p3 q1 q2 q3 p1 p3 q1 q2 q3 p1 p3 q1 q2 q3 p1 "
+            "p3 q1 q2 q3 p3 q2 q3 p3 q2 q3 p3 q2 q3 p3 q2 q3 "
+            "q2 q3 q2 q3 q2 q3 q2 q3 q2 q3 q2 q3 q2 q3 q2 q3 "
+            "q2 q3 q2 q3 q2 q3 q2 q3 q2 q3 q2 q3 q2 q3 q2 q3 ");
+  EXPECT_EQ(picks(bursts),
+            "q3 q1 q2 p3 q2 q2 q3 q1 p3 q3 q2 q2 q2 p3 q3 q3 "
+            "q2 q2 p3 q1 p3 q2 q2 q2 q3 p1 q2 p1 p3 p3 p3 q2 "
+            "p1 p1 q2 q2 p1 p1 p1 q2 q2 p1 q3 q3 q2 q2 p1 p1 "
+            "q2 q3 q3 q2 q2 q2 q3 q2 q2 q3 q3 q2 q3 q3 p1 q3 ");
 }
 
 TEST(RandomScheduler, EventuallySchedulesEveryone) {

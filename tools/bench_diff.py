@@ -71,9 +71,11 @@ HIGHER_BETTER_MARKERS = ("hit_rate",)
 # far below any real per-state allocation creeping back in.
 LOWER_BETTER_MARKERS = ("allocs_per",)
 ALLOC_EPSILON = 0.002
-# Experiments whose benches carry the allocation probe; --validate requires
-# the counter so a silently dropped probe cannot pass the smoke test.
-ALLOC_PROBED_EXPERIMENTS = ("E13", "E14")
+# Experiments whose benches carry the allocation probe, each with the name
+# prefix of the rows that report it (E15's monitor A/B rows do not);
+# --validate requires the counter on those rows so a silently dropped probe
+# cannot pass the smoke test.
+ALLOC_PROBED_EXPERIMENTS = {"E13": "", "E14": "", "E15": "E15_Campaign"}
 # Experiments that must exercise the tiered dedup store: --validate requires
 # at least one benchmark with the per-tier counters, so silently dropping the
 # tiered row (and its spill coverage) cannot pass the smoke test.
@@ -252,7 +254,8 @@ def validate_doc(path, doc, require_alloc_probe=True):
               f"{name}: counters must be a non-empty object")
         for k, v in counters.items():
             check(isinstance(v, (int, float)), f"{name}: counter {k!r} is not numeric")
-        if require_alloc_probe and doc.get("experiment") in ALLOC_PROBED_EXPERIMENTS:
+        probed = ALLOC_PROBED_EXPERIMENTS.get(doc.get("experiment"))
+        if require_alloc_probe and probed is not None and name.startswith(probed):
             check("allocs_per_step" in counters,
                   f"{name}: missing allocs_per_step counter "
                   f"(experiment {doc['experiment']} carries the allocation probe)")
