@@ -6,7 +6,6 @@
 #include <deque>
 #include <filesystem>
 #include <initializer_list>
-#include <limits>
 #include <stdexcept>
 #include <system_error>
 #include <unordered_set>
@@ -63,9 +62,7 @@ std::uint64_t trace_coverage_sig(const Trace& tr) {
 /// not wrap it negative.
 std::int64_t saturating_sum(std::initializer_list<std::int64_t> terms) {
   std::int64_t out = 0;
-  for (const std::int64_t t : terms) {
-    if (__builtin_add_overflow(out, t, &out)) return std::numeric_limits<std::int64_t>::max();
-  }
+  for (const std::int64_t t : terms) out = sat_add(out, t);
   return out;
 }
 
@@ -440,14 +437,14 @@ PlanOutcome run_plan(const CampaignTarget& target, const FaultPlan& plan,
   MonitorBounds mb;
   if (target.bounds.own_steps_to_decide > 0) {
     mb.own_steps_to_decide = saturating_sum(
-        {target.bounds.own_steps_to_decide, 2 * stab, total_burst, link_wait});
+        {target.bounds.own_steps_to_decide, sat_mul(2, stab), total_burst, link_wait});
   }
   if (target.bounds.starvation_window > 0) {
     mb.starvation_window = saturating_sum({target.bounds.starvation_window, total_burst});
   }
   if (target.bounds.livelock_window > 0) {
-    mb.livelock_window = saturating_sum({target.bounds.livelock_window, 4 * stab, total_burst,
-                                         total_burst, 2 * link_wait});
+    mb.livelock_window = saturating_sum({target.bounds.livelock_window, sat_mul(4, stab),
+                                         total_burst, total_burst, 2 * link_wait});
   }
   if (target.bounds.retransmit_storm_window > 0) {
     // Each lost delivery legitimately buys extra retransmissions; the storm

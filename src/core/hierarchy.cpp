@@ -5,6 +5,7 @@
 #include "algo/one_concurrent.hpp"
 #include "algo/participating_set.hpp"
 #include "algo/renaming.hpp"
+#include "core/workpool.hpp"
 #include "sim/memory.hpp"
 #include "tasks/participating_set.hpp"
 #include "tasks/consensus.hpp"
@@ -60,56 +61,72 @@ HierarchyRow classify(const TaskPtr& task, const std::function<ProcBody(int, Val
 }
 
 std::vector<HierarchyRow> classify_standard_menu(int n, std::int64_t max_states, int threads) {
-  std::vector<HierarchyRow> rows;
+  // One closure per row. Rows share no task, body, register namespace or
+  // dedup store, so they run as one pool batch, each on the one-thread
+  // engine (cfg.threads stays 1) and each into its own slot: every row is
+  // byte-identical to the 1-thread menu, and no sweep is explored twice
+  // (the parallel frontier re-runs every violating or exhausted sweep, and
+  // every row below level n ends in one).
   ExploreConfig cfg;
   cfg.max_states = max_states;
-  cfg.threads = threads;
+  std::vector<std::function<HierarchyRow()>> menu;
 
   auto one_conc_body = [](const TaskPtr& task, const std::string& ns) {
     return [task, ns](int, Value input) { return make_one_concurrent(task, input, ns); };
   };
 
-  {  // identity: wait-free, class n. Solved by the direct 2-step algorithm
-     // (publish, decide own input) so level-n exploration stays exhaustive.
+  // identity: wait-free, class n. Solved by the direct 2-step algorithm
+  // (publish, decide own input) so level-n exploration stays exhaustive.
+  menu.emplace_back([n, cfg] {
     auto task = std::make_shared<IdentityTask>(n);
     auto body = [](int, Value input) {
       return ProcBody([input](Context& ctx) { return identity_solver(ctx, input); });
     };
     auto row = classify(task, body, task->sample_input(1), n, cfg);
     row.note = "wait-free: needs no advice (Prop. 2)";
-    rows.push_back(std::move(row));
-  }
-  {  // consensus: class 1 (Ω).
+    return row;
+  });
+  // consensus: class 1 (Ω).
+  menu.emplace_back([n, cfg, one_conc_body] {
     auto task = std::make_shared<ConsensusTask>(n);
     ValueVec in(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i) in[static_cast<std::size_t>(i)] = Value(i);  // all-distinct: hardest
-    rows.push_back(classify(task, one_conc_body(task, "cons"), in, n, cfg));
-  }
+    return classify(task, one_conc_body(task, "cons"), in, n, cfg);
+  });
   for (int k = 2; k < n; ++k) {  // k-set agreement: class k.
-    auto task = std::make_shared<SetAgreementTask>(n, k);
-    ValueVec in(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) in[static_cast<std::size_t>(i)] = Value(i);
-    rows.push_back(classify(task, one_conc_body(task, "ksa" + std::to_string(k)), in, n, cfg));
+    menu.emplace_back([n, k, cfg, one_conc_body] {
+      auto task = std::make_shared<SetAgreementTask>(n, k);
+      ValueVec in(static_cast<std::size_t>(n));
+      for (int i = 0; i < n; ++i) in[static_cast<std::size_t>(i)] = Value(i);
+      return classify(task, one_conc_body(task, "ksa" + std::to_string(k)), in, n, cfg);
+    });
   }
   if (n >= 3) {  // strong 2-renaming: class 1 (Cor. 13).
-    auto task = std::make_shared<RenamingTask>(RenamingTask::strong(n, 2));
-    const ValueVec in = task->sample_input(0);
-    RenamingConfig rcfg{"sren", n};
-    auto row = classify(
-        task, [rcfg](int, Value input) { return make_renaming_kconc(rcfg, input); }, in, n, cfg);
-    row.note = "strong renaming == consensus (Cor. 13)";
-    rows.push_back(std::move(row));
+    menu.emplace_back([n, cfg] {
+      auto task = std::make_shared<RenamingTask>(RenamingTask::strong(n, 2));
+      const ValueVec in = task->sample_input(0);
+      RenamingConfig rcfg{"sren", n};
+      auto row = classify(
+          task, [rcfg](int, Value input) { return make_renaming_kconc(rcfg, input); }, in, n,
+          cfg);
+      row.note = "strong renaming == consensus (Cor. 13)";
+      return row;
+    });
   }
   if (n >= 4) {  // (3, 4)-renaming with the Fig. 4 algorithm: level >= 2.
-    auto task = std::make_shared<RenamingTask>(n, 3, 4);
-    const ValueVec in = task->sample_input(0);
-    RenamingConfig rcfg{"ren34", n};
-    auto row = classify(
-        task, [rcfg](int, Value input) { return make_renaming_kconc(rcfg, input); }, in, n, cfg);
-    row.note = "exact maximal level open for some (j,k) (paper fn. 4)";
-    rows.push_back(std::move(row));
+    menu.emplace_back([n, cfg] {
+      auto task = std::make_shared<RenamingTask>(n, 3, 4);
+      const ValueVec in = task->sample_input(0);
+      RenamingConfig rcfg{"ren34", n};
+      auto row = classify(
+          task, [rcfg](int, Value input) { return make_renaming_kconc(rcfg, input); }, in, n,
+          cfg);
+      row.note = "exact maximal level open for some (j,k) (paper fn. 4)";
+      return row;
+    });
   }
-  {  // participating set: wait-free via immediate snapshot (class n).
+  // participating set: wait-free via immediate snapshot (class n).
+  menu.emplace_back([n, cfg] {
     auto task = std::make_shared<ParticipatingSetTask>(n);
     const ParticipatingSetConfig pcfg{"ps", n};
     auto body = [pcfg](int, Value input) { return make_participating_set_solver(pcfg, input); };
@@ -120,14 +137,23 @@ std::vector<HierarchyRow> classify_standard_menu(int n, std::int64_t max_states,
     // levels exhaustively can exceed the exploration budget.
     const std::string tag = "wait-free via one-shot immediate snapshot";
     row.note = row.note.empty() ? tag : row.note + "; " + tag;
-    rows.push_back(std::move(row));
-  }
-  {  // weak symmetry breaking with the generic solver.
+    return row;
+  });
+  // weak symmetry breaking with the generic solver.
+  menu.emplace_back([n, cfg, one_conc_body] {
     auto task = std::make_shared<WeakSymmetryBreakingTask>(n);
     auto row = classify(task, one_conc_body(task, "wsb"), task->sample_input(3), n, cfg);
     row.note = "level of the generic solver; the task's own class is open here";
-    rows.push_back(std::move(row));
+    return row;
+  });
+
+  std::vector<HierarchyRow> rows(menu.size());
+  std::vector<std::function<void()>> jobs;
+  jobs.reserve(menu.size());
+  for (std::size_t i = 0; i < menu.size(); ++i) {
+    jobs.emplace_back([&rows, &menu, i] { rows[i] = menu[i](); });
   }
+  WorkStealingPool::run(std::move(jobs), threads);
   return rows;
 }
 

@@ -41,8 +41,11 @@ HierarchyRow classify(const TaskPtr& task, const std::function<ProcBody(int, Val
 
 /// The standard menu of the E9 table: identity, consensus, k-set agreement,
 /// strong renaming, (j, j+k-1)-renaming, weak symmetry breaking — all at
-/// system size n (kept small: exploration is exhaustive). `threads` > 1
-/// parallelizes each level sweep's DFS frontier (outcomes are unchanged).
+/// system size n (kept small: exploration is exhaustive). With `threads` > 1
+/// up to `threads` rows are classified at once, each on the one-thread
+/// engine, so every row is byte-identical to the 1-thread menu's. The dedup
+/// memory cap (EFD_DEDUP_MEM_MB) applies per sweep, so up to `threads`
+/// stores can be live at once.
 std::vector<HierarchyRow> classify_standard_menu(int n, std::int64_t max_states = 60000,
                                                  int threads = 1);
 

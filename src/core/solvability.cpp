@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <deque>
+#include <optional>
 #include <utility>
 
 #include "core/diskset.hpp"
@@ -622,14 +623,13 @@ ExploreOutcome explore_sequential(const TaskPtr& task,
 /// pool then explores against a shared budget pool and a shared
 /// first-insert-wins signature set. A CLEAN sweep's outcome is
 /// thread-count-invariant (the expanded-signature closure does not depend on
-/// insertion races — DESIGN.md gives the argument); any violation or budget
-/// exhaustion makes the parallel numbers schedule-dependent, so those cases
-/// rerun the sequential engine and return its canonical outcome — this
-/// doubles as the "lexicographically smallest bad_schedule wins" merge rule,
-/// since sequential DFS finds exactly that schedule first.
-ExploreOutcome explore_parallel(const TaskPtr& task,
-                                const std::function<ProcBody(int, Value)>& body,
-                                const ValueVec& inputs, const ExploreConfig& cfg) {
+/// insertion races — DESIGN.md gives the argument) and is returned; any
+/// violation or budget exhaustion makes the parallel numbers
+/// schedule-dependent, so those attempts return nullopt for the caller to
+/// rerun the sequential engine.
+std::optional<ExploreOutcome> parallel_attempt(const TaskPtr& task,
+                                               const std::function<ProcBody(int, Value)>& body,
+                                               const ValueVec& inputs, const ExploreConfig& cfg) {
   SweepContext ctx(cfg.max_states, cfg.dedup_store);
   const std::size_t target = static_cast<std::size_t>(cfg.threads) * 4;
   const auto t0 = std::chrono::steady_clock::now();
@@ -677,12 +677,7 @@ ExploreOutcome explore_parallel(const TaskPtr& task,
 
   bool clean = expansion_out.ok;
   for (const ExploreOutcome& p : parts) clean = clean && p.ok;
-  if (!clean || ctx.exhausted() || ctx.store().mem_exhausted()) {
-    // Canonical deterministic outcome (identical to threads == 1).
-    ExploreConfig seq = cfg;
-    seq.threads = 1;
-    return explore_sequential(task, body, inputs, seq);
-  }
+  if (!clean || ctx.exhausted() || ctx.store().mem_exhausted()) return std::nullopt;
 
   ExploreOutcome out;
   out.terminal_runs = expansion_out.terminal_runs;
@@ -699,6 +694,23 @@ ExploreOutcome explore_parallel(const TaskPtr& task,
   out.stats.pool_steals = pool_stats.steals;
   finish_sweep(out, ctx, cfg.threads, t0);
   return out;
+}
+
+/// A parallel sweep, or the canonical sequential outcome (identical to
+/// threads == 1) when the attempt was not clean — this doubles as the
+/// "lexicographically smallest bad_schedule wins" merge rule, since
+/// sequential DFS finds exactly that schedule first. The attempt's store,
+/// parts and crew are freed before the rerun fills a store of its own, so a
+/// rerun never holds two stores (or two spill directories) at once.
+ExploreOutcome explore_parallel(const TaskPtr& task,
+                                const std::function<ProcBody(int, Value)>& body,
+                                const ValueVec& inputs, const ExploreConfig& cfg) {
+  if (std::optional<ExploreOutcome> out = parallel_attempt(task, body, inputs, cfg)) {
+    return std::move(*out);
+  }
+  ExploreConfig seq = cfg;
+  seq.threads = 1;
+  return explore_sequential(task, body, inputs, seq);
 }
 
 }  // namespace

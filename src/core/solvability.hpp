@@ -79,7 +79,9 @@ struct ExploreConfig {
   /// store (tier 0 over unbudgeted shards, at every thread count). Semantic
   /// counters (states, terminal_runs, dedup_misses) are identical across
   /// store shapes — tiers only move where duplicates are detected and where
-  /// the memory lives.
+  /// the memory lives. The memory cap binds each sweep's store on its own:
+  /// callers that run sweeps concurrently (classify_standard_menu with
+  /// threads > 1) can hold one capped store per running sweep.
   DedupConfig dedup_store = DedupConfig::from_env();
 };
 

@@ -47,7 +47,8 @@ HistoryPtr LyingFd::history(const FailurePattern& f, std::uint64_t seed) const {
   // Lies sample the inner history across a window that covers both the
   // chaotic prefix and the stabilized suffix, so pre-GST output includes
   // truthful-looking-but-misplaced values as well as noise.
-  const Time lie_span = std::max<Time>(Time{1}, until + inner_->stabilization_time(f) + 8);
+  const Time lie_span =
+      std::max<Time>(Time{1}, sat_add(sat_add(until, inner_->stabilization_time(f)), 8));
   return std::make_shared<FnHistory>([inner_h, n, until, lie_span, seed](int qi, Time t) {
     if (t >= until) return inner_h->at(qi, t);
     const int fake_q =

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -145,10 +144,7 @@ std::vector<LinkFaultPoint> FaultPlan::resolve_links() const {
       out.push_back(LinkFaultPoint{l.step, name, LinkFaultKind::kSever, 1});
       // Saturating: a sever parsed near INT64_MAX heals "never", not at a
       // wrapped negative step.
-      const std::int64_t hold = std::max(1, l.amount);
-      const std::int64_t heal = l.step > std::numeric_limits<std::int64_t>::max() - hold
-                                    ? std::numeric_limits<std::int64_t>::max()
-                                    : l.step + hold;
+      const std::int64_t heal = sat_add(l.step, std::max(1, l.amount));
       out.push_back(LinkFaultPoint{heal, name, LinkFaultKind::kHeal, 1});
     } else {
       out.push_back(LinkFaultPoint{l.step, name, l.kind, l.amount});
@@ -311,6 +307,9 @@ FaultPlan FaultPlan::mutate(std::uint64_t seed, const Space& space) const {
   FaultPlan plan = *this;
   const std::int64_t horizon = std::max<std::int64_t>(1, space.horizon);
   const std::int64_t jitter = std::max<std::int64_t>(1, horizon / 8);
+  const auto jittered = [&rng, jitter](std::int64_t step) {
+    return sat_add(step, static_cast<std::int64_t>(rng.below(2 * jitter + 1)) - jitter);
+  };
   const int population = space.num_c + space.num_s;
 
   const int edits = 1 + static_cast<int>(rng.below(2));
@@ -322,7 +321,7 @@ FaultPlan FaultPlan::mutate(std::uint64_t seed, const Space& space) const {
           if (rng.below(4) == 0 && space.num_s > 0) {
             c.s_index = static_cast<int>(rng.below(static_cast<std::uint64_t>(space.num_s)));
           } else {
-            c.step_index += static_cast<std::int64_t>(rng.below(2 * jitter + 1)) - jitter;
+            c.step_index = jittered(c.step_index);
           }
         } else if (space.num_s > 0 && space.max_crashes > 0) {
           plan.storm.push_back(CrashPoint{
@@ -360,7 +359,8 @@ FaultPlan FaultPlan::mutate(std::uint64_t seed, const Space& space) const {
             plan.fd.gst = 1 + static_cast<Time>(rng.below(16));
             plan.fd.param = 2 + static_cast<int>(rng.below(14));
           } else if (rng.below(2) == 0) {
-            plan.fd.gst = rng.below(2) == 0 ? plan.fd.gst * 2 : std::max<Time>(1, plan.fd.gst / 2);
+            plan.fd.gst =
+                rng.below(2) == 0 ? sat_mul(plan.fd.gst, 2) : std::max<Time>(1, plan.fd.gst / 2);
           } else {
             plan.fd.param = 1 + static_cast<int>(rng.below(16));
           }
@@ -371,11 +371,13 @@ FaultPlan FaultPlan::mutate(std::uint64_t seed, const Space& space) const {
           StarvationBurst& b = plan.bursts[rng.below(plan.bursts.size())];
           switch (rng.below(3)) {
             case 0:
-              b.start_step += static_cast<std::int64_t>(rng.below(2 * jitter + 1)) - jitter;
+              b.start_step = jittered(b.start_step);
               break;
-            case 1: b.length = 1 + static_cast<std::int64_t>(rng.below(
-                        static_cast<std::uint64_t>(std::max<std::int64_t>(1, 2 * b.length))));
+            case 1: {
+              const std::int64_t span = std::max<std::int64_t>(1, sat_mul(2, b.length));
+              b.length = 1 + static_cast<std::int64_t>(rng.below(static_cast<std::uint64_t>(span)));
               break;
+            }
             default:
               if (population > 0) {
                 const auto v = static_cast<int>(rng.below(static_cast<std::uint64_t>(population)));
@@ -423,7 +425,7 @@ FaultPlan FaultPlan::mutate(std::uint64_t seed, const Space& space) const {
           LinkAction& l = plan.links[rng.below(plan.links.size())];
           switch (rng.below(3)) {
             case 0:
-              l.step += static_cast<std::int64_t>(rng.below(2 * jitter + 1)) - jitter;
+              l.step = jittered(l.step);
               break;
             case 1:
               l.from = static_cast<int>(rng.below(static_cast<std::uint64_t>(space.mp_senders)));

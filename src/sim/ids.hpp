@@ -9,6 +9,7 @@
 #include <compare>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <string>
 
 namespace efd {
@@ -16,6 +17,20 @@ namespace efd {
 /// Discrete model time. The time sequence T of a run is non-decreasing; we
 /// use one tick per step, so step index and time coincide in this simulator.
 using Time = std::int64_t;
+
+/// Saturating Time (and step index) arithmetic. Fault-plan text parses
+/// unclamped, so a GST, step or length near INT64_MAX must widen a window or
+/// a bound, not wrap it negative; in-range values compute exactly as + and *.
+inline Time sat_add(Time a, Time b) noexcept {
+  Time out = 0;
+  if (!__builtin_add_overflow(a, b, &out)) return out;
+  return b > 0 ? std::numeric_limits<Time>::max() : std::numeric_limits<Time>::min();
+}
+inline Time sat_mul(Time a, Time b) noexcept {
+  Time out = 0;
+  if (!__builtin_mul_overflow(a, b, &out)) return out;
+  return (a < 0) == (b < 0) ? std::numeric_limits<Time>::max() : std::numeric_limits<Time>::min();
+}
 
 enum class ProcKind : std::uint8_t {
   kC,  ///< computation process (wait-free participant in the task)

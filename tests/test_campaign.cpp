@@ -207,6 +207,29 @@ TEST(Campaign, HugeBurstSaturatesMonitorBounds) {
   EXPECT_EQ(out.starvation_observations, 0);
 }
 
+// Regression: run_plan widened the monitor bounds by 2x and 4x the advice's
+// stabilization time, and the lying detector spans its lies over GST +
+// inner stabilization + 8, all with plain arithmetic, so an fd GST near
+// INT64_MAX overflowed (UBSan). Saturated, the bounds never flag the run.
+// The farm mutates such a plan once it reaches new coverage, so the other
+// huge parsed values must survive run_plan and mutate too.
+TEST(Campaign, HugePlanValuesSaturate) {
+  const CampaignTarget* t = find_campaign_target("cons");
+  ASSERT_NE(t, nullptr);
+  for (const char* text :
+       {"plan-v1; fd lying 9223372036854775807 3", "plan-v1; fd omissive 9223372036854775807 3",
+        "plan-v1; fd stuttering 9223372036854775807 3", "plan-v1; burst 5 9223372036854775807 p1",
+        "plan-v1; burst 9223372036854775807 1 p1", "plan-v1; storm 9223372036854775807 0"}) {
+    const FaultPlan plan = FaultPlan::parse(text);
+    const PlanOutcome out = run_plan(*t, plan, campaign_plan_seed(42, t->name, 0), true);
+    EXPECT_FALSE(out.violated()) << text << ": " << out.detail;
+    for (std::uint64_t seed = 0; seed < 2000; ++seed) {
+      const FaultPlan m = plan.mutate(seed, t->space);
+      ASSERT_EQ(FaultPlan::parse(m.to_string()), m) << text << ", seed " << seed;
+    }
+  }
+}
+
 // Regression: the save-dir was (re-)created inside the per-violation loop
 // with the failure ignored — an unwritable directory silently dropped every
 // tape. It must be checked once, up front, with a typed error.

@@ -41,6 +41,7 @@
 #include "core/sigset.hpp"
 #include "core/solvability.hpp"
 #include "sim/hash.hpp"
+#include "support/env_guard.hpp"
 #include "support/outcome_eq.hpp"
 #include "tasks/set_agreement.hpp"
 
@@ -287,15 +288,6 @@ TEST(TieredSigSet, SpillDirIsRemovedOnDestruction) {
 // ---------------------------------------------------------------------------
 // DedupConfig::from_env.
 // ---------------------------------------------------------------------------
-
-/// setenv/unsetenv guard (tests run single-threaded).
-struct EnvGuard {
-  std::string key;
-  EnvGuard(const std::string& k, const std::string& v) : key(k) {
-    ::setenv(k.c_str(), v.c_str(), 1);
-  }
-  ~EnvGuard() { ::unsetenv(key.c_str()); }
-};
 
 TEST(DedupConfig, FromEnvParsesTiersBudgetAndDir) {
   {

@@ -115,6 +115,16 @@ void expect_in_space(const FaultPlan& p, const FaultPlan::Space& sp, std::uint64
     ASSERT_GE(p.fd.gst, 1) << "seed " << seed;
     ASSERT_LE(p.fd.gst, sp.max_gst) << "seed " << seed;
   }
+  for (const auto& b : p.bursts) {
+    ASSERT_GE(b.start_step, 0) << "seed " << seed;
+    ASSERT_LT(b.start_step, sp.horizon) << "seed " << seed;
+    ASSERT_GE(b.length, 1) << "seed " << seed;
+    ASSERT_LE(b.length, sp.max_burst_len) << "seed " << seed;
+  }
+  for (const auto& l : p.links) {
+    ASSERT_GE(l.step, 0) << "seed " << seed;
+    ASSERT_LT(l.step, sp.horizon) << "seed " << seed;
+  }
 }
 
 TEST(FaultPlan, MutationIsDeterministicAndStaysInSpace) {
@@ -132,6 +142,27 @@ TEST(FaultPlan, MutationIsDeterministicAndStaysInSpace) {
   }
   // Mutation must actually move through the space, not fixpoint.
   EXPECT_GT(changed, 150);
+}
+
+// Regression: plan text parses unclamped, and mutate jittered steps,
+// doubled the GST and widened burst lengths with plain arithmetic, so parsed
+// values near INT64_MAX overflowed (UBSan) before the re-clamp. Saturated,
+// every mutant clamps back into the space.
+TEST(FaultPlan, MutationOfHugeValuesSaturates) {
+  FaultPlan::Space sp = small_space();
+  sp.max_link_actions = 2;  // MP dimensions, so link steps are jittered too
+  sp.mp_senders = 2;
+  sp.mp_mailboxes = 2;
+  for (const char* text :
+       {"plan-v1; fd lying 9223372036854775807 3", "plan-v1; burst 5 9223372036854775807 p1",
+        "plan-v1; burst 9223372036854775807 1 p1", "plan-v1; storm 9223372036854775807 0",
+        "plan-v1; link drop 9223372036854775807 0 1 1"}) {
+    const FaultPlan base = FaultPlan::parse(text);
+    for (std::uint64_t seed = 0; seed < 2000; ++seed) {
+      SCOPED_TRACE(text);
+      expect_in_space(base.mutate(seed, sp), sp, seed);
+    }
+  }
 }
 
 TEST(FaultPlan, MutationRespectsTightenedCaps) {

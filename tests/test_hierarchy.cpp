@@ -1,10 +1,46 @@
 // Tests for the Thm. 10 hierarchy classifier (core/hierarchy.hpp).
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/hierarchy.hpp"
+#include "support/env_guard.hpp"
+#include "support/outcome_eq.hpp"
 
 namespace efd {
 namespace {
+
+/// The n=4 menu at 2.5M states and 4 threads, classified once and shared by
+/// the theory check and the row-identity check.
+const std::vector<HierarchyRow>& menu4_at_4_threads() {
+  static const std::vector<HierarchyRow> rows = classify_standard_menu(4, 2500000, 4);
+  return rows;
+}
+
+/// The first row whose task name contains `needle`, or null.
+const HierarchyRow* find_row(const std::vector<HierarchyRow>& rows, const std::string& needle) {
+  for (const auto& r : rows) {
+    if (r.task.find(needle) != std::string::npos) return &r;
+  }
+  return nullptr;
+}
+
+/// Two menus agree row for row: the rendered table, the row order, each
+/// row's state count and memory-cap flag, and its merged sweep stats.
+void expect_menus_eq(const std::vector<HierarchyRow>& a, const std::vector<HierarchyRow>& b,
+                     const std::string& what) {
+  EXPECT_EQ(format_hierarchy(a), format_hierarchy(b)) << what;
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const std::string row = what + ", row " + std::to_string(i) + " " + a[i].task;
+    EXPECT_EQ(a[i].task, b[i].task) << row;
+    EXPECT_EQ(a[i].states_explored, b[i].states_explored) << row;
+    EXPECT_EQ(a[i].mem_exhausted, b[i].mem_exhausted) << row;
+    expect_stats_subset_eq(a[i].stats, b[i].stats, row);
+  }
+}
 
 TEST(Hierarchy, FdClassNames) {
   EXPECT_EQ(fd_class_name(1, 4), "Omega (= antiOmega-1)");
@@ -17,17 +53,12 @@ TEST(Hierarchy, StandardMenuMatchesTheory) {
   // The (Pi,3)-set-agreement level-3 sweep covers ~2.3M states; the budget
   // must clear that because exhausted sweeps no longer certify a level
   // (they used to, which let a 250k budget "observe" level 3 by sampling).
-  // The incremental engine keeps this fast; 4 threads sweep levels
-  // concurrently and the outcome is thread-count invariant.
-  const auto rows = classify_standard_menu(4, 2500000, 4);
+  // 4 threads classify up to 4 rows at once; the rows are thread-count
+  // invariant (MenuRowsMatchOneThread).
+  const auto& rows = menu4_at_4_threads();
   ASSERT_GE(rows.size(), 5u);
 
-  auto find = [&rows](const std::string& needle) -> const HierarchyRow* {
-    for (const auto& r : rows) {
-      if (r.task.find(needle) != std::string::npos) return &r;
-    }
-    return nullptr;
-  };
+  auto find = [&rows](const std::string& needle) { return find_row(rows, needle); };
 
   const auto* identity = find("identity");
   ASSERT_NE(identity, nullptr);
@@ -76,6 +107,39 @@ TEST(Hierarchy, ViolationReportedAboveLevel) {
       EXPECT_FALSE(r.violation.empty())
           << r.task << " stopped below n without a recorded violation";
     }
+  }
+}
+
+TEST(Hierarchy, SmallMenuRowsMatchOneThread) {
+  // 8 threads is more workers than the menu has rows.
+  const auto one = classify_standard_menu(3, 60000, 1);
+  for (const int threads : {2, 4, 8}) {
+    expect_menus_eq(one, classify_standard_menu(3, 60000, threads),
+                    "n=3 menu at " + std::to_string(threads) + " threads");
+  }
+}
+
+TEST(Hierarchy, MenuRowsMatchOneThread) {
+  expect_menus_eq(classify_standard_menu(4, 2500000, 1), menu4_at_4_threads(),
+                  "n=4 menu at 4 threads");
+}
+
+TEST(Hierarchy, MemoryCappedMenuRowsMatchOneThread) {
+  // A 1 MiB cap binds every sweep's store on its own, with no disk tier to
+  // spill to: the rows whose last sweep outgrows it become lower bounds,
+  // identically at 1 and 4 threads.
+  const EnvGuard tiers("EFD_DEDUP_TIERS", "mem");
+  const EnvGuard cap("EFD_DEDUP_MEM_MB", "1");
+  const auto one = classify_standard_menu(4, 2500000, 1);
+  expect_menus_eq(one, classify_standard_menu(4, 2500000, 4), "capped n=4 menu at 4 threads");
+  for (const auto& [needle, level] : {std::pair<std::string, int>{"(Pi,3)-set-agreement", 2},
+                                      std::pair<std::string, int>{"participating-set", 1}}) {
+    const HierarchyRow* r = find_row(one, needle);
+    ASSERT_NE(r, nullptr) << needle;
+    EXPECT_EQ(r->observed_level, level) << needle;
+    EXPECT_TRUE(r->level_exhausted) << needle;
+    EXPECT_TRUE(r->mem_exhausted) << needle;
+    EXPECT_NE(r->note.find("dedup memory cap hit"), std::string::npos) << r->note;
   }
 }
 
