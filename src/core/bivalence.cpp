@@ -4,6 +4,7 @@
 #include <unordered_set>
 
 #include "core/workpool.hpp"
+#include "sim/hash.hpp"
 #include "sim/memory.hpp"
 
 namespace efd {
@@ -208,10 +209,10 @@ LassoResult find_nontermination(const SimProgramPtr& prog, const ValueVec& input
 std::uint64_t lasso_config_sig(const std::vector<Value>& state, const std::vector<bool>& decided,
                                const std::vector<bool>& halted,
                                const std::map<RegId, Value>& mem) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const auto& s : state) h = h * 1099511628211ULL + s.hash();
-  for (bool d : decided) h = h * 1099511628211ULL + (d ? 2u : 1u);
-  for (bool d : halted) h = h * 1099511628211ULL + (d ? 5u : 3u);
+  std::uint64_t h = kFnv1aTruncatedBasis;
+  for (const auto& s : state) h = h * kFnv1aPrime + s.hash();
+  for (bool d : decided) h = h * kFnv1aPrime + (d ? 2u : 1u);
+  for (bool d : halted) h = h * kFnv1aPrime + (d ? 5u : 3u);
   // Memory cells fold COMMUTATIVELY (a sum of per-cell hashes keyed by the
   // canonical register name, as in RegisterFile::content_hash): map order is
   // RegId order, i.e. process-global interning order, and a position-
@@ -221,7 +222,7 @@ std::uint64_t lasso_config_sig(const std::vector<Value>& state, const std::vecto
   for (const auto& [k, v] : mem) {
     acc += cell_content_hash(reg_name_hash(k), v.hash());
   }
-  return h * 1099511628211ULL + cell_content_hash(0x9AE16A3B2F90404FULL, acc);
+  return h * kFnv1aPrime + cell_content_hash(0x9AE16A3B2F90404FULL, acc);
 }
 
 }  // namespace efd

@@ -458,27 +458,14 @@ PlanOutcome run_plan(const CampaignTarget& target, const FaultPlan& plan,
   const auto inner = target.make_sched(plan_seed);
   BurstScheduler bursts(*inner, plan.bursts);
   RecordingScheduler rec(bursts);
-  DriveResult dr;
-  std::vector<LinkFaultPoint> applied_links;
-  if (plan.links.empty()) {
-    dr = drive(w, rec, target.max_steps);
-  } else {
-    // Authoritative drive with the link half of the plan only: S-kills were
-    // already realized as the effective pattern above, so storms/triggers
-    // must not fire a second time. With no kills, triggers, or links,
-    // drive_with_plan steps identically to drive() — the branch exists so
-    // link-free targets provably keep their pre-link verdict stream.
-    FaultPlan link_only = plan;
-    link_only.storm.clear();
-    link_only.triggers.clear();
-    const PlanDriveResult pdr = drive_with_plan(w, rec, target.max_steps, link_only);
-    dr = pdr.drive;
-    applied_links = pdr.applied_links;
-  }
+  // The plan's S-kills are already the effective pattern: only its link
+  // charges ride along.
+  PlanDriveResult pdr =
+      drive_with_faults(w, rec, target.max_steps, {.links = plan.resolve_links()});
   w.attach_observer(nullptr);
   if (monitors) monitor.finalize(w);
 
-  out.steps = dr.steps;
+  out.steps = pdr.drive.steps;
   out.monitored_steps = monitor.monitored_steps();
   out.max_own_steps_to_decide = monitor.max_own_steps_to_decide();
   for (const auto& v : monitor.violations()) {
@@ -510,7 +497,7 @@ PlanOutcome run_plan(const CampaignTarget& target, const FaultPlan& plan,
   }
 
   out.tape = ScheduleTape::capture(target.scenario, eff, rec.steps(), {}, w.trace());
-  out.tape.linkfaults = applied_links;
+  out.tape.linkfaults = std::move(pdr.applied_links);
   if (msg_substrate(w) != nullptr) out.tape.substrate = "msg";
   // expect_violated records the SAFETY predicate outcome truthfully (a
   // wait-freedom-only tape replays "ok, as expected"); the finding line is

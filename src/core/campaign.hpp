@@ -7,16 +7,17 @@
 // FaultPlan::Space. For every plan seed the campaign:
 //
 //  1. samples a FaultPlan and, when it contains S-kills, resolves them in a
-//     REHEARSAL drive (drive_with_plan over the base pattern) into concrete
-//     crash times;
+//     REHEARSAL drive (drive_with_plan over the base pattern, the whole plan
+//     on sim/schedule's one drive loop) into concrete crash times;
 //  2. re-runs authoritatively with the EFFECTIVE failure pattern — the base
 //     pattern plus the rehearsed crash times — so honest advice is computed
 //     over the failures that actually happen (an Ω that keeps endorsing a
-//     killed leader would be a lie, not a fault-tolerance finding). The
-//     plan's FD corruption wraps the advice (fd/faulty.hpp), bursts wrap the
-//     scheduler, and a LivenessMonitor (core/monitors.hpp) watches every
-//     step with bounds scaled by the plan's corruption window and burst
-//     lengths;
+//     killed leader would be a lie, not a fault-tolerance finding). This
+//     drive runs the same loop with the plan's resolved link charges and no
+//     kills. The plan's FD corruption wraps the advice (fd/faulty.hpp),
+//     bursts wrap the scheduler, and a LivenessMonitor (core/monitors.hpp)
+//     watches every step with bounds scaled by the plan's corruption window,
+//     burst lengths and link charges;
 //  3. evaluates the scenario safety predicate + the monitor's wait-freedom
 //     certificate; violations are captured as plain efd-tape-v1 tapes
 //     (FaultPlan text attached as the `plan` provenance line), saved under

@@ -3,7 +3,7 @@
 // A configuration of the explored tree is summarized by one 64-bit
 // signature, built in three layers:
 //  1. per C-process, a chain over the results of its delivered steps
-//     (chain_step, starting from kChainSeed);
+//     (chain_step, starting from kFnv1aTruncatedBasis);
 //  2. the world's shared-state hash (registers plus substrate-held mailbox
 //     state), then each process's mixed chain and decided salt, in index
 //     order (fold_proc);
@@ -22,14 +22,12 @@
 
 namespace efd::explore_sig {
 
-inline constexpr std::uint64_t kChainSeed = 1469598103934665603ULL;  ///< FNV-1a offset basis
-inline constexpr std::uint64_t kPrime = 1099511628211ULL;            ///< FNV-1a prime
 inline constexpr std::uint64_t kDecidedSalt = 7919u;
 
 /// Extends a process's chain by one delivered step: its op and the result
 /// the step handed back to the coroutine.
 inline std::uint64_t chain_step(std::uint64_t chain, OpKind op, const Value& result) noexcept {
-  return chain * kPrime + result.hash() + static_cast<std::uint64_t>(op);
+  return chain * kFnv1aPrime + result.hash() + static_cast<std::uint64_t>(op);
 }
 
 /// Folds one process into the configuration signature; `decided` is true
@@ -39,7 +37,7 @@ inline std::uint64_t chain_step(std::uint64_t chain, OpKind op, const Value& res
 /// cross-process fold. Without it the node signature is linear in the
 /// per-process chains over the SAME prime as the per-step fold, so it
 /// degenerates to a hash of the concatenated traces: the process boundary
-/// contributes only kChainSeed * prime^(steps_i + procs - i), and that
+/// contributes only kFnv1aTruncatedBasis * prime^(steps_i + procs - i), and that
 /// multiset collides whenever two schedules swap step counts between
 /// processes whose step contributions are identical (e.g. writes, which
 /// fold Nil + op regardless of address or value). Observed in the wild:
@@ -48,12 +46,12 @@ inline std::uint64_t chain_step(std::uint64_t chain, OpKind op, const Value& res
 /// merging their subtrees. Mixing makes the outer fold see
 /// avalanche-distinct summaries, destroying the structural cancellation.
 constexpr std::uint64_t fold_proc(std::uint64_t sig, std::uint64_t chain, bool decided) noexcept {
-  return sig * kPrime + splitmix64_finalize(chain) + (decided ? kDecidedSalt : 0u);
+  return sig * kFnv1aPrime + splitmix64_finalize(chain) + (decided ? kDecidedSalt : 0u);
 }
 
 /// Closes the signature with the admission progress (arrivals admitted).
 constexpr std::uint64_t fold_arrival(std::uint64_t sig, std::size_t next_arrival) noexcept {
-  return sig * kPrime + static_cast<std::uint64_t>(next_arrival);
+  return sig * kFnv1aPrime + static_cast<std::uint64_t>(next_arrival);
 }
 
 }  // namespace efd::explore_sig

@@ -108,16 +108,18 @@ Proc endless_proposer(Context& ctx, int me, Value v) {
 }
 
 /// Records `sched` driving `w` (which must be freshly spawned) with the
-/// given crash plan, and captures the tape with expect_* stamped.
+/// given crash points, and captures the tape with expect_* and the
+/// substrate stamped.
 ScheduleTape record_run(const std::string& scenario_name, World& w, const FailurePattern& base,
                         Scheduler& sched, std::int64_t max_steps,
                         std::vector<CrashPoint> crashes) {
   w.enable_trace();
   RecordingScheduler rec(sched);
-  drive_with_crashes(w, rec, max_steps, crashes);
+  drive_with_faults(w, rec, max_steps, {.crashes = crashes});
   ScheduleTape t = ScheduleTape::capture(scenario_name, base, rec.steps(), std::move(crashes),
                                          w.trace());
   t.expect_violated = find_scenario(scenario_name)->violated(w);
+  if (msg_substrate(w) != nullptr) t.substrate = "msg";
   return t;
 }
 
@@ -216,7 +218,7 @@ ScheduleTape cons_record(std::uint64_t seed) {
     w.enable_trace();
     RandomScheduler inner(seed ^ 0x5EED);
     RecordingScheduler rec(inner);
-    drive_with_crashes(w, rec, 4000, {});
+    drive(w, rec, 4000);
     const Sym acc = sym("cons/ACC");
     const auto& trace = w.trace();
     for (std::size_t i = 0; i < trace.size(); ++i) {
@@ -549,9 +551,7 @@ ScheduleTape mpfm_clean_record(std::uint64_t seed) {
   const FailurePattern base(kMpfmN * kMpfmN);
   World w = make_mpfm_world(base, TrivialFd{}.history(base, 0));
   RandomScheduler rs(seed);
-  ScheduleTape t = record_run("mp_floodmin_clean", w, base, rs, 4000, {});
-  t.substrate = "msg";
-  return t;
+  return record_run("mp_floodmin_clean", w, base, rs, 4000, {});
 }
 
 ScheduleTape mpfm_part_record(std::uint64_t seed) {
@@ -560,9 +560,7 @@ ScheduleTape mpfm_part_record(std::uint64_t seed) {
   RandomScheduler rs(seed);
   // p0 never decides (its group is alone), so the drive runs its full
   // budget: keep it small — the artifact is the blocking, not the length.
-  ScheduleTape t = record_run("mp_floodmin_partition", w, base, rs, 700, {});
-  t.substrate = "msg";
-  return t;
+  return record_run("mp_floodmin_partition", w, base, rs, 700, {});
 }
 
 ScheduleTape mpfm_crash_record(std::uint64_t seed) {
@@ -577,7 +575,7 @@ ScheduleTape mpfm_crash_record(std::uint64_t seed) {
     w.enable_trace();
     RandomScheduler inner(seed);
     RecordingScheduler rec(inner);
-    drive_with_crashes(w, rec, 4000, {});
+    drive(w, rec, 4000);
     const auto& trace = w.trace();
     for (std::size_t i = 0; i < trace.size(); ++i) {
       const auto& s = trace[i];
@@ -596,10 +594,7 @@ ScheduleTape mpfm_crash_record(std::uint64_t seed) {
   // Phase 2: the actual recording, same seed, with the mid-broadcast kills.
   World w = make_mpfm_world(base, TrivialFd{}.history(base, 0));
   RandomScheduler rs(seed);
-  ScheduleTape t =
-      record_run("mp_floodmin_crash_bcast", w, base, rs, 4000, std::move(crashes));
-  t.substrate = "msg";
-  return t;
+  return record_run("mp_floodmin_crash_bcast", w, base, rs, 4000, std::move(crashes));
 }
 
 // ---- mp_floodmin lossy pair ------------------------------------------------

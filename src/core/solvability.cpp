@@ -215,7 +215,7 @@ class IncrementalExplorer {
         window_(cfg.k, cfg.arrival),
         mp_(w_.substrate_set()) {
     const std::size_t n = static_cast<std::size_t>(task_->n_procs());
-    proc_sig_.assign(n, explore_sig::kChainSeed);
+    proc_sig_.assign(n, kFnv1aTruncatedBasis);
     decided_.assign(n, 0);
     terminated_.assign(n, 0);
     exists_.assign(n, 0);

@@ -521,104 +521,7 @@ std::optional<Pid> BurstScheduler::next(const World& w) {
 
 PlanDriveResult drive_with_plan(World& w, Scheduler& sched, std::int64_t max_steps,
                                 const FaultPlan& plan) {
-  PlanDriveResult out;
-  DriveResult& r = out.drive;
-
-  std::vector<CrashPoint> storm = plan.storm;
-  std::sort(storm.begin(), storm.end(),
-            [](const CrashPoint& a, const CrashPoint& b) { return a.step_index < b.step_index; });
-  std::size_t next_storm = 0;
-
-  struct TrigState {
-    const CrashTrigger* trig;
-    int remaining;
-  };
-  std::vector<TrigState> trig;
-  trig.reserve(plan.triggers.size());
-  for (const auto& t : plan.triggers) trig.push_back({&t, std::max(1, t.occurrence)});
-  std::vector<CrashPoint> armed;
-  if (!trig.empty()) w.enable_trace();  // trigger matching reads the trace
-  std::size_t trace_seen = w.trace().size();
-
-  const std::vector<LinkFaultPoint> lf = plan.resolve_links();
-  std::size_t next_lf = 0;
-
-  // Kills a live, in-range S-process and records the effective crash point;
-  // mirrors drive_with_crashes' loop-top `step_index <= r.steps` convention so
-  // the recorded points replay the faults at the exact same step indices.
-  const auto apply = [&](int qi) {
-    if (qi < 0 || qi >= w.pattern().n()) return;       // plan wider than world
-    if (!w.pattern().alive(qi, w.now())) return;       // already down: no-op
-    w.inject_crash(qi);
-    out.applied.push_back(CrashPoint{r.steps, qi});
-    out.applied_at.push_back(w.now());
-  };
-
-  bool done = false;
-  while (!done) {
-    while (next_storm < storm.size() && storm[next_storm].step_index <= r.steps) {
-      apply(storm[next_storm].s_index);
-      ++next_storm;
-    }
-    while (next_lf < lf.size() && lf[next_lf].step_index <= r.steps) {
-      const LinkFaultPoint& p = lf[next_lf++];
-      try {
-        w.substrate().apply_link_fault(RegAddr(p.link), p.kind, p.amount);
-        out.applied_links.push_back(LinkFaultPoint{r.steps, p.link, p.kind, p.amount});
-      } catch (const std::exception&) {
-        // Link absent from this world (plan wider than the grid) or a
-        // substrate without faultable links: the action is a no-op.
-      }
-    }
-    for (std::size_t i = 0; i < armed.size();) {
-      if (armed[i].step_index <= r.steps) {
-        apply(armed[i].s_index);
-        armed.erase(armed.begin() + static_cast<std::ptrdiff_t>(i));
-      } else {
-        ++i;
-      }
-    }
-
-    if (w.num_c() > 0 && w.all_c_decided()) {
-      r.all_c_decided = true;
-      done = true;
-    } else if (r.steps >= max_steps) {
-      r.budget_exhausted = true;
-      done = true;
-    } else {
-      const auto pid = sched.next(w);
-      if (!pid) {
-        r.exhausted = true;
-        done = true;
-      } else {
-        w.step(*pid);
-        ++r.steps;
-        if (!trig.empty()) {
-          const Trace& tr = w.trace();
-          for (; trace_seen < tr.size(); ++trace_seen) {
-            const StepRecord& rec = tr[trace_seen];
-            if (rec.null_step || !rec.pid.is_s()) continue;
-            for (auto& ts : trig) {
-              if (ts.remaining <= 0 || rec.op != ts.trig->op) continue;
-              const std::string& name = rec.addr_name();
-              if (name.rfind(ts.trig->reg_prefix, 0) != 0) continue;
-              if (--ts.remaining == 0) {
-                // The match was step index r.steps - 1; the kill lands
-                // `delay` steps after it (delay == 1: before the very next
-                // step executes).
-                armed.push_back(
-                    CrashPoint{r.steps - 1 + std::max(1, ts.trig->delay), rec.pid.index});
-                ++out.triggers_fired;
-              }
-            }
-          }
-        }
-      }
-    }
-  }
-  // Both lists were appended in loop order (step_index is non-decreasing
-  // across loop iterations), so applied / applied_at stay aligned and sorted.
-  return out;
+  return drive_with_faults(w, sched, max_steps, {plan.storm, plan.resolve_links(), plan.triggers});
 }
 
 }  // namespace efd

@@ -18,13 +18,16 @@
 //                        bounded window (always paired with a heal, so a
 //                        plan can partition transiently, never permanently).
 //
-// drive_with_plan executes a plan: storms and trigger kills resolve ONLINE
-// into concrete, tape-ready CrashPoints (PlanDriveResult::applied), advice
-// corruption is baked into the FD samples the trace records, and bursts are
-// baked into the recorded pid schedule — so a recorded campaign failure is a
-// plain `efd-tape-v1` tape that replays and ddmin-shrinks with the existing
-// machinery, no plan object needed. The plan's one-line to_string() is
-// attached to the tape as a `plan` provenance line (ScheduleTape::plan).
+// drive_with_plan executes a plan: it resolves the storm, the triggers and
+// the link actions into drive_with_faults (sim/schedule.hpp), the loop that
+// replay drives through too, so storms and trigger kills resolve ONLINE into
+// concrete, tape-ready CrashPoints (PlanDriveResult::applied) that replay at
+// the same step indices. Advice corruption is baked into the FD samples the
+// trace records, and bursts are baked into the recorded pid schedule — so a
+// recorded campaign failure is a plain `efd-tape-v1` tape that replays and
+// ddmin-shrinks with the existing machinery, no plan object needed. The
+// plan's one-line to_string() is attached to the tape as a `plan`
+// provenance line (ScheduleTape::plan).
 #pragma once
 
 #include <cstdint>
@@ -37,17 +40,6 @@
 #include "sim/schedule.hpp"
 
 namespace efd {
-
-/// Kill the S-process that performs the `occurrence`-th trace step matching
-/// (op, register-name prefix), `delay` schedule steps after the match.
-struct CrashTrigger {
-  std::string reg_prefix;       ///< canonical register-name prefix to watch
-  OpKind op = OpKind::kWrite;   ///< kWrite or kRead
-  int delay = 1;                ///< >= 1: steps between the match and the kill
-  int occurrence = 1;           ///< >= 1: fire on the k-th match
-
-  friend bool operator==(const CrashTrigger&, const CrashTrigger&) = default;
-};
 
 /// Suppress `victim` while the schedule-step index lies in
 /// [start_step, start_step + length). Finite, so eventual fairness of the
@@ -182,30 +174,9 @@ class BurstScheduler final : public Scheduler {
   std::int64_t attempt_ = 0;
 };
 
-struct PlanDriveResult {
-  DriveResult drive;
-  /// Crash points actually applied (storm hits on live processes + resolved
-  /// trigger kills), recorded at their application step index — feeding them
-  /// to drive_with_crashes replays the faults exactly. Sorted by step_index;
-  /// applied_at[i] is the model TIME of applied[i]'s injection, so an
-  /// equivalent FailurePattern (crash_time = applied_at) can be built — the
-  /// campaign uses it to recompute honest advice over the EFFECTIVE pattern.
-  std::vector<CrashPoint> applied;
-  std::vector<Time> applied_at;
-  /// Link-fault charges actually applied (resolved sever/heal pairs
-  /// included, charges against links the world lacks skipped), recorded at
-  /// their application step index: tape-ready for ScheduleTape::linkfaults,
-  /// replaying byte-identically through drive_with_crashes.
-  std::vector<LinkFaultPoint> applied_links;
-  int triggers_fired = 0;
-};
-
-/// drive() under `plan`'s crash and link faults: storm points apply at their
-/// step index, trigger matches arm kills `delay` steps later, both via
-/// World::inject_crash; resolved link actions charge the substrate at their
-/// step index (charges against links the world does not have are skipped —
-/// a plan may be wider than its world). Enables tracing when the plan has
-/// triggers (matching reads the trace). Starvation bursts are NOT applied
+/// drive_with_faults under `plan`'s crash and link faults: the storm, the
+/// triggers and resolve_links(). A plan may be wider than its world; faults
+/// the world cannot take are skipped. Starvation bursts are NOT applied
 /// here — wrap the scheduler in a BurstScheduler; advice corruption happens
 /// at world construction (FaultPlan::corrupt).
 PlanDriveResult drive_with_plan(World& w, Scheduler& sched, std::int64_t max_steps,

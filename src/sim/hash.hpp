@@ -36,6 +36,12 @@ struct SplitMix64 {
 
 inline constexpr std::uint64_t kFnv1aOffsetBasis = 0xCBF29CE484222325ULL;
 inline constexpr std::uint64_t kFnv1aPrime = 0x100000001B3ULL;
+/// The standard offset basis 14695981039346656037 with its last decimal
+/// digit dropped. Value::hash, register name hashes, the explorer's
+/// per-process chains and the lasso searcher's signatures start from it, and
+/// trace hashes (which tapes store) and register content hashes are built on
+/// those, so it is part of the persisted format.
+inline constexpr std::uint64_t kFnv1aTruncatedBasis = 1469598103934665603ULL;
 
 /// 64-bit FNV-1a of `s`'s bytes, starting from `basis`. FNV-1a("a") is
 /// 0xAF63DC4C8601EC8C.

@@ -15,17 +15,11 @@
 namespace efd {
 namespace {
 
-/// FNV-1a offset basis of register name hashes: the standard basis
-/// 14695981039346656037 with its last digit dropped. Name hashes feed
-/// trace_hash, which tapes store as their expected hash, and every register
-/// file's content hash, so this basis is part of the persisted format.
-constexpr std::uint64_t kNameHashBasis = 1469598103934665603ULL;
-
 /// Transparent string hashing for map lookups without temporary strings.
 struct StrHash {
   using is_transparent = void;
   std::size_t operator()(std::string_view s) const noexcept {
-    return static_cast<std::size_t>(fnv1a(s, kNameHashBasis));
+    return static_cast<std::size_t>(fnv1a(s, kFnv1aTruncatedBasis));
   }
 };
 
@@ -220,7 +214,8 @@ class Interner {
   RegId intern_name_locked(std::string_view name) {
     const auto hit = by_name_.find(name);
     if (hit != by_name_.end()) return hit->second;
-    const RegId id = regs_.push_back(RegEntry{std::string(name), fnv1a(name, kNameHashBasis)});
+    const RegId id =
+        regs_.push_back(RegEntry{std::string(name), fnv1a(name, kFnv1aTruncatedBasis)});
     by_name_.emplace(regs_.at(id).name, id);
     return id;
   }

@@ -13,10 +13,13 @@
 //    trace (stored as per-process value deltas) into one artifact;
 //  * replay_tape rebuilds the identical run in a fresh world: the tape's
 //    history() answers FD queries from the recorded deltas, so no detector
-//    object is needed — the tape is self-contained;
-//  * crash-point injection (drive_with_crashes + World::inject_crash) crashes
-//    an S-process at an exact schedule STEP INDEX, not just at the
-//    pattern-sampled times — "kill the leader mid-commit" is a tape entry.
+//    object is needed — the tape is self-contained. It drives through
+//    drive_with_faults (sim/schedule.hpp), the loop every recording drive
+//    uses, so each crash point and link charge lands at the step index it
+//    was recorded at;
+//  * crash points kill an S-process at an exact schedule STEP INDEX, not
+//    just at the pattern-sampled times — "kill the leader mid-commit" is a
+//    tape entry.
 //
 // Identity is checked against trace_hash (sim/trace.hpp) and the
 // deterministic RunStats subset (sim/stats.hpp); both are stable across
@@ -31,7 +34,6 @@
 
 #include "fd/failure_pattern.hpp"
 #include "fd/history.hpp"
-#include "sim/channel.hpp"  // LinkFaultKind
 #include "sim/schedule.hpp"
 #include "sim/trace.hpp"
 
@@ -55,32 +57,6 @@ class TapeParseError : public TapeError {
 class TapeIoError : public TapeError {
  public:
   using TapeError::TapeError;
-};
-
-/// Crash an S-process immediately before the schedule step with this index
-/// executes (index = position in the recorded step sequence, counting refused
-/// steps of already-crashed processes).
-struct CrashPoint {
-  std::int64_t step_index = 0;
-  int s_index = 0;
-
-  friend bool operator==(const CrashPoint&, const CrashPoint&) = default;
-};
-
-/// Charge `amount` link-fault charges of `kind` against the link named
-/// `link` ("ch[i][j]") immediately before the schedule step with this index
-/// executes. Unlike `plan`/`finding`, the tape's `linkfaults` line is
-/// SEMANTIC: a drop changes which messages reach a mailbox, so replay
-/// re-charges the fabric exactly as the recording drive did (sever/heal
-/// ignore the amount; it serializes as the sever window's length purely as
-/// provenance).
-struct LinkFaultPoint {
-  std::int64_t step_index = 0;
-  std::string link;
-  LinkFaultKind kind = LinkFaultKind::kDrop;
-  int amount = 1;
-
-  friend bool operator==(const LinkFaultPoint&, const LinkFaultPoint&) = default;
 };
 
 /// A recorded run: schedule, environment, and expectations. Text format
@@ -173,17 +149,6 @@ class RecordingScheduler final : public Scheduler {
   std::vector<Pid> steps_;
 };
 
-/// drive() with crash-point fault injection: immediately before attempting
-/// step index i (= DriveResult::steps so far), every CrashPoint with
-/// step_index == i is applied via World::inject_crash, and every
-/// LinkFaultPoint with step_index == i is charged via
-/// Substrate::apply_link_fault (a link fault against a backend without
-/// faultable links throws). Stop causes as in drive(). Neither list need be
-/// sorted.
-DriveResult drive_with_crashes(World& w, Scheduler& sched, std::int64_t max_steps,
-                               const std::vector<CrashPoint>& crashes,
-                               const std::vector<LinkFaultPoint>& linkfaults = {});
-
 struct ReplayResult {
   DriveResult drive;
   std::uint64_t hash = 0;    ///< trace_hash of the replayed run
@@ -192,9 +157,12 @@ struct ReplayResult {
 
 /// Replays `tape` in `w` (which must have been freshly built from
 /// tape.pattern() / tape.history() plus the scenario's process bodies).
-/// Enables tracing, replays the schedule with the tape's crash points, and
-/// returns the trace hash. Replay stops early, exactly like the recording
-/// drive() did, once every C-process has decided.
+/// Enables tracing, replays the schedule with the tape's crash points and
+/// link charges, and returns the trace hash. Replay stops early, exactly like
+/// the recording drive did, once every C-process has decided. Unlike a plan
+/// drive, replay is strict: a crash point or link charge that the drive
+/// reached but the world could not take throws (a crash point on an
+/// already-dead process stays a no-op).
 ReplayResult replay_tape(World& w, const ScheduleTape& tape);
 
 }  // namespace efd

@@ -1,6 +1,7 @@
 #include "sim/schedule.hpp"
 
 #include <algorithm>
+#include <exception>
 
 namespace efd {
 namespace {
@@ -74,23 +75,102 @@ std::optional<Pid> KConcurrencyScheduler::next(const World& w) {
 }
 
 DriveResult drive(World& w, Scheduler& sched, std::int64_t max_steps) {
-  DriveResult r;
+  return drive_with_faults(w, sched, max_steps, {}).drive;
+}
+
+PlanDriveResult drive_with_faults(World& w, Scheduler& sched, std::int64_t max_steps,
+                                  DriveFaults faults) {
+  std::sort(faults.crashes.begin(), faults.crashes.end(),
+            [](const CrashPoint& a, const CrashPoint& b) { return a.step_index < b.step_index; });
+  // Stable: same-step charges keep their order (a sever before its heal).
+  std::stable_sort(faults.links.begin(), faults.links.end(),
+                   [](const LinkFaultPoint& a, const LinkFaultPoint& b) {
+                     return a.step_index < b.step_index;
+                   });
+  std::size_t next_crash = 0;
+  std::size_t next_link = 0;
+
+  struct TrigState {
+    const CrashTrigger* trig;
+    int remaining;
+  };
+  std::vector<TrigState> trig;
+  trig.reserve(faults.triggers.size());
+  for (const auto& t : faults.triggers) trig.push_back({&t, std::max(1, t.occurrence)});
+  std::vector<CrashPoint> armed;
+  if (!trig.empty()) w.enable_trace();  // trigger matching reads the trace
+  std::size_t trace_seen = w.trace().size();
+
+  PlanDriveResult out;
+  DriveResult& r = out.drive;
+  // Appends in loop order, and r.steps never decreases, so applied and
+  // applied_at stay aligned and sorted by step index.
+  const auto kill = [&](int qi) {
+    if (qi < 0 || qi >= w.pattern().n()) return;  // no such S-process here
+    if (!w.pattern().alive(qi, w.now())) return;  // already down: no-op
+    w.inject_crash(qi);
+    out.applied.push_back(CrashPoint{r.steps, qi});
+    out.applied_at.push_back(w.now());
+  };
+
   for (;;) {
+    for (; next_crash < faults.crashes.size() &&
+           faults.crashes[next_crash].step_index <= r.steps;
+         ++next_crash) {
+      kill(faults.crashes[next_crash].s_index);
+    }
+    for (; next_link < faults.links.size() && faults.links[next_link].step_index <= r.steps;
+         ++next_link) {
+      const LinkFaultPoint& p = faults.links[next_link];
+      try {
+        w.substrate().apply_link_fault(RegAddr(p.link), p.kind, p.amount);
+        out.applied_links.push_back(LinkFaultPoint{r.steps, p.link, p.kind, p.amount});
+      } catch (const std::exception&) {
+        // A link this world lacks, or a substrate without faultable links.
+      }
+    }
+    for (std::size_t i = 0; i < armed.size();) {
+      if (armed[i].step_index <= r.steps) {
+        kill(armed[i].s_index);
+        armed.erase(armed.begin() + static_cast<std::ptrdiff_t>(i));
+      } else {
+        ++i;
+      }
+    }
+
     if (w.num_c() > 0 && w.all_c_decided()) {
       r.all_c_decided = true;
-      return r;
+      return out;
     }
     if (r.steps >= max_steps) {
       r.budget_exhausted = true;
-      return r;
+      return out;
     }
     const auto pid = sched.next(w);
     if (!pid) {
       r.exhausted = true;
-      return r;
+      return out;
     }
     w.step(*pid);
     ++r.steps;
+
+    if (trig.empty()) continue;
+    const Trace& tr = w.trace();
+    for (; trace_seen < tr.size(); ++trace_seen) {
+      const StepRecord& rec = tr[trace_seen];
+      if (rec.null_step || !rec.pid.is_s()) continue;
+      for (auto& ts : trig) {
+        if (ts.remaining <= 0 || rec.op != ts.trig->op) continue;
+        const std::string& name = rec.addr_name();
+        if (name.rfind(ts.trig->reg_prefix, 0) != 0) continue;
+        if (--ts.remaining == 0) {
+          // The match was step index r.steps - 1; the kill lands `delay`
+          // steps after it (delay == 1: before the very next step executes).
+          armed.push_back(CrashPoint{r.steps - 1 + std::max(1, ts.trig->delay), rec.pid.index});
+          ++out.triggers_fired;
+        }
+      }
+    }
   }
 }
 

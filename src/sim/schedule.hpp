@@ -13,16 +13,21 @@
 //                        time (the paper's k-concurrent runs), interleaving
 //                        S-process steps fairly.
 // `drive` runs a world under a scheduler until all C-processes decide, the
-// scheduler is exhausted, or a step bound is hit.
+// scheduler is exhausted, or a step bound is hit. `drive_with_faults` is the
+// same loop with step-indexed faults landing in it; replay (sim/replay.hpp)
+// and fault plans (sim/faultplan.hpp) both drive through it, so a fault lands
+// at the same step when a run is recorded and when it is replayed.
 #pragma once
 
 #include <algorithm>
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <type_traits>
 #include <vector>
 
+#include "sim/channel.hpp"  // LinkFaultKind
 #include "sim/hash.hpp"
 #include "sim/ids.hpp"
 #include "sim/stats.hpp"
@@ -242,11 +247,87 @@ struct DriveResult {
   bool budget_exhausted = false;  ///< stop cause: max_steps hit first
 };
 
+/// Crash an S-process immediately before the schedule step with this index
+/// executes (index = position in the recorded step sequence, counting refused
+/// steps of already-crashed processes).
+struct CrashPoint {
+  std::int64_t step_index = 0;
+  int s_index = 0;
+
+  friend bool operator==(const CrashPoint&, const CrashPoint&) = default;
+};
+
+/// Charge `amount` link-fault charges of `kind` against the link named
+/// `link` ("ch[i][j]") immediately before the schedule step with this index
+/// executes. Unlike `plan`/`finding`, the tape's `linkfaults` line is
+/// SEMANTIC: a drop changes which messages reach a mailbox, so replay
+/// re-charges the fabric exactly as the recording drive did (sever/heal
+/// ignore the amount; it serializes as the sever window's length purely as
+/// provenance).
+struct LinkFaultPoint {
+  std::int64_t step_index = 0;
+  std::string link;
+  LinkFaultKind kind = LinkFaultKind::kDrop;
+  int amount = 1;
+
+  friend bool operator==(const LinkFaultPoint&, const LinkFaultPoint&) = default;
+};
+
+/// Kill the S-process that performs the `occurrence`-th trace step matching
+/// (op, register-name prefix), `delay` schedule steps after the match.
+struct CrashTrigger {
+  std::string reg_prefix;       ///< canonical register-name prefix to watch
+  OpKind op = OpKind::kWrite;   ///< kWrite or kRead
+  int delay = 1;                ///< >= 1: steps between the match and the kill
+  int occurrence = 1;           ///< >= 1: fire on the k-th match
+
+  friend bool operator==(const CrashTrigger&, const CrashTrigger&) = default;
+};
+
+/// The resolved faults of one drive. None of the lists need be sorted. (The
+/// `{}` initializers let a caller name only the lists it fills,
+/// `{.links = ...}`, without -Wmissing-field-initializers.)
+struct DriveFaults {
+  std::vector<CrashPoint> crashes{};     ///< S-kills at fixed step indices
+  std::vector<LinkFaultPoint> links{};   ///< link charges at fixed step indices
+  std::vector<CrashTrigger> triggers{};  ///< S-kills armed by trace matches
+};
+
+struct PlanDriveResult {
+  DriveResult drive;
+  /// Crash points actually applied (kills of live processes, resolved
+  /// trigger kills included), recorded at their application step index —
+  /// feeding them back to drive_with_faults replays the faults exactly.
+  /// Sorted by step_index; applied_at[i] is the model TIME of applied[i]'s
+  /// injection, so an equivalent FailurePattern (crash_time = applied_at)
+  /// can be built — the campaign uses it to recompute honest advice over the
+  /// EFFECTIVE pattern.
+  std::vector<CrashPoint> applied;
+  std::vector<Time> applied_at;
+  /// Link-fault charges actually applied, recorded at their application step
+  /// index: tape-ready for ScheduleTape::linkfaults.
+  std::vector<LinkFaultPoint> applied_links;
+  int triggers_fired = 0;
+};
+
 /// Runs `w` under `sched` until all C-processes decide, the scheduler is
 /// exhausted, or `max_steps` steps were attempted. Exactly one stop-cause
 /// flag is set, checked in that priority order — in particular a world with
 /// NO C-processes (reduction harnesses) reports budget_exhausted, never the
 /// vacuous all_c_decided the pre-telemetry drive returned.
 DriveResult drive(World& w, Scheduler& sched, std::int64_t max_steps);
+
+/// drive() with faults; drive() is this loop with none. At the top of each
+/// iteration, before the stop rule and the pick, every crash and link point
+/// whose step_index is at most the steps attempted so far lands (crashes,
+/// then link charges, then armed trigger kills). A trigger match arms its
+/// kill after the step that matched, `delay` steps on. Kills go through
+/// World::inject_crash, charges through Substrate::apply_link_fault. A fault
+/// the world cannot take is skipped and left out of the result: a kill of an
+/// S-process the world does not have or that is already down, a charge the
+/// substrate refuses (a link it lacks, or no faultable links at all). Enables
+/// tracing when there are triggers (matching reads the trace).
+PlanDriveResult drive_with_faults(World& w, Scheduler& sched, std::int64_t max_steps,
+                                  DriveFaults faults);
 
 }  // namespace efd

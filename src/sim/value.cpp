@@ -2,18 +2,13 @@
 
 #include <sstream>
 
+#include "sim/hash.hpp"
+
 namespace efd {
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
 void hash_bytes(std::uint64_t& h, const void* data, std::size_t n) noexcept {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime;
-  }
+  h = fnv1a(std::string_view(static_cast<const char*>(data), n), h);
 }
 
 int kind_rank(const Value& v) noexcept {
@@ -190,7 +185,7 @@ void Value::hash_into(std::uint64_t& h) const noexcept {
 }
 
 std::uint64_t Value::hash() const noexcept {
-  std::uint64_t h = kFnvOffset;
+  std::uint64_t h = kFnv1aTruncatedBasis;
   hash_into(h);
   return h;
 }

@@ -176,8 +176,8 @@ class World {
   /// Crash-point fault injection: S-process q_{qi+1} crashes NOW (at the
   /// current time), regardless of what the constructed pattern said. No-op
   /// on an already-crashed process (crashes are permanent; re-injecting must
-  /// not revive it for the interim). Used by drive_with_crashes
-  /// (sim/replay.hpp) to kill a process at an exact schedule step index —
+  /// not revive it for the interim). Used by drive_with_faults
+  /// (sim/schedule.hpp) to kill a process at an exact schedule step index —
   /// "crash the leader mid-commit" scenarios.
   void inject_crash(int qi) {
     if (qi < 0 || qi >= pattern_.n()) {

@@ -74,7 +74,7 @@ class FullReplayExplorer {
       win.refresh(w);
     }
     std::vector<std::uint64_t> chain(static_cast<std::size_t>(task_->n_procs()),
-                                     explore_sig::kChainSeed);
+                                     kFnv1aTruncatedBasis);
     for (const auto& s : w.trace()) {
       auto& h = chain[static_cast<std::size_t>(s.pid.index)];
       h = explore_sig::chain_step(h, s.op, s.result);

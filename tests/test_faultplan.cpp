@@ -5,8 +5,11 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 #include <vector>
 
+#include "core/repro_scenarios.hpp"
+#include "fd/detectors.hpp"
 #include "sim/faultplan.hpp"
 #include "sim/replay.hpp"
 #include "sim/trace.hpp"
@@ -287,8 +290,9 @@ TEST(DriveWithPlan, TriggerKillsMatchingWriterAfterDelay) {
 }
 
 TEST(DriveWithPlan, AppliedPointsReplayIdentically) {
-  // The applied crash points must reproduce the exact same run when fed to
-  // drive_with_crashes — that is what makes campaign tapes self-contained.
+  // The applied crash points must reproduce the exact same run when fed
+  // back as plain crash points — that is what makes campaign tapes
+  // self-contained.
   FaultPlan plan;
   plan.triggers.push_back(CrashTrigger{"acc/", OpKind::kWrite, 1, 1});
   plan.storm.push_back(CrashPoint{9, 1});
@@ -306,10 +310,67 @@ TEST(DriveWithPlan, AppliedPointsReplayIdentically) {
   w2.spawn_s(1, spin);
   w2.enable_trace();
   RoundRobinScheduler rr2;
-  const DriveResult r2 = drive_with_crashes(w2, rr2, 30, r1.applied);
+  const PlanDriveResult r2 = drive_with_faults(w2, rr2, 30, {.crashes = r1.applied});
 
-  EXPECT_EQ(r1.drive.steps, r2.steps);
+  EXPECT_EQ(r1.drive.steps, r2.drive.steps);
   EXPECT_EQ(trace_hash(w1.trace()), trace_hash(w2.trace()));
+}
+
+TEST(DriveWithPlan, FaultsTheWorldCannotTakeAreSkipped) {
+  // A plan may be wider than its world. A fault the world cannot take is
+  // skipped: it is absent from applied / applied_links and leaves the run
+  // exactly as the same drive without it.
+  const auto register_drive = [](const FaultPlan& plan) {
+    FailurePattern base(2);
+    World w(base, TrivialFd{}.history(base, 0));
+    w.spawn_s(0, s_writer);
+    w.spawn_s(1, spin);
+    w.enable_trace();
+    RoundRobinScheduler rr;
+    const PlanDriveResult r = drive_with_plan(w, rr, 30, plan);
+    return std::pair{r, trace_hash(w.trace())};
+  };
+  FaultPlan kill;
+  kill.storm.push_back(CrashPoint{4, 0});
+  const auto [kill_r, kill_hash] = register_drive(kill);
+  ASSERT_EQ(kill_r.applied, (std::vector<CrashPoint>{{4, 0}}));
+
+  FaultPlan out_of_range = kill;  // the world has q1 and q2 only
+  out_of_range.storm.push_back(CrashPoint{6, 2});
+  FaultPlan second_kill = kill;  // q1 is down since step 4
+  second_kill.storm.push_back(CrashPoint{9, 0});
+  FaultPlan register_link = kill;  // a register world has no links
+  register_link.links.push_back(LinkAction{LinkFaultKind::kDrop, 0, 0, 1, 1});
+  for (const FaultPlan& plan : {out_of_range, second_kill, register_link}) {
+    const auto [r, hash] = register_drive(plan);
+    EXPECT_EQ(r.applied, kill_r.applied) << plan.to_string();
+    EXPECT_TRUE(r.applied_links.empty()) << plan.to_string();
+    EXPECT_EQ(r.drive.steps, kill_r.drive.steps) << plan.to_string();
+    EXPECT_EQ(hash, kill_hash) << plan.to_string();
+  }
+
+  // ch[7][7] beside a link the 3x3 FloodMin world does have.
+  const Scenario* sc = find_scenario("mp_floodmin_clean");
+  ASSERT_NE(sc, nullptr);
+  const auto mp_drive = [sc](const FaultPlan& plan) {
+    const FailurePattern base(9);
+    World w = sc->make_world(base, TrivialFd{}.history(base, 0));
+    w.enable_trace();
+    RandomScheduler rs(1);
+    const PlanDriveResult r = drive_with_plan(w, rs, 4000, plan);
+    return std::pair{r, trace_hash(w.trace())};
+  };
+  FaultPlan drop;
+  drop.links.push_back(LinkAction{LinkFaultKind::kDrop, 0, 0, 1, 1});
+  const auto [drop_r, drop_hash] = mp_drive(drop);
+  ASSERT_EQ(drop_r.applied_links.size(), 1U);
+  FaultPlan unknown_link = drop;
+  unknown_link.links.push_back(LinkAction{LinkFaultKind::kDrop, 0, 7, 7, 1});
+  const auto [r, hash] = mp_drive(unknown_link);
+  EXPECT_EQ(r.applied_links, drop_r.applied_links);
+  EXPECT_TRUE(r.applied.empty());
+  EXPECT_EQ(r.drive.steps, drop_r.drive.steps);
+  EXPECT_EQ(hash, drop_hash);
 }
 
 TEST(FaultPlan, SeverNearInt64MaxHealsSaturated) {

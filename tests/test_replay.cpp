@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <map>
 #include <stdexcept>
+#include <string>
 
 #include "core/repro_scenarios.hpp"
 #include "core/shrink.hpp"
@@ -153,11 +156,11 @@ TEST(CrashPoints, KillAtExactStepIndex) {
   w.spawn_s(0, spin);
   w.spawn_s(1, spin);
   ExplicitSchedule sched(std::vector<Pid>(10, spid(0)));
-  const auto r = drive_with_crashes(w, sched, 100, {{4, 0}});
+  const auto r = drive_with_faults(w, sched, 100, {.crashes = {{4, 0}}});
   // q1 stepped 4 times, then crashed: the remaining 6 scheduled steps are
   // refused (no time advance), so the drive still attempts all 10.
   EXPECT_EQ(w.steps_taken(spid(0)), 4);
-  EXPECT_EQ(r.steps, 10);
+  EXPECT_EQ(r.drive.steps, 10);
   EXPECT_FALSE(w.alive(spid(0)));
   EXPECT_TRUE(w.alive(spid(1)));
   EXPECT_EQ(w.run_stats().injected_crashes, 1);
@@ -173,7 +176,7 @@ TEST(CrashPoints, InjectionNeverRevives) {
   // Injecting at step 5 targets a process already dead since t=2: a no-op,
   // not a revival (alive uses t < crash_time; overwriting with a later time
   // would resurrect it for the interim).
-  drive_with_crashes(w, sched, 100, {{5, 0}});
+  drive_with_faults(w, sched, 100, {.crashes = {{5, 0}}});
   EXPECT_EQ(w.steps_taken(spid(0)), 2);
   EXPECT_EQ(w.run_stats().injected_crashes, 0);
 }
@@ -201,6 +204,57 @@ TEST(Replay, EveryRegistryScenarioReplaysIdentically) {
       EXPECT_EQ(out2.replay.hash, out.replay.hash) << sc.name << " seed " << seed;
     }
   }
+}
+
+TEST(Replay, RecordedTapesArePinned) {
+  // What each scenario records, not only that it replays: a shift in the
+  // step where a fault lands moves record and replay together, which
+  // EveryRegistryScenarioReplaysIdentically cannot see. FNV-1a of the
+  // serialized tape at seeds 1 and 2.
+  const std::map<std::string, std::array<std::uint64_t, 2>> pins = {
+      {"synth_write_race", {0xB097F2124568FE97ULL, 0xBD68360E43F27DD0ULL}},
+      {"paxos_lockstep_livelock", {0xE287F2C901BE502CULL, 0xE287F2C901BE502CULL}},
+      {"cons_leader_crash_commit", {0x8D17A9FBFB65932BULL, 0xE7895FEB41724E89ULL}},
+      {"renaming_flip_lockstep", {0x114E5BC226786F20ULL, 0x114E5BC226786F20ULL}},
+      {"ksa_starved_leader", {0x9871E8BAC4090F41ULL, 0xA1762DB8C922127EULL}},
+      {"quitter_window", {0x190FAF950BCF93AFULL, 0x190FAF950BCF93AFULL}},
+      {"one_conc_window", {0xAA63B0CD8F631FE5ULL, 0xAA63B0CD8F631FE5ULL}},
+      {"buggy_cons_first_writer", {0x400459055E90DC8AULL, 0x15B88248D9742AAAULL}},
+      {"buggy_ren_stale_claim", {0xF55D5DFE326FD55EULL, 0xB2375C2B1DB0AA53ULL}},
+      {"buggy_torn_commit", {0xFA666EB56415983EULL, 0x1F8A60C2372FE8C3ULL}},
+      {"mp_floodmin_clean", {0x90A7DF01C7D00505ULL, 0x92241F0B196CFBA6ULL}},
+      {"mp_floodmin_partition", {0xF769272A73D08F9AULL, 0xB0441139153AD0EBULL}},
+      {"mp_floodmin_crash_bcast", {0x86FE23C566A0EAD4ULL, 0x31C181112497E0C8ULL}},
+      {"mp_floodmin_lossy_raw", {0x9E12C55D9B4B5C01ULL, 0xCA0528471F1E8602ULL}},
+      {"mp_floodmin_lossy_rt", {0x6FEAE65D0F3AA865ULL, 0x4CF116EF6F870F4FULL}},
+  };
+  ASSERT_EQ(pins.size(), scenarios().size());
+  for (const auto& sc : scenarios()) {
+    const auto it = pins.find(sc.name);
+    ASSERT_NE(it, pins.end()) << sc.name;
+    for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+      const std::uint64_t got = fnv1a(sc.record(seed).serialize());
+      EXPECT_EQ(got, it->second[seed - 1])
+          << sc.name << " seed " << seed << " records 0x" << std::hex << got;
+    }
+  }
+}
+
+TEST(Replay, FaultsTheWorldCannotTakeFailTheReplay) {
+  // Where a plan drive skips a fault its world cannot take, replay throws.
+  const Scenario* sc = find_scenario("synth_write_race");
+  ASSERT_NE(sc, nullptr);
+  const ScheduleTape tape = sc->record(1);
+  const auto replay = [sc](const ScheduleTape& t) {
+    World w = sc->make_world(t.pattern(), t.history());
+    return replay_tape(w, t);
+  };
+  ScheduleTape crash = tape;
+  crash.crashes.push_back(CrashPoint{0, tape.num_s});  // one past the last S-process
+  EXPECT_THROW(replay(crash), std::out_of_range);
+  ScheduleTape link = tape;  // a register world has no links
+  link.linkfaults.push_back(LinkFaultPoint{0, "ch[0][1]", LinkFaultKind::kDrop, 1});
+  EXPECT_THROW(replay(link), std::logic_error);
 }
 
 TEST(Replay, DeterministicStatsSubsetIsReproduced) {

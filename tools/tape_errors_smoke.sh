@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # Malformed-tape triage contract: every fixture in tests/corpus/malformed/
 # must fail `efd_repro replay` with the DOCUMENTED exit code (3 = parse,
-# 4 = IO, 5 = unknown scenario) and a one-line diagnostic on stderr —
+# 4 = IO, 5 = unknown scenario; 6 for a fault the tape's world cannot take)
+# and a one-line diagnostic on stderr —
 # scripted triage sorts tapes by these codes, so they are part of the CLI's
 # stable interface (see the exit-code table in efd_repro.cpp).
 #
@@ -44,6 +45,20 @@ for tape in "$dir"/*.tape; do
 done
 
 expect_code "$dir/does-not-exist.tape.missing" 4
+
+# Replay is strict: a well-formed tape whose link fault its world cannot take
+# fails with "any other error" (6) instead of replaying without the fault.
+tmpdir=$(mktemp -d)
+trap 'rm -rf "$tmpdir"' EXIT
+# A drop charge on a register world, which has no links.
+"$repro" record synth_write_race --seed 1 -o "$tmpdir/rec.tape" >/dev/null
+awk '/^steps /{print "linkfaults drop 0 ch[0][1] 1"} {print}' "$tmpdir/rec.tape" \
+  > "$tmpdir/register_link.tape"
+expect_code "$tmpdir/register_link.tape" 6
+# A drop charge on a link the 3x3 FloodMin world does not have.
+"$repro" record mp_floodmin_lossy_raw --seed 1 -o "$tmpdir/rec.tape" >/dev/null
+sed 's/ch\[0\]\[1\]/ch[7][7]/' "$tmpdir/rec.tape" > "$tmpdir/unknown_link.tape"
+expect_code "$tmpdir/unknown_link.tape" 6
 
 # `print` must fail identically: the parse happens before any replay.
 "$repro" print "$dir/truncated.tape" >/dev/null 2>&1
