@@ -61,11 +61,7 @@ E20Run e20_drive(bool hardened, bool storm, std::uint64_t seed) {
   World w = e20_world(hardened);
   RandomScheduler rs(seed);
   E20Run r;
-  if (storm) {
-    (void)drive_with_plan(w, rs, 30000, e20_storm());
-  } else {
-    (void)drive(w, rs, 30000);
-  }
+  (void)drive_with_faults(w, rs, 30000, storm ? e20_storm().drive_faults() : DriveFaults{});
   r.steps = w.run_stats().steps;
   r.delivers = w.run_stats().delivers;
   r.dropped = msg_substrate(w)->fabric().fault_counters().dropped;

@@ -11,10 +11,8 @@
 #include <unordered_set>
 
 #include "core/repro_scenarios.hpp"
-#include "core/shrink.hpp"
 #include "core/workpool.hpp"
 #include "sim/hash.hpp"
-#include "sim/msg_world.hpp"
 #include "sim/replay.hpp"
 #include "sim/schedule.hpp"
 
@@ -391,7 +389,8 @@ PlanOutcome run_plan(const CampaignTarget& target, const FaultPlan& plan,
     World rehearsal = sc->make_world(base, advice->history(base, plan_seed));
     const auto inner = target.make_sched(plan_seed);
     BurstScheduler bursts(*inner, plan.bursts);
-    const PlanDriveResult pdr = drive_with_plan(rehearsal, bursts, target.max_steps, plan);
+    const PlanDriveResult pdr =
+        drive_with_faults(rehearsal, bursts, target.max_steps, plan.drive_faults());
     out.rehearsal_steps = pdr.drive.steps;
     int never_crashed = target.num_s;
     for (std::size_t k = 0; k < pdr.applied.size(); ++k) {
@@ -460,7 +459,7 @@ PlanOutcome run_plan(const CampaignTarget& target, const FaultPlan& plan,
   RecordingScheduler rec(bursts);
   // The plan's S-kills are already the effective pattern: only its link
   // charges ride along.
-  PlanDriveResult pdr =
+  const PlanDriveResult pdr =
       drive_with_faults(w, rec, target.max_steps, {.links = plan.resolve_links()});
   w.attach_observer(nullptr);
   if (monitors) monitor.finalize(w);
@@ -496,9 +495,8 @@ PlanOutcome run_plan(const CampaignTarget& target, const FaultPlan& plan,
     }
   }
 
-  out.tape = ScheduleTape::capture(target.scenario, eff, rec.steps(), {}, w.trace());
-  out.tape.linkfaults = std::move(pdr.applied_links);
-  if (msg_substrate(w) != nullptr) out.tape.substrate = "msg";
+  // Captured only here, on a violation: clean plans never pay for a tape.
+  out.tape = ScheduleTape::capture(target.scenario, eff, rec.steps(), pdr, w);
   // expect_violated records the SAFETY predicate outcome truthfully (a
   // wait-freedom-only tape replays "ok, as expected"); the finding line is
   // the triage-facing verdict that says WHY the tape was kept.
@@ -507,24 +505,6 @@ PlanOutcome run_plan(const CampaignTarget& target, const FaultPlan& plan,
   out.tape.finding = out.safety && out.wait_free_bad ? "safety+wait-free"
                      : out.safety                    ? "safety"
                                                      : "wait-free";
-  return out;
-}
-
-ShrunkFinding shrink_finding(const std::string& scenario, const ScheduleTape& tape) {
-  const Scenario* sc = find_scenario(scenario);
-  if (sc == nullptr) {
-    throw std::invalid_argument("shrink_finding: unknown scenario " + scenario);
-  }
-  const TapePredicate still_fails = scenario_predicate(*sc, true);
-  ShrunkFinding out;
-  out.mini = shrink_tape(tape, still_fails);
-  const ScenarioReplayOutcome stamp = replay_in_scenario(*sc, out.mini);
-  out.mini.expect_hash = stamp.replay.hash;
-  out.mini.expect_violated = true;
-  out.mini.plan = tape.plan;
-  out.mini.finding = tape.finding;
-  const ScenarioReplayOutcome again = replay_in_scenario(*sc, out.mini);
-  out.replay_ok = again.replay.hash_match && again.violated;
   return out;
 }
 

@@ -7,8 +7,8 @@
 // FaultPlan::Space. For every plan seed the campaign:
 //
 //  1. samples a FaultPlan and, when it contains S-kills, resolves them in a
-//     REHEARSAL drive (drive_with_plan over the base pattern, the whole plan
-//     on sim/schedule's one drive loop) into concrete crash times;
+//     REHEARSAL drive (the whole plan's drive_faults() over the base
+//     pattern, on sim/schedule's one drive loop) into concrete crash times;
 //  2. re-runs authoritatively with the EFFECTIVE failure pattern — the base
 //     pattern plus the rehearsed crash times — so honest advice is computed
 //     over the failures that actually happen (an Ω that keeps endorsing a
@@ -20,9 +20,10 @@
 //     burst lengths and link charges;
 //  3. evaluates the scenario safety predicate + the monitor's wait-freedom
 //     certificate; violations are captured as plain efd-tape-v1 tapes
-//     (FaultPlan text attached as the `plan` provenance line), saved under
-//     save_dir, ddmin-shrunk via the scenario predicate, and re-verified by
-//     bit-identical double replay of the shrunk tape.
+//     (ScheduleTape::capture, on a violation only; the FaultPlan text is
+//     attached as the `plan` provenance line), saved under save_dir, and
+//     ddmin-shrunk and double-replayed by shrink_finding
+//     (core/repro_scenarios.hpp).
 //
 // Campaign runs are deterministic in (seed, plans): same inputs, same plans,
 // same verdicts, same tapes. Starvation watchdog hits are reported as
@@ -40,6 +41,7 @@
 
 #include "core/corpus.hpp"
 #include "core/monitors.hpp"
+#include "core/repro_scenarios.hpp"
 #include "core/telemetry.hpp"
 #include "fd/detectors.hpp"
 #include "sim/faultplan.hpp"
@@ -184,15 +186,6 @@ struct PlanOutcome {
 /// the farm workers.
 [[nodiscard]] PlanOutcome run_plan(const CampaignTarget& target, const FaultPlan& plan,
                                    std::uint64_t plan_seed, bool monitors);
-
-/// ddmin-shrinks a safety-finding tape and double-replay-verifies the
-/// minimized tape; provenance (plan, finding) carries over and expectations
-/// are re-stamped from the minimized tape's own replay.
-struct ShrunkFinding {
-  ScheduleTape mini;
-  bool replay_ok = false;  ///< shrunk tape double-replayed bit-identically
-};
-[[nodiscard]] ShrunkFinding shrink_finding(const std::string& scenario, const ScheduleTape& tape);
 
 /// External plan queue (the `serve` FIFO): non-blocking; each poll returns
 /// one (target-name, plan) submission or nullopt.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <stdexcept>
 
 #include "algo/leader_consensus.hpp"
 #include "algo/mp_protocols.hpp"
@@ -107,22 +108,6 @@ Proc endless_proposer(Context& ctx, int me, Value v) {
   }
 }
 
-/// Records `sched` driving `w` (which must be freshly spawned) with the
-/// given crash points, and captures the tape with expect_* and the
-/// substrate stamped.
-ScheduleTape record_run(const std::string& scenario_name, World& w, const FailurePattern& base,
-                        Scheduler& sched, std::int64_t max_steps,
-                        std::vector<CrashPoint> crashes) {
-  w.enable_trace();
-  RecordingScheduler rec(sched);
-  drive_with_faults(w, rec, max_steps, {.crashes = crashes});
-  ScheduleTape t = ScheduleTape::capture(scenario_name, base, rec.steps(), std::move(crashes),
-                                         w.trace());
-  t.expect_violated = find_scenario(scenario_name)->violated(w);
-  if (msg_substrate(w) != nullptr) t.substrate = "msg";
-  return t;
-}
-
 // ---- synth_write_race ------------------------------------------------------
 // Synthetic known-bad scenario (the shrinker's reference workload): three
 // writers race on one register; "p1's write lost to p2's although p1 also
@@ -148,7 +133,7 @@ ScheduleTape synth_record(std::uint64_t seed) {
   const FailurePattern base(1);
   World w = make_synth_world(base, TrivialFd{}.history(base, 0));
   RandomScheduler rs(seed);
-  return record_run("synth_write_race", w, base, rs, 2000, {});
+  return record_run("synth_write_race", w, rs, 2000);
 }
 
 // ---- paxos_lockstep_livelock ----------------------------------------------
@@ -174,7 +159,7 @@ ScheduleTape paxos_record(std::uint64_t) {
   const FailurePattern base(0);
   World w = make_paxos_world(base, TrivialFd{}.history(base, 0));
   LockstepScheduler ls({cpid(0), cpid(1)});
-  return record_run("paxos_lockstep_livelock", w, base, ls, 400, {});
+  return record_run("paxos_lockstep_livelock", w, ls, 400);
 }
 
 // ---- cons_leader_crash_commit ---------------------------------------------
@@ -217,8 +202,7 @@ ScheduleTape cons_record(std::uint64_t seed) {
     World w = make_cons_world(base, omega.history(base, seed));
     w.enable_trace();
     RandomScheduler inner(seed ^ 0x5EED);
-    RecordingScheduler rec(inner);
-    drive(w, rec, 4000);
+    drive(w, inner, 4000);
     const Sym acc = sym("cons/ACC");
     const auto& trace = w.trace();
     for (std::size_t i = 0; i < trace.size(); ++i) {
@@ -236,7 +220,7 @@ ScheduleTape cons_record(std::uint64_t seed) {
   const std::int64_t budget = crashes.empty() ? 1500 : crashes.front().step_index + 400;
   World w = make_cons_world(base, omega.history(base, seed));
   RandomScheduler inner(seed ^ 0x5EED);
-  return record_run("cons_leader_crash_commit", w, base, inner, budget, std::move(crashes));
+  return record_run("cons_leader_crash_commit", w, inner, budget, {.crashes = std::move(crashes)});
 }
 
 // ---- renaming_flip_lockstep ------------------------------------------------
@@ -272,7 +256,7 @@ ScheduleTape ren_record(std::uint64_t) {
   const FailurePattern base(1);
   World w = make_ren_world(base, TrivialFd{}.history(base, 0));
   LockstepScheduler ls({cpid(0), cpid(1), cpid(2)});
-  return record_run("renaming_flip_lockstep", w, base, ls, 5000, {});
+  return record_run("renaming_flip_lockstep", w, ls, 5000);
 }
 
 // ---- ksa_starved_leader ----------------------------------------------------
@@ -313,7 +297,7 @@ ScheduleTape ksa_record(std::uint64_t seed) {
   SuppressScheduler sup(inner, [starved](Pid pid, const World&) {
     return pid == spid(starved);
   });
-  return record_run("ksa_starved_leader", w, base, sup, 6000, {});
+  return record_run("ksa_starved_leader", w, sup, 6000);
 }
 
 // ---- quitter_window --------------------------------------------------------
@@ -338,7 +322,7 @@ ScheduleTape quitter_record(std::uint64_t) {
   const FailurePattern base(0);
   World w = make_quitter_world(base, TrivialFd{}.history(base, 0));
   KConcurrencyScheduler ks(1, {0, 1, 2}, 0);
-  return record_run("quitter_window", w, base, ks, 200, {});
+  return record_run("quitter_window", w, ks, 200);
 }
 
 // ---- one_conc_window -------------------------------------------------------
@@ -375,7 +359,7 @@ ScheduleTape p1c_record(std::uint64_t) {
   const FailurePattern base(0);
   World w = make_p1c_world(base, TrivialFd{}.history(base, 0));
   KConcurrencyScheduler ks(1, {0, 1, 2}, 0);
-  return record_run("one_conc_window", w, base, ks, 400, {});
+  return record_run("one_conc_window", w, ks, 400);
 }
 
 // ---- buggy_cons_first_writer -----------------------------------------------
@@ -414,7 +398,7 @@ ScheduleTape bcf_record(std::uint64_t seed) {
   const FailurePattern base(1);
   World w = make_bcf_world(base, TrivialFd{}.history(base, 0));
   RandomScheduler rs(seed);
-  return record_run("buggy_cons_first_writer", w, base, rs, 400, {});
+  return record_run("buggy_cons_first_writer", w, rs, 400);
 }
 
 // ---- buggy_ren_stale_claim -------------------------------------------------
@@ -450,7 +434,7 @@ ScheduleTape brn_record(std::uint64_t seed) {
   const FailurePattern base(1);
   World w = make_brn_world(base, TrivialFd{}.history(base, 0));
   RandomScheduler rs(seed);
-  return record_run("buggy_ren_stale_claim", w, base, rs, 400, {});
+  return record_run("buggy_ren_stale_claim", w, rs, 400);
 }
 
 // ---- buggy_torn_commit -----------------------------------------------------
@@ -494,13 +478,8 @@ ScheduleTape tw_record(std::uint64_t seed) {
   // trigger resolves online into a concrete crash point the tape carries.
   FaultPlan plan;
   plan.triggers.push_back(CrashTrigger{"tw/A", OpKind::kWrite, 1, 1 + static_cast<int>(seed % 2)});
-  w.enable_trace();
-  RandomScheduler inner(seed);
-  RecordingScheduler rec(inner);
-  const PlanDriveResult pdr = drive_with_plan(w, rec, 600, plan);
-  ScheduleTape t = ScheduleTape::capture("buggy_torn_commit", base, rec.steps(), pdr.applied,
-                                         w.trace());
-  t.expect_violated = tw_violated(w);
+  RandomScheduler rs(seed);
+  ScheduleTape t = record_run("buggy_torn_commit", w, rs, 600, plan.drive_faults());
   t.plan = plan.to_string();
   return t;
 }
@@ -551,7 +530,7 @@ ScheduleTape mpfm_clean_record(std::uint64_t seed) {
   const FailurePattern base(kMpfmN * kMpfmN);
   World w = make_mpfm_world(base, TrivialFd{}.history(base, 0));
   RandomScheduler rs(seed);
-  return record_run("mp_floodmin_clean", w, base, rs, 4000, {});
+  return record_run("mp_floodmin_clean", w, rs, 4000);
 }
 
 ScheduleTape mpfm_part_record(std::uint64_t seed) {
@@ -560,7 +539,7 @@ ScheduleTape mpfm_part_record(std::uint64_t seed) {
   RandomScheduler rs(seed);
   // p0 never decides (its group is alone), so the drive runs its full
   // budget: keep it small — the artifact is the blocking, not the length.
-  return record_run("mp_floodmin_partition", w, base, rs, 700, {});
+  return record_run("mp_floodmin_partition", w, rs, 700);
 }
 
 ScheduleTape mpfm_crash_record(std::uint64_t seed) {
@@ -574,8 +553,7 @@ ScheduleTape mpfm_crash_record(std::uint64_t seed) {
     World w = make_mpfm_world(base, TrivialFd{}.history(base, 0));
     w.enable_trace();
     RandomScheduler inner(seed);
-    RecordingScheduler rec(inner);
-    drive(w, rec, 4000);
+    drive(w, inner, 4000);
     const auto& trace = w.trace();
     for (std::size_t i = 0; i < trace.size(); ++i) {
       const auto& s = trace[i];
@@ -594,7 +572,7 @@ ScheduleTape mpfm_crash_record(std::uint64_t seed) {
   // Phase 2: the actual recording, same seed, with the mid-broadcast kills.
   World w = make_mpfm_world(base, TrivialFd{}.history(base, 0));
   RandomScheduler rs(seed);
-  return record_run("mp_floodmin_crash_bcast", w, base, rs, 4000, std::move(crashes));
+  return record_run("mp_floodmin_crash_bcast", w, rs, 4000, {.crashes = std::move(crashes)});
 }
 
 // ---- mp_floodmin lossy pair ------------------------------------------------
@@ -633,36 +611,26 @@ FaultPlan mpfm_drop_storm() {
   return plan;
 }
 
-ScheduleTape mpfm_lossy_record(const std::string& scenario_name, World w, std::uint64_t seed,
-                               std::int64_t max_steps) {
+ScheduleTape mpfm_lossy_record(const std::string& scenario_name,
+                               World (*make_world)(const FailurePattern&, HistoryPtr),
+                               std::uint64_t seed, std::int64_t max_steps) {
+  const FailurePattern base(kMpfmN * kMpfmN);
+  World w = make_world(base, TrivialFd{}.history(base, 0));
   const FaultPlan plan = mpfm_drop_storm();
-  w.enable_trace();
-  RandomScheduler inner(seed);
-  RecordingScheduler rec(inner);
-  const PlanDriveResult pdr = drive_with_plan(w, rec, max_steps, plan);
-  ScheduleTape t =
-      ScheduleTape::capture(scenario_name, w.pattern(), rec.steps(), pdr.applied, w.trace());
-  t.expect_violated = find_scenario(scenario_name)->violated(w);
+  RandomScheduler rs(seed);
+  ScheduleTape t = record_run(scenario_name, w, rs, max_steps, plan.drive_faults());
   t.plan = plan.to_string();
-  t.linkfaults = pdr.applied_links;
-  t.substrate = "msg";
   return t;
 }
 
 ScheduleTape mpfm_lossy_raw_record(std::uint64_t seed) {
-  const FailurePattern base(kMpfmN * kMpfmN);
-  return mpfm_lossy_record("mp_floodmin_lossy_raw",
-                           make_mpfm_lossy_raw_world(base, TrivialFd{}.history(base, 0)), seed,
-                           4000);
+  return mpfm_lossy_record("mp_floodmin_lossy_raw", make_mpfm_lossy_raw_world, seed, 4000);
 }
 
 ScheduleTape mpfm_lossy_rt_record(std::uint64_t seed) {
-  const FailurePattern base(kMpfmN * kMpfmN);
   // The hardened run needs room for two doubling backoff rounds per process
   // before the retransmits get through.
-  return mpfm_lossy_record("mp_floodmin_lossy_rt",
-                           make_mpfm_lossy_rt_world(base, TrivialFd{}.history(base, 0)), seed,
-                           8000);
+  return mpfm_lossy_record("mp_floodmin_lossy_rt", make_mpfm_lossy_rt_world, seed, 8000);
 }
 
 std::vector<Scenario> build_registry() {
@@ -740,10 +708,35 @@ ScenarioReplayOutcome replay_in_scenario(const Scenario& sc, const ScheduleTape&
 
 TapePredicate scenario_predicate(const Scenario& sc, bool expect_violated) {
   return [&sc, expect_violated](const ScheduleTape& tape) {
-    World w = sc.make_world(tape.pattern(), tape.history());
-    replay_tape(w, tape);
-    return sc.violated(w) == expect_violated;
+    return replay_in_scenario(sc, tape).violated == expect_violated;
   };
+}
+
+ScheduleTape record_run(const std::string& scenario, World& w, Scheduler& sched,
+                        std::int64_t max_steps, DriveFaults faults) {
+  const FailurePattern base = w.pattern();
+  w.enable_trace();
+  RecordingScheduler rec(sched);
+  const PlanDriveResult run = drive_with_faults(w, rec, max_steps, std::move(faults));
+  ScheduleTape t = ScheduleTape::capture(scenario, base, rec.steps(), run, w);
+  if (const Scenario* sc = find_scenario(scenario)) t.expect_violated = sc->violated(w);
+  return t;
+}
+
+ShrunkFinding shrink_finding(const std::string& scenario, const ScheduleTape& tape,
+                             const ShrinkOptions& opts, ShrinkStats* stats) {
+  const Scenario* sc = find_scenario(scenario);
+  if (sc == nullptr) {
+    throw std::invalid_argument("shrink_finding: unknown scenario " + scenario);
+  }
+  const bool anchor =
+      tape.expect_violated ? *tape.expect_violated : replay_in_scenario(*sc, tape).violated;
+  ShrunkFinding out;
+  out.mini = shrink_tape(tape, scenario_predicate(*sc, anchor), opts, stats);
+  out.mini.expect_hash = replay_in_scenario(*sc, out.mini).replay.hash;
+  out.mini.expect_violated = anchor;
+  out.replay_ok = replay_in_scenario(*sc, out.mini).matches(out.mini);
+  return out;
 }
 
 }  // namespace efd

@@ -69,4 +69,23 @@ struct ScenarioReplayOutcome {
 /// scenario's predicate outcome equals `expect_violated`.
 [[nodiscard]] TapePredicate scenario_predicate(const Scenario& sc, bool expect_violated);
 
+/// The one recorder: drives the freshly built `w` (its pattern is the tape's
+/// base) under `sched` and `faults` with tracing on, captures the run
+/// (ScheduleTape::capture), and stamps expect_violated when `scenario` is
+/// registered.
+[[nodiscard]] ScheduleTape record_run(const std::string& scenario, World& w, Scheduler& sched,
+                                      std::int64_t max_steps, DriveFaults faults = {});
+
+struct ShrunkFinding {
+  ScheduleTape mini;
+  bool replay_ok = false;  ///< a second replay matched both fresh stamps
+};
+/// The one shrink-and-re-stamp: ddmin-shrinks `tape` while its predicate
+/// outcome stays the tape's own (its expect stamp, else one replay's), then
+/// re-stamps expect_hash and expect_violated from the shrunk tape's replay.
+/// Throws std::invalid_argument on an unknown scenario.
+[[nodiscard]] ShrunkFinding shrink_finding(const std::string& scenario, const ScheduleTape& tape,
+                                           const ShrinkOptions& opts = {},
+                                           ShrinkStats* stats = nullptr);
+
 }  // namespace efd

@@ -5,42 +5,35 @@
 namespace efd {
 namespace {
 
-/// Removes steps [begin, end) and remaps crash-point indices: points past
-/// the removed range shift left, points inside it snap to `begin` (the crash
-/// still happens, at the seam — step removal never silently drops a fault).
+/// Removes steps [begin, end) and remaps fault indices: crash points and
+/// link charges past the removed range shift left, those inside it snap to
+/// `begin` (the fault still happens, at the seam — step removal never
+/// silently drops a fault).
 ScheduleTape without_steps(const ScheduleTape& t, std::size_t begin, std::size_t end) {
   ScheduleTape out = t;
   out.steps.erase(out.steps.begin() + static_cast<std::ptrdiff_t>(begin),
                   out.steps.begin() + static_cast<std::ptrdiff_t>(end));
-  const auto removed = static_cast<std::int64_t>(end - begin);
-  for (auto& c : out.crashes) {
-    if (c.step_index >= static_cast<std::int64_t>(end)) {
-      c.step_index -= removed;
-    } else if (c.step_index > static_cast<std::int64_t>(begin)) {
-      c.step_index = static_cast<std::int64_t>(begin);
+  const auto b = static_cast<std::int64_t>(begin);
+  const auto e = static_cast<std::int64_t>(end);
+  const auto remap = [b, e](std::int64_t& step_index) {
+    if (step_index >= e) {
+      step_index -= e - b;
+    } else if (step_index > b) {
+      step_index = b;
     }
-  }
-  for (auto& p : out.linkfaults) {
-    if (p.step_index >= static_cast<std::int64_t>(end)) {
-      p.step_index -= removed;
-    } else if (p.step_index > static_cast<std::int64_t>(begin)) {
-      p.step_index = static_cast<std::int64_t>(begin);
-    }
-  }
+  };
+  for (auto& c : out.crashes) remap(c.step_index);
+  for (auto& p : out.linkfaults) remap(p.step_index);
   out.expect_hash.reset();  // certified the original schedule only
   return out;
 }
 
-ScheduleTape without_crash(const ScheduleTape& t, std::size_t idx) {
+/// `t` without entry `idx` of its crash points or link charges.
+template <class Point>
+ScheduleTape without_point(const ScheduleTape& t, std::vector<Point> ScheduleTape::*points,
+                           std::size_t idx) {
   ScheduleTape out = t;
-  out.crashes.erase(out.crashes.begin() + static_cast<std::ptrdiff_t>(idx));
-  out.expect_hash.reset();
-  return out;
-}
-
-ScheduleTape without_linkfault(const ScheduleTape& t, std::size_t idx) {
-  ScheduleTape out = t;
-  out.linkfaults.erase(out.linkfaults.begin() + static_cast<std::ptrdiff_t>(idx));
+  (out.*points).erase((out.*points).begin() + static_cast<std::ptrdiff_t>(idx));
   out.expect_hash.reset();
   return out;
 }
@@ -95,24 +88,20 @@ ScheduleTape shrink_tape(ScheduleTape tape, const TapePredicate& still_fails,
       if (chunk == 1) break;
     }
 
-    // 3. Crash points, one at a time.
-    for (std::size_t i = 0; i < tape.crashes.size();) {
-      if (try_adopt(without_crash(tape, i))) {
-        changed = true;
-      } else {
-        ++i;
+    // 3. Crash points, then link-fault charges, one at a time (a dropped
+    // charge lets the delivery through; the failure must survive without it
+    // to adopt).
+    const auto drop_each = [&](auto points) {
+      for (std::size_t i = 0; i < (tape.*points).size();) {
+        if (try_adopt(without_point(tape, points, i))) {
+          changed = true;
+        } else {
+          ++i;
+        }
       }
-    }
-
-    // 4. Link-fault charges, one at a time (a dropped charge lets the
-    // delivery through; the failure must survive without it to adopt).
-    for (std::size_t i = 0; i < tape.linkfaults.size();) {
-      if (try_adopt(without_linkfault(tape, i))) {
-        changed = true;
-      } else {
-        ++i;
-      }
-    }
+    };
+    drop_each(&ScheduleTape::crashes);
+    drop_each(&ScheduleTape::linkfaults);
 
     if (!changed) {
       st.reached_fixpoint = true;

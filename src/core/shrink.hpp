@@ -17,8 +17,8 @@
 // TIME and left untouched: the tape's history() semantics (latest delta at
 // or before t) stays well-defined for any schedule the shrinker produces.
 // The recorded expect_hash is cleared as soon as the schedule changes — it
-// certified the ORIGINAL run; tools re-stamp it by replaying the minimized
-// tape once (tools/efd_repro shrink does).
+// certified the ORIGINAL run; shrink_finding (core/repro_scenarios.hpp)
+// re-stamps it from the minimized tape's replay.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,6 @@
 #include "sim/faultplan.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <sstream>
 #include <stdexcept>
 
@@ -10,17 +9,6 @@
 
 namespace efd {
 namespace {
-
-std::optional<Pid> parse_pid_token(const std::string& tok) {
-  if (tok.size() < 2 || (tok[0] != 'p' && tok[0] != 'q')) return std::nullopt;
-  int idx = 0;
-  for (std::size_t i = 1; i < tok.size(); ++i) {
-    if (!std::isdigit(static_cast<unsigned char>(tok[i]))) return std::nullopt;
-    idx = idx * 10 + (tok[i] - '0');
-  }
-  if (idx < 1) return std::nullopt;
-  return tok[0] == 'p' ? cpid(idx - 1) : spid(idx - 1);
-}
 
 const char* op_token(OpKind op) { return op == OpKind::kRead ? "read" : "write"; }
 
@@ -108,7 +96,7 @@ FaultPlan FaultPlan::parse(const std::string& text) {
       if (!(seg >> b.start_step >> b.length >> victim) || b.start_step < 0 || b.length < 1) {
         plan_fail("burst: want '<start>=0.. <len>=1.. <pid>'");
       }
-      const auto pid = parse_pid_token(victim);
+      const auto pid = parse_pid(victim);
       if (!pid) plan_fail("burst: bad pid token '" + victim + "'");
       b.victim = *pid;
       plan.bursts.push_back(b);
@@ -517,11 +505,6 @@ std::optional<Pid> BurstScheduler::next(const World& w) {
   // the victim): the burst yields rather than override the inner scheduler's
   // invariants — a finite burst may starve a process, not the world.
   return pick;
-}
-
-PlanDriveResult drive_with_plan(World& w, Scheduler& sched, std::int64_t max_steps,
-                                const FaultPlan& plan) {
-  return drive_with_faults(w, sched, max_steps, {plan.storm, plan.resolve_links(), plan.triggers});
 }
 
 }  // namespace efd

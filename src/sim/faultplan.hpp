@@ -18,9 +18,9 @@
 //                        bounded window (always paired with a heal, so a
 //                        plan can partition transiently, never permanently).
 //
-// drive_with_plan executes a plan: it resolves the storm, the triggers and
-// the link actions into drive_with_faults (sim/schedule.hpp), the loop that
-// replay drives through too, so storms and trigger kills resolve ONLINE into
+// FaultPlan::drive_faults resolves the storm, the triggers and the link
+// actions for drive_with_faults (sim/schedule.hpp), the loop that replay
+// drives through too, so storms and trigger kills resolve ONLINE into
 // concrete, tape-ready CrashPoints (PlanDriveResult::applied) that replay at
 // the same step indices. Advice corruption is baked into the FD samples the
 // trace records, and bursts are baked into the recorded pid schedule — so a
@@ -55,8 +55,8 @@ struct StarvationBurst {
 /// One link-layer fault: charge link ch[from][to] with `kind` when the drive
 /// reaches schedule step `step`. `amount` is the charge count (how many
 /// deliveries to drop/dup/delay, or the reorder window); for kSever it is
-/// the sever WINDOW — drive_with_plan resolves a sever into a sever charge
-/// at `step` plus a heal at `step + amount`.
+/// the sever WINDOW — resolve_links turns a sever into a sever charge at
+/// `step` plus a heal at `step + amount`.
 struct LinkAction {
   LinkFaultKind kind = LinkFaultKind::kDrop;
   std::int64_t step = 0;
@@ -107,6 +107,13 @@ class FaultPlan {
   /// every resolved sequence heals what it severs. No grid bounds are
   /// checked here — charging skips links the target world does not have.
   [[nodiscard]] std::vector<LinkFaultPoint> resolve_links() const;
+
+  /// The plan's faults for drive_with_faults: the storm, the triggers and
+  /// resolve_links(). A plan may be wider than its world; the drive skips
+  /// the faults the world cannot take. Starvation bursts are not drive
+  /// faults (wrap the scheduler in a BurstScheduler), and advice corruption
+  /// happens at world construction (corrupt()).
+  [[nodiscard]] DriveFaults drive_faults() const { return {storm, resolve_links(), triggers}; }
 
   friend bool operator==(const FaultPlan&, const FaultPlan&) = default;
 
@@ -173,13 +180,5 @@ class BurstScheduler final : public Scheduler {
   std::vector<StarvationBurst> bursts_;
   std::int64_t attempt_ = 0;
 };
-
-/// drive_with_faults under `plan`'s crash and link faults: the storm, the
-/// triggers and resolve_links(). A plan may be wider than its world; faults
-/// the world cannot take are skipped. Starvation bursts are NOT applied
-/// here — wrap the scheduler in a BurstScheduler; advice corruption happens
-/// at world construction (FaultPlan::corrupt).
-PlanDriveResult drive_with_plan(World& w, Scheduler& sched, std::int64_t max_steps,
-                                const FaultPlan& plan);
 
 }  // namespace efd

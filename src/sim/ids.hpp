@@ -6,11 +6,14 @@
 // and only S-processes may query a failure detector.
 #pragma once
 
+#include <charconv>
 #include <compare>
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <optional>
 #include <string>
+#include <string_view>
 
 namespace efd {
 
@@ -57,6 +60,17 @@ struct Pid {
 constexpr Pid cpid(int i) noexcept { return Pid{ProcKind::kC, i}; }
 /// S-process q_{i+1} (0-based index i).
 constexpr Pid spid(int i) noexcept { return Pid{ProcKind::kS, i}; }
+
+/// Inverse of Pid::to_string ("p3" -> cpid(2)); nullopt for any other token,
+/// an index of 0 or past int's range included.
+[[nodiscard]] inline std::optional<Pid> parse_pid(std::string_view tok) noexcept {
+  if (tok.size() < 2 || (tok[0] != 'p' && tok[0] != 'q')) return std::nullopt;
+  int idx = 0;
+  const char* end = tok.data() + tok.size();
+  const auto [ptr, ec] = std::from_chars(tok.data() + 1, end, idx);
+  if (ec != std::errc{} || ptr != end || idx < 1) return std::nullopt;
+  return tok[0] == 'p' ? cpid(idx - 1) : spid(idx - 1);
+}
 
 }  // namespace efd
 

@@ -42,12 +42,18 @@ void encode_value(std::ostream& os, const Value& v) {
 }
 
 struct ValueParser {
+  /// Vectors nest at most this deep: parse() recurses once per '[', so an
+  /// unbounded literal would overflow the stack instead of failing.
+  static constexpr int kMaxDepth = 256;
+
   std::string_view s;
   std::size_t pos = 0;
 
   [[noreturn]] void fail(const std::string& what) const {
+    // At most 64 bytes quoted: a huge literal still gets a short diagnostic.
+    const std::string quoted = std::string(s.substr(0, 64)) + (s.size() > 64 ? "..." : "");
     throw std::runtime_error("tape value literal: " + what + " at offset " +
-                             std::to_string(pos) + " in '" + std::string(s) + "'");
+                             std::to_string(pos) + " in '" + quoted + "'");
   }
   void skip_ws() {
     while (pos < s.size() && std::isspace(static_cast<unsigned char>(s[pos]))) ++pos;
@@ -61,7 +67,7 @@ struct ValueParser {
     return false;
   }
 
-  Value parse() {
+  Value parse(int depth = 0) {
     skip_ws();
     if (pos >= s.size()) fail("empty literal");
     const char c = s[pos];
@@ -84,12 +90,13 @@ struct ValueParser {
       return Value(std::move(out));
     }
     if (c == '[') {
+      if (depth == kMaxDepth) fail("vectors nested deeper than " + std::to_string(kMaxDepth));
       ++pos;
       ValueVec out;
       skip_ws();
       if (consume(']')) return Value(std::move(out));
       for (;;) {
-        out.push_back(parse());
+        out.push_back(parse(depth + 1));
         if (consume(']')) return Value(std::move(out));
         if (!consume(',')) fail("expected ',' or ']'");
       }
@@ -111,19 +118,6 @@ Value parse_value(std::string_view text) {
   p.skip_ws();
   if (p.pos != text.size()) p.fail("trailing garbage");
   return v;
-}
-
-// ---- pid tokens -----------------------------------------------------------
-
-std::optional<Pid> parse_pid(std::string_view tok) {
-  if (tok.size() < 2 || (tok[0] != 'p' && tok[0] != 'q')) return std::nullopt;
-  int idx = 0;
-  for (std::size_t i = 1; i < tok.size(); ++i) {
-    if (!std::isdigit(static_cast<unsigned char>(tok[i]))) return std::nullopt;
-    idx = idx * 10 + (tok[i] - '0');
-  }
-  if (idx < 1) return std::nullopt;  // 1-based in the paper's notation
-  return tok[0] == 'p' ? cpid(idx - 1) : spid(idx - 1);
 }
 
 [[noreturn]] void parse_fail(int line_no, const std::string& what) {
@@ -159,27 +153,26 @@ HistoryPtr ScheduleTape::history() const {
 }
 
 ScheduleTape ScheduleTape::capture(std::string scenario, const FailurePattern& base,
-                                   std::vector<Pid> steps, std::vector<CrashPoint> crashes,
-                                   const Trace& trace) {
+                                   std::vector<Pid> steps, const PlanDriveResult& run, World& w) {
   ScheduleTape t;
   t.scenario = std::move(scenario);
   t.num_s = base.n();
   t.base_crash.reserve(static_cast<std::size_t>(base.n()));
   for (int i = 0; i < base.n(); ++i) t.base_crash.push_back(base.crash_time(i));
   t.steps = std::move(steps);
-  t.crashes = std::move(crashes);
-  std::sort(t.crashes.begin(), t.crashes.end(),
-            [](const CrashPoint& a, const CrashPoint& b) { return a.step_index < b.step_index; });
+  t.crashes = run.applied;  // sorted by step index, as the drive applied them
+  t.linkfaults = run.applied_links;
+  if (w.substrate_set() && w.substrate().kind() == SubstrateKind::kMsg) t.substrate = "msg";
   // FD deltas: one entry whenever a process's sampled output changes.
   std::map<int, Value> last;
-  for (const auto& s : trace) {
+  for (const auto& s : w.trace()) {
     if (s.op != OpKind::kQuery || s.null_step) continue;
     const auto it = last.find(s.pid.index);
     if (it != last.end() && it->second == s.result) continue;
     last[s.pid.index] = s.result;
     t.fd.push_back(FdDelta{s.pid.index, s.time, s.result});
   }
-  t.expect_hash = trace_hash(trace);
+  t.expect_hash = trace_hash(w.trace());
   return t;
 }
 
@@ -352,11 +345,13 @@ ScheduleTape ScheduleTape::parse(const std::string& text) {
       std::size_t n = 0;
       if (!(ls >> n)) parse_fail(line_no, "steps: malformed count");
       declared_steps = n;
-      t.steps.reserve(n);
+      // A pid token and its separator take at least three bytes: a count
+      // the text cannot hold fails below as truncated, never reserves.
+      t.steps.reserve(std::min(n, text.size() / 3 + 1));
       // The schedule body: whitespace-separated pid tokens up to 'end'.
       std::string tok;
       while (t.steps.size() < n) {
-        if (!(in >> tok)) parse_fail(line_no, "steps: truncated schedule");
+        if (!(in >> tok) || tok == "end") parse_fail(line_no, "steps: truncated schedule");
         const auto pid = parse_pid(tok);
         if (!pid) parse_fail(line_no, "steps: bad pid token '" + tok + "'");
         t.steps.push_back(*pid);

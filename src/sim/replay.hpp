@@ -9,8 +9,8 @@
 //
 //  * RecordingScheduler wraps ANY scheduler and records the pids it emits;
 //  * ScheduleTape::capture folds the recorded schedule, the base failure
-//    pattern, the injected crash points, and the FD samples observed in the
-//    trace (stored as per-process value deltas) into one artifact;
+//    pattern, the faults the drive landed, and the FD samples observed in
+//    the trace (stored as per-process value deltas) into one artifact;
 //  * replay_tape rebuilds the identical run in a fresh world: the tape's
 //    history() answers FD queries from the recorded deltas, so no detector
 //    object is needed — the tape is self-contained. It drives through
@@ -111,13 +111,16 @@ class ScheduleTape {
   /// the original history's answers verbatim.
   [[nodiscard]] HistoryPtr history() const;
 
-  /// Builds a tape from a recorded run. `base` is the pattern the world was
-  /// CONSTRUCTED with (before any injected crash), `steps` the pids emitted
-  /// by the RecordingScheduler, `crashes` the injections the driver applied,
-  /// and `trace` the recorded trace (FD deltas and expect_hash come from it).
+  /// Builds a tape from a recorded drive, stamping everything the run
+  /// determined. `base` is the pattern the world was CONSTRUCTED with
+  /// (before any injected crash), `steps` the pids the RecordingScheduler
+  /// emitted, `run` what drive_with_faults returned (the crash points and
+  /// link charges that landed) and `w` the driven, traced world (substrate,
+  /// FD deltas, expect_hash). Only record_run (core/repro_scenarios.hpp)
+  /// and run_plan call it.
   [[nodiscard]] static ScheduleTape capture(std::string scenario, const FailurePattern& base,
-                                            std::vector<Pid> steps,
-                                            std::vector<CrashPoint> crashes, const Trace& trace);
+                                            std::vector<Pid> steps, const PlanDriveResult& run,
+                                            World& w);
 
   /// Versioned text round-trip. parse throws TapeParseError with a
   /// line-numbered message on malformed input.

@@ -3,12 +3,16 @@
 // variants, tape/shrink integration, and the efd-campaign-v1 JSON document.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "core/campaign.hpp"
 #include "core/repro_scenarios.hpp"
+#include "sim/hash.hpp"
 #include "sim/replay.hpp"
 
 namespace efd {
@@ -192,6 +196,46 @@ TEST(Campaign, WaitFreeOnlyFindingsAreStampedAndKept) {
     EXPECT_FALSE(out.detail.empty());
   }
   EXPECT_TRUE(found) << "tight bound produced no wait-freedom finding";
+}
+
+TEST(Campaign, FindingTapesArePinned) {
+  // What run_plan records on a violation, byte for byte, as
+  // Replay.RecordedTapesArePinned does for the scenario recorders: FNV-1a of
+  // the serialized tape of the first two violating plans of each seeded-bug
+  // target at campaign seed 42 (mpfm_raw's carry link charges and the
+  // message substrate), plus the first two wait-freedom findings of cons
+  // under a one-step bound.
+  const std::vector<std::string> want = {
+      "synth plan 0 safety 0x2FF0EE79C4960A8A",
+      "synth plan 1 safety 0x06516EE03D9249CE",
+      "bcf plan 2 safety 0xB88DE27A94E5091E",
+      "bcf plan 4 safety 0x2C0E99926050B015",
+      "brn plan 0 safety 0x9496FCBF5D49FED8",
+      "brn plan 1 safety 0x5425BB1EB230D8F6",
+      "tw plan 15 safety 0x2A42528C856E9F3E",
+      "tw plan 19 safety 0xD8EFBC9CFD59C771",
+      "mpfm_raw plan 260 safety 0xFF3E2F9672B1AB4F",
+      "mpfm_raw plan 532 safety 0xAC61E21815590EA0",
+      "cons plan 177 wait-free 0x564002FFFC5CF2B7",
+      "cons plan 225 wait-free 0xC44A312B01474A0C",
+  };
+  std::vector<std::string> got;
+  for (const char* name : {"synth", "bcf", "brn", "tw", "mpfm_raw", "cons"}) {
+    CampaignTarget t = *find_campaign_target(name);
+    if (t.expect_clean) t.bounds.own_steps_to_decide = 1;
+    int found = 0;
+    for (int i = 0; i < 600 && found < 2; ++i) {
+      const std::uint64_t seed = campaign_plan_seed(42, t.name, i);
+      const PlanOutcome out = run_plan(t, FaultPlan::sample(seed, t.space), seed, true);
+      if (!out.violated()) continue;
+      ++found;
+      char fnv[19];
+      std::snprintf(fnv, sizeof fnv, "0x%016llX",
+                    static_cast<unsigned long long>(fnv1a(out.tape.serialize())));
+      got.push_back(t.name + " plan " + std::to_string(i) + " " + out.tape.finding + " " + fnv);
+    }
+  }
+  EXPECT_EQ(got, want);
 }
 
 // Regression: plan text reaches run_plan unclamped (serve --queue), and the

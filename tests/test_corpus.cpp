@@ -137,15 +137,27 @@ TEST(CorpusStore, MalformedEntriesAreQuarantinedNotFatal) {
       fs::remove(tmp);
     }
     std::ofstream(dir + "/torn.tape") << text.substr(0, text.size() / 2);
+    // Entries that threw past the TapeError catch (std::bad_alloc) or
+    // overflowed the stack: a step count no text can hold, and a value
+    // literal 50,000 vectors deep.
+    const std::size_t steps_at = text.find("\nsteps ") + 1;
+    const std::size_t steps_end = text.find('\n', steps_at);
+    std::string huge = text;
+    huge.replace(steps_at, steps_end - steps_at, "steps 99999999999999");
+    std::ofstream(dir + "/huge_steps.tape") << huge;
+    std::string deep = text;
+    deep.insert(steps_at, "fd 0 1 " + std::string(50000, '[') + std::string(50000, ']') + "\n");
+    std::ofstream(dir + "/deep_literal.tape") << deep;
   }
 
   CorpusStore store;
   const CorpusStore::LoadReport rep = store.open(dir);
   EXPECT_EQ(rep.loaded, 1);
-  EXPECT_EQ(rep.quarantined, 2);
+  EXPECT_EQ(rep.quarantined, 4);
   EXPECT_EQ(store.size(), 1u);
-  EXPECT_TRUE(fs::exists(fs::path(dir) / "quarantine" / "garbage.tape"));
-  EXPECT_TRUE(fs::exists(fs::path(dir) / "quarantine" / "torn.tape"));
+  for (const char* name : {"garbage.tape", "torn.tape", "huge_steps.tape", "deep_literal.tape"}) {
+    EXPECT_TRUE(fs::exists(fs::path(dir) / "quarantine" / name)) << name;
+  }
   // The farm stays usable after quarantining.
   EXPECT_TRUE(store.insert(corpus_key(good), good, "after_quarantine"));
 }

@@ -1,6 +1,6 @@
 // Tests for fault plans (sim/faultplan.hpp): serialization round-trips,
 // deterministic sampling inside the target space, burst suppression, and
-// online trigger/storm resolution in drive_with_plan.
+// online trigger/storm resolution in the drive loop (FaultPlan::drive_faults).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -59,6 +59,8 @@ TEST(FaultPlan, ParseRejectsMalformedText) {
   EXPECT_THROW(FaultPlan::parse("plan-v1; fd sneaky 10 8"), std::invalid_argument);
   EXPECT_THROW(FaultPlan::parse("plan-v1; trig acc/ scribble 1 1"), std::invalid_argument);
   EXPECT_THROW(FaultPlan::parse("plan-v1; burst 5 10 x9"), std::invalid_argument);
+  // One past int's range: rejected, not wrapped to q1.
+  EXPECT_THROW(FaultPlan::parse("plan-v1; burst 0 1 q4294967297"), std::invalid_argument);
   EXPECT_THROW(FaultPlan::parse("plan-v1; frobnicate 1"), std::invalid_argument);
 }
 
@@ -259,7 +261,7 @@ TEST(DriveWithPlan, StormCrashesAtItsStepIndex) {
   RoundRobinScheduler rr;
   FaultPlan plan;
   plan.storm.push_back(CrashPoint{4, 0});
-  const PlanDriveResult r = drive_with_plan(w, rr, 20, plan);
+  const PlanDriveResult r = drive_with_faults(w, rr, 20, plan.drive_faults());
   EXPECT_TRUE(r.drive.budget_exhausted);
   ASSERT_EQ(r.applied.size(), 1U);
   EXPECT_EQ(r.applied[0], (CrashPoint{4, 0}));
@@ -276,7 +278,7 @@ TEST(DriveWithPlan, TriggerKillsMatchingWriterAfterDelay) {
   RoundRobinScheduler rr;
   FaultPlan plan;
   plan.triggers.push_back(CrashTrigger{"acc/", OpKind::kWrite, 2, 2});
-  const PlanDriveResult r = drive_with_plan(w, rr, 40, plan);
+  const PlanDriveResult r = drive_with_faults(w, rr, 40, plan.drive_faults());
   EXPECT_EQ(r.triggers_fired, 1);
   ASSERT_EQ(r.applied.size(), 1U);
   EXPECT_EQ(r.applied[0].s_index, 0);
@@ -303,7 +305,7 @@ TEST(DriveWithPlan, AppliedPointsReplayIdentically) {
   w1.spawn_s(1, spin);
   w1.enable_trace();
   RoundRobinScheduler rr1;
-  const PlanDriveResult r1 = drive_with_plan(w1, rr1, 30, plan);
+  const PlanDriveResult r1 = drive_with_faults(w1, rr1, 30, plan.drive_faults());
 
   World w2(base, TrivialFd{}.history(base, 0));
   w2.spawn_s(0, s_writer);
@@ -327,7 +329,7 @@ TEST(DriveWithPlan, FaultsTheWorldCannotTakeAreSkipped) {
     w.spawn_s(1, spin);
     w.enable_trace();
     RoundRobinScheduler rr;
-    const PlanDriveResult r = drive_with_plan(w, rr, 30, plan);
+    const PlanDriveResult r = drive_with_faults(w, rr, 30, plan.drive_faults());
     return std::pair{r, trace_hash(w.trace())};
   };
   FaultPlan kill;
@@ -357,7 +359,7 @@ TEST(DriveWithPlan, FaultsTheWorldCannotTakeAreSkipped) {
     World w = sc->make_world(base, TrivialFd{}.history(base, 0));
     w.enable_trace();
     RandomScheduler rs(1);
-    const PlanDriveResult r = drive_with_plan(w, rs, 4000, plan);
+    const PlanDriveResult r = drive_with_faults(w, rs, 4000, plan.drive_faults());
     return std::pair{r, trace_hash(w.trace())};
   };
   FaultPlan drop;

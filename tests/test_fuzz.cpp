@@ -3,7 +3,7 @@
 // in fair runs. These sweeps are the repository's failure-injection net —
 // each case draws a fresh failure pattern AND a fresh schedule from the seed.
 //
-// Tests that record their run (via RecordingScheduler) stash the captured
+// Tests that record their run (via record_run) stash the captured
 // ScheduleTape in the fixture; on failure TearDown auto-dumps it as
 // <suite>_<test>_seed<N>.tape so the exact failing schedule can be replayed,
 // shrunk (tools/efd_repro) and promoted into tests/corpus/. Dump target:
@@ -23,6 +23,7 @@
 #include "algo/participating_set.hpp"
 #include "algo/renaming.hpp"
 #include "algo/set_agreement_antiomega.hpp"
+#include "core/repro_scenarios.hpp"
 #include "fd/detectors.hpp"
 #include "sim/replay.hpp"
 #include "sim/schedule.hpp"
@@ -47,14 +48,12 @@ class Fuzz : public ::testing::TestWithParam<std::uint64_t> {
   /// Tests that record their run park the tape here for the failure dump.
   void stash_tape(ScheduleTape tape) { tape_ = std::move(tape); }
 
-  /// Captures `w`'s recorded run as a tape, stashes it for the failure dump,
-  /// and checks the text round-trip replays bit-identically in a fresh world
+  /// Stashes a recorded run's tape (record_run) for the failure dump, and
+  /// checks the text round-trip replays bit-identically in a fresh world
   /// built by `make_world(pattern, history)` — the tape alone (no detector
   /// object, no scheduler state) must reproduce the run.
   template <class MakeWorld>
-  void expect_tape_roundtrip(const World& w, const FailurePattern& base,
-                             const RecordingScheduler& rec, MakeWorld&& make_world) {
-    ScheduleTape tape = ScheduleTape::capture("", base, rec.steps(), {}, w.trace());
+  void expect_tape_roundtrip(ScheduleTape tape, MakeWorld&& make_world) {
     const ScheduleTape parsed = ScheduleTape::parse(tape.serialize());
     stash_tape(std::move(tape));
     World w2 = make_world(parsed.pattern(), parsed.history());
@@ -264,13 +263,10 @@ TEST_P(Fuzz, KCodesSimulationEndToEnd) {
   };
 
   World w = make_world(f, vo.history(f, seed()));
-  w.enable_trace();
   RandomScheduler rs(seed() ^ 0xC0DE5);
-  RecordingScheduler rec(rs);
-  const auto r = drive(w, rec, 3000000);
-  expect_tape_roundtrip(w, f, rec, make_world);
+  expect_tape_roundtrip(record_run("", w, rs, 3000000), make_world);
 
-  ASSERT_TRUE(r.all_c_decided) << "n=" << n << " k=" << k << " " << f.to_string();
+  ASSERT_TRUE(w.all_c_decided()) << "n=" << n << " k=" << k << " " << f.to_string();
   for (int i = 0; i < n; ++i) {
     const auto d = w.decision(cpid(i)).as_int();
     EXPECT_GE(d, 1000);
@@ -297,13 +293,10 @@ TEST_P(Fuzz, BgSimulationEndToEnd) {
   const FailurePattern f(1);
   TrivialFd trivial;
   World w = make_world(f, trivial.history(f, 0));
-  w.enable_trace();
   RandomScheduler rs(seed() ^ 0xB6B6);
-  RecordingScheduler rec(rs);
-  const auto r = drive(w, rec, 400000);
-  expect_tape_roundtrip(w, f, rec, make_world);
+  expect_tape_roundtrip(record_run("", w, rs, 400000), make_world);
 
-  ASSERT_TRUE(r.all_c_decided) << "sims=" << sims << " codes=" << codes;
+  ASSERT_TRUE(w.all_c_decided()) << "sims=" << sims << " codes=" << codes;
   // MinCode decides the minimum input it saw — some simulator's input.
   for (int i = 0; i < sims; ++i) {
     const auto d = w.decision(cpid(i)).as_int();
@@ -345,12 +338,11 @@ TEST_P(Fuzz, ExtractionReductionEndToEnd) {
   };
 
   World w = make_world(f, vo.history(f, seed()));
-  w.enable_trace();
   RoundRobinScheduler rr;
-  RecordingScheduler rec(rr);
-  const auto r = drive(w, rec, 7000);
-  EXPECT_TRUE(r.budget_exhausted);  // S-only world: never vacuously decided
-  expect_tape_roundtrip(w, f, rec, make_world);
+  const ScheduleTape tape = record_run("", w, rr, 7000);
+  // S-only world: never vacuously decided, so the drive runs its budget out.
+  EXPECT_EQ(tape.steps.size(), 7000u);
+  expect_tape_roundtrip(tape, make_world);
 
   const auto h = emulated_history_from_trace(w.trace(), cfg);
   EXPECT_TRUE(AntiOmegaK::check(k, f, *h, w.now())) << "seed " << seed();
@@ -386,13 +378,10 @@ TEST_P(Fuzz, MpFloodMinEndToEnd) {
   };
   TrivialFd trivial;
   World w = make_world(base, trivial.history(base, 0));
-  w.enable_trace();
   RandomScheduler rs(seed() ^ 0xF10D);
-  RecordingScheduler rec(rs);
-  const auto r = drive(w, rec, 300000);
-  expect_tape_roundtrip(w, base, rec, make_world);
+  expect_tape_roundtrip(record_run("", w, rs, 300000), make_world);
 
-  ASSERT_TRUE(r.all_c_decided) << "n=" << n << " " << base.to_string();
+  ASSERT_TRUE(w.all_c_decided()) << "n=" << n << " " << base.to_string();
   EXPECT_GT(w.run_stats().delivers, 0) << "daemon-mode runs must take deliver steps";
   SetAgreementTask task(n, 2);
   ValueVec in(static_cast<std::size_t>(n));
@@ -419,13 +408,10 @@ TEST_P(Fuzz, MpConsensusOmegaFlood) {
     return w;
   };
   World w = make_world(base, omega.history(base, seed()));
-  w.enable_trace();
   RandomScheduler rs(seed() ^ 0x5B5B);
-  RecordingScheduler rec(rs);
-  const auto r = drive(w, rec, 800000);
-  expect_tape_roundtrip(w, base, rec, make_world);
+  expect_tape_roundtrip(record_run("", w, rs, 800000), make_world);
 
-  ASSERT_TRUE(r.all_c_decided) << "n=" << n << " " << base.to_string();
+  ASSERT_TRUE(w.all_c_decided()) << "n=" << n << " " << base.to_string();
   std::set<std::int64_t> vals;
   for (int i = 0; i < n; ++i) vals.insert(w.decision(cpid(i)).as_int());
   EXPECT_EQ(vals.size(), 1u) << "consensus agreement";

@@ -370,20 +370,13 @@ TEST(LinkFaultReplay, SingleActionFaultMixRecordsAndReplays) {
                                       /*amount=*/kind == LinkFaultKind::kSever ? 6 : 2});
 
       World w = sc->make_world(base, TrivialFd{}.history(base, 0));
-      w.enable_trace();
       RandomScheduler inner(seed);
-      RecordingScheduler rec(inner);
-      const PlanDriveResult pdr = drive_with_plan(w, rec, 30000, plan);
+      const ScheduleTape tape = record_run(sc->name, w, inner, 30000, plan.drive_faults());
       EXPECT_FALSE(sc->violated(w)) << "hardened FloodMin must stay safe under any single fault";
-
-      ScheduleTape tape = ScheduleTape::capture(sc->name, base, rec.steps(), pdr.applied,
-                                                w.trace());
-      tape.linkfaults = pdr.applied_links;
-      tape.plan = plan.to_string();
-      tape.substrate = "msg";
-      tape.expect_violated = false;
+      EXPECT_EQ(tape.expect_violated, std::optional<bool>(false));
+      EXPECT_EQ(tape.substrate, "msg");
       if (kind == LinkFaultKind::kSever) {
-        // drive_with_plan resolves a sever into a sever/heal pair.
+        // resolve_links turns a sever into a sever/heal pair.
         ASSERT_EQ(tape.linkfaults.size(), 2u);
         EXPECT_EQ(tape.linkfaults[1].kind, LinkFaultKind::kHeal);
       }

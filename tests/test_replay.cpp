@@ -89,6 +89,23 @@ TEST(Tape, ParseRejectsMalformedInput) {
   bad = ok;
   bad.replace(bad.find("pattern - 12 -"), 14, "pattern - 12");
   EXPECT_THROW(ScheduleTape::parse(bad), std::runtime_error);
+  // A pid index past int's range is rejected, not wrapped (2^32 + 2 was q2).
+  bad = ok;
+  bad.replace(bad.find("q2"), 2, "q4294967298");
+  EXPECT_THROW(ScheduleTape::parse(bad), TapeParseError);
+  // A step count no text can hold fails as truncated, without reserving it.
+  bad = ok;
+  bad.replace(bad.find("steps 5"), 7, "steps 99999999999999");
+  EXPECT_THROW(ScheduleTape::parse(bad), TapeParseError);
+  // Value literals nest boundedly: 100 deep parses, 50,000 deep (which
+  // overflowed the recursive parser's stack) is a parse error.
+  const auto with_fd = [&ok](std::size_t depth) {
+    const std::string fd = "fd 0 1 " + std::string(depth, '[') + std::string(depth, ']') + "\n";
+    std::string text = ok;
+    return text.insert(text.find("steps 5"), fd);
+  };
+  EXPECT_NO_THROW((void)ScheduleTape::parse(with_fd(100)));
+  EXPECT_THROW((void)ScheduleTape::parse(with_fd(50000)), TapeParseError);
 }
 
 TEST(Tape, CommentsAndBlankLinesIgnored) {
@@ -315,6 +332,23 @@ TEST(Shrink, NonFailingTapeIsReturnedUnchanged) {
   EXPECT_EQ(stats.removed_steps, 0);
 }
 
+TEST(Shrink, ShrinkFindingKeepsTheTapesOwnOutcome) {
+  // shrink_finding's anchor is the tape's expect stamp, else what a replay
+  // observes: an ok tape shrinks while it stays ok, and comes back stamped
+  // ok with a fresh hash that a second replay matches.
+  const Scenario* sc = find_scenario("synth_write_race");
+  ScheduleTape ok = sc->record(3);  // verified NON-violating seed
+  ASSERT_FALSE(*ok.expect_violated);
+  for (const bool stamped : {true, false}) {
+    if (!stamped) ok.expect_violated.reset();
+    const ShrunkFinding sf = shrink_finding(sc->name, ok);
+    EXPECT_LT(sf.mini.steps.size(), ok.steps.size()) << "stamped " << stamped;
+    EXPECT_EQ(sf.mini.expect_violated, std::optional<bool>(false)) << "stamped " << stamped;
+    EXPECT_TRUE(sf.mini.expect_hash.has_value()) << "stamped " << stamped;
+    EXPECT_TRUE(sf.replay_ok) << "stamped " << stamped;
+  }
+}
+
 TEST(Shrink, KeepsLoadBearingCrashPoints) {
   // Structural predicate: "fails" while some crash point on q1 survives and
   // at least two steps remain. The shrinker must drop the irrelevant q2
@@ -392,13 +426,10 @@ TEST(Replay, TapeIsSelfContainedForFdQueries) {
   FailurePattern f(2);
   const OmegaFd omega(4);
   World w(f, omega.history(f, 11));
-  w.enable_trace();
   w.spawn_s(0, query_spin);
   w.spawn_s(1, query_spin);
   RoundRobinScheduler rr;
-  RecordingScheduler rec(rr);
-  drive(w, rec, 40);
-  const ScheduleTape tape = ScheduleTape::capture("", f, rec.steps(), {}, w.trace());
+  const ScheduleTape tape = record_run("", w, rr, 40);
 
   World w2(tape.pattern(), tape.history());
   w2.spawn_s(0, query_spin);

@@ -290,8 +290,8 @@ void expect_identity(Scheduler& sched, const FailurePattern& f, const HistoryPtr
   World w = make_world(f, h);
   w.enable_trace();
   RecordingScheduler rec(sched);
-  drive(w, rec, 400);
-  const ScheduleTape tape = ScheduleTape::capture("", f, rec.steps(), {}, w.trace());
+  const PlanDriveResult run = drive_with_faults(w, rec, 400, {});
+  const ScheduleTape tape = ScheduleTape::capture("", f, rec.steps(), run, w);
 
   World w2 = make_world(tape.pattern(), tape.history());
   const ReplayResult rr = replay_tape(w2, tape);

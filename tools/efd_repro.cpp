@@ -11,9 +11,10 @@
 // scenario's world around the tape's environment, replays the schedule with
 // its crash points, and checks both expectations (trace hash, predicate
 // outcome); exit status 0 iff everything matches. `shrink` ddmin-minimizes a
-// tape while its predicate outcome is preserved, then RE-STAMPS expect_hash
-// by replaying the minimized tape once (the recorded hash certified the
-// original schedule only).
+// tape while its predicate outcome is preserved and RE-STAMPS its
+// expectations from the minimized tape's replay (shrink_finding,
+// core/repro_scenarios.hpp; the recorded hash certified the original
+// schedule only); it exits 1 if a second replay does not match them.
 //
 // Exit codes (stable; scripted triage relies on them):
 //   0  success / replay matched expectations
@@ -202,19 +203,9 @@ int cmd_shrink(int argc, char** argv) {
   }
   const ScheduleTape tape = load_tape(in);
   const Scenario& sc = required_scenario(tape);
-  // "Failing" = the predicate outcome the tape itself exhibits (stamped at
-  // record time, else observed by one replay now): a violated tape shrinks
-  // while it keeps violating, an ok tape while it stays ok.
-  const bool anchor =
-      tape.expect_violated ? *tape.expect_violated : replay_in_scenario(sc, tape).violated;
-
   ShrinkStats stats;
-  ScheduleTape min = shrink_tape(tape, scenario_predicate(sc, anchor), opts, &stats);
-
-  // Re-stamp expectations from the minimized tape's own replay.
-  World w = sc.make_world(min.pattern(), min.history());
-  min.expect_hash = replay_tape(w, min).hash;
-  min.expect_violated = anchor;
+  const ShrunkFinding sf = shrink_finding(sc.name, tape, opts, &stats);
+  const ScheduleTape& min = sf.mini;
   save_tape(min, out);
 
   std::printf("shrunk    %zu -> %zu steps, %zu -> %zu crash point(s)\n", tape.steps.size(),
@@ -226,7 +217,8 @@ int cmd_shrink(int argc, char** argv) {
   std::printf("          %" PRId64 " candidate replays, %d round(s)%s\n", stats.candidates,
               stats.rounds, stats.reached_fixpoint ? ", fixpoint" : "");
   std::printf("wrote     %s\n", out.c_str());
-  return 0;
+  if (!sf.replay_ok) std::printf("replay    MISMATCH against the fresh stamps\n");
+  return sf.replay_ok ? 0 : 1;
 }
 
 }  // namespace

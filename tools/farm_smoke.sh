@@ -9,8 +9,10 @@
 #     classify every known finding as a duplicate — zero novel findings;
 #  3. DRAIN: an unbounded serve must exit 0 on SIGINT with the in-flight
 #     batch completed and the final record stamped "drained": true.
+# Steps 4-6 check queue submissions, flag validation, and that malformed
+# corpus tapes are quarantined, never fatal.
 #
-# usage: farm_smoke.sh <efd_campaign-binary> [workdir]
+# usage: farm_smoke.sh <efd_campaign-binary> [workdir]  (efd_repro beside it)
 set -eu
 
 campaign="$1"
@@ -94,6 +96,7 @@ grep -q '^  "drained": true,' "$work/final3.json" || {
   echo "cons plan-v1; storm 10 0"
   echo "cons this-is-not-a-plan"
   echo "nosuchtarget plan-v1"
+  echo "synth plan-v1; burst 0 1 q4294967297"
   echo "synth plan-v1; burst 5 20 p1"
 } > "$work/queue"
 "$campaign" serve --seed 3 --max-plans 28 --batch 28 --workers 4 \
@@ -123,5 +126,37 @@ for bad in "--duration 1 --max-plans 1e3" "--duration 1 --max-plans -1" \
     exit 1
   fi
 done
+
+# --- 6: a corpus of malformed tapes is quarantined, not fatal --------------
+# The fixtures plus a value literal 50,000 vectors deep: every tape efd_repro
+# rejects as malformed (exit 3) is quarantined, the rest are indexed.
+bad="$work/corpus_malformed"
+mkdir -p "$bad"
+cp "$script_dir"/../tests/corpus/malformed/*.tape "$bad"/
+deep="$(printf '%50000s' '' | tr ' ' '[')$(printf '%50000s' '' | tr ' ' ']')"
+awk -v fd="fd 0 1 $deep" '/^steps /{print fd} {print}' \
+  "$script_dir/../tests/corpus/synth_write_race_min.tape" > "$bad/deep_literal.tape"
+rejected=""
+for tape in "$bad"/*.tape; do
+  rc=0
+  "$(dirname "$campaign")/efd_repro" replay "$tape" > /dev/null 2>&1 || rc=$?
+  if [ "$rc" = "3" ]; then rejected="$rejected $(basename "$tape")"; fi
+done
+n_bad=$(echo $rejected | wc -w)
+n_ok=$(($(ls "$bad"/*.tape | wc -l) - n_bad))
+"$campaign" serve --seed 1 --max-plans 28 --batch 28 --workers 4 --corpus "$bad" \
+  --out "$work/final6.json" $targets > /dev/null || {
+  echo "FAIL: serve over a malformed corpus exited nonzero, want 0" >&2
+  exit 1
+}
+for name in $rejected; do
+  [ -f "$bad/quarantine/$name" ] || { echo "FAIL: $name was not quarantined" >&2; exit 1; }
+done
+grep -q "^    \"quarantined\": $n_bad\$" "$work/final6.json" &&
+  grep -q "^    \"seeded\": $n_ok,\$" "$work/final6.json" &&
+  [ -f "$bad/unknown_scenario.tape" ] || {
+  echo "FAIL: want $n_bad tapes quarantined, $n_ok (unknown_scenario.tape) indexed" >&2
+  exit 1
+}
 
 echo "farm smoke ok: $work"
