@@ -383,14 +383,15 @@ PlanOutcome run_plan(const CampaignTarget& target, const FaultPlan& plan,
   const DetectorPtr advice = plan.corrupt(target.advice());
 
   // Rehearsal: resolve the plan's S-kills (storm step indices, trigger
-  // matches) into concrete crash TIMES over the base pattern.
+  // matches) into concrete crash TIMES over the base pattern. It stops once
+  // no kill can still land: the rest of the run cannot change them.
   std::vector<std::optional<Time>> crash_at(static_cast<std::size_t>(target.num_s));
   if (!plan.storm.empty() || !plan.triggers.empty()) {
     World rehearsal = sc->make_world(base, advice->history(base, plan_seed));
     const auto inner = target.make_sched(plan_seed);
     BurstScheduler bursts(*inner, plan.bursts);
     const PlanDriveResult pdr =
-        drive_with_faults(rehearsal, bursts, target.max_steps, plan.drive_faults());
+        rehearse_kills(rehearsal, bursts, target.max_steps, plan.drive_faults());
     out.rehearsal_steps = pdr.drive.steps;
     int never_crashed = target.num_s;
     for (std::size_t k = 0; k < pdr.applied.size(); ++k) {

@@ -9,6 +9,7 @@
 //  1. samples a FaultPlan and, when it contains S-kills, resolves them in a
 //     REHEARSAL drive (the whole plan's drive_faults() over the base
 //     pattern, on sim/schedule's one drive loop) into concrete crash times;
+//     the rehearsal (rehearse_kills) stops once no kill can still land;
 //  2. re-runs authoritatively with the EFFECTIVE failure pattern — the base
 //     pattern plus the rehearsed crash times — so honest advice is computed
 //     over the failures that actually happen (an Ω that keeps endorsing a
@@ -111,7 +112,9 @@ struct CampaignRun {
   int plans_with_burst = 0;
   int plans_with_link = 0;  ///< plans carrying link actions (drop/dup/delay/reorder/sever)
   std::int64_t total_steps = 0;       ///< authoritative-drive steps
-  std::int64_t rehearsal_steps = 0;   ///< trigger/storm rehearsal steps
+  /// Trigger/storm rehearsal steps, up to the step after which no kill
+  /// could still land (or the rehearsal's ordinary stop, if earlier).
+  std::int64_t rehearsal_steps = 0;
   std::int64_t monitored_steps = 0;
   std::int64_t max_own_steps_to_decide = 0;  ///< worst over all plans
   std::int64_t starvation_observations = 0;  ///< watchdog hits (not violations)

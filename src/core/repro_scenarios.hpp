@@ -66,7 +66,9 @@ struct ScenarioReplayOutcome {
                                                        const ScheduleTape& tape);
 
 /// ddmin oracle: candidate tapes still count as failing while the
-/// scenario's predicate outcome equals `expect_violated`.
+/// scenario's predicate outcome equals `expect_violated`. Each call drives
+/// the candidate strictly (drive_tape) and reads only the predicate, so it
+/// computes no trace hash and no run stats.
 [[nodiscard]] TapePredicate scenario_predicate(const Scenario& sc, bool expect_violated);
 
 /// The one recorder: drives the freshly built `w` (its pattern is the tape's

@@ -1,9 +1,45 @@
 #include "core/shrink.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <set>
+#include <utility>
+
+#include "sim/hash.hpp"
 
 namespace efd {
 namespace {
+
+using Digest = std::pair<std::uint64_t, std::uint64_t>;
+
+/// 128-bit digest of the fields a removal changes: (steps, crashes,
+/// linkfaults). Two lanes with different update shapes; each update is a
+/// bijection of the lane for a fixed input word, and every list is
+/// length-prefixed.
+Digest removal_digest(const ScheduleTape& t) {
+  std::uint64_t lo = kFnv1aOffsetBasis;
+  std::uint64_t hi = kGoldenGamma;
+  const auto add = [&lo, &hi](std::uint64_t x) {
+    lo = splitmix64_finalize(lo ^ x);
+    hi = splitmix64_finalize(std::rotl(hi, 29) + x);
+  };
+  add(t.steps.size());
+  for (const Pid p : t.steps) {
+    add(static_cast<std::uint64_t>(p.kind) << 32 | static_cast<std::uint32_t>(p.index));
+  }
+  add(t.crashes.size());
+  for (const CrashPoint& c : t.crashes) {
+    add(static_cast<std::uint64_t>(c.step_index));
+    add(static_cast<std::uint64_t>(c.s_index));
+  }
+  add(t.linkfaults.size());
+  for (const LinkFaultPoint& p : t.linkfaults) {
+    add(static_cast<std::uint64_t>(p.step_index));
+    add(fnv1a(p.link));
+    add(static_cast<std::uint64_t>(p.kind) << 32 | static_cast<std::uint32_t>(p.amount));
+  }
+  return {lo, hi};
+}
 
 /// Removes steps [begin, end) and remaps fault indices: crash points and
 /// link charges past the removed range shift left, those inside it snap to
@@ -49,9 +85,18 @@ ScheduleTape shrink_tape(ScheduleTape tape, const TapePredicate& still_fails,
   ++st.candidates;
   if (!still_fails(tape)) return tape;  // not a counterexample: nothing to do
 
+  // Candidates this call replayed and rejected. A step range or point that
+  // was kept once comes up again in later rounds; the predicate is
+  // deterministic, so its verdict is already known.
+  std::set<Digest> rejected;
   auto try_adopt = [&](const ScheduleTape& cand) {
+    const Digest key = removal_digest(cand);
+    if (rejected.contains(key)) return false;
     ++st.candidates;
-    if (!still_fails(cand)) return false;
+    if (!still_fails(cand)) {
+      rejected.insert(key);
+      return false;
+    }
     st.removed_steps += static_cast<std::int64_t>(tape.steps.size() - cand.steps.size());
     st.removed_crashes += static_cast<std::int64_t>(tape.crashes.size() - cand.crashes.size());
     st.removed_linkfaults +=

@@ -19,6 +19,15 @@
 // The recorded expect_hash is cleared as soon as the schedule changes — it
 // certified the ORIGINAL run; shrink_finding (core/repro_scenarios.hpp)
 // re-stamps it from the minimized tape's replay.
+//
+// Later rounds offer many candidates an earlier round already rejected (a
+// chunk that was load-bearing then usually still is). Within one call only
+// steps, crash points and link charges differ between candidates, so each
+// rejected candidate is remembered by a 128-bit digest of those three fields
+// and never replayed again; the predicate is deterministic, so the result
+// is the same tape. A memo hit only ever skips a candidate, never adopts
+// one: a digest collision could at worst leave the tape less minimal, never
+// make it stop failing. Nothing is shared across calls.
 #pragma once
 
 #include <cstdint>
@@ -39,7 +48,9 @@ struct ShrinkOptions {
 };
 
 struct ShrinkStats {
-  std::int64_t candidates = 0;  ///< predicate evaluations (replays)
+  /// Predicate evaluations (replays); a candidate skipped as already
+  /// rejected is not counted.
+  std::int64_t candidates = 0;
   std::int64_t removed_steps = 0;
   std::int64_t removed_crashes = 0;
   std::int64_t removed_linkfaults = 0;

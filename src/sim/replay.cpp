@@ -392,7 +392,7 @@ void save_tape(const ScheduleTape& tape, const std::string& path) {
   if (!out) throw TapeIoError("save_tape: write failed for " + path);
 }
 
-ReplayResult replay_tape(World& w, const ScheduleTape& tape) {
+DriveResult drive_tape(World& w, const ScheduleTape& tape) {
   w.enable_trace();
   w.reserve_trace(tape.steps.size());
   ExplicitSchedule rs(tape.steps);
@@ -416,8 +416,12 @@ ReplayResult replay_tape(World& w, const ScheduleTape& tape) {
     }
     throw TapeError("replay: a link fault of the tape could not be charged");
   }
+  return d.drive;
+}
+
+ReplayResult replay_tape(World& w, const ScheduleTape& tape) {
   ReplayResult out;
-  out.drive = d.drive;
+  out.drive = drive_tape(w, tape);
   out.hash = trace_hash(w.trace());
   out.hash_match = !tape.expect_hash || *tape.expect_hash == out.hash;
   return out;

@@ -158,14 +158,19 @@ struct ReplayResult {
   bool hash_match = true;    ///< hash == tape.expect_hash (true when unset)
 };
 
-/// Replays `tape` in `w` (which must have been freshly built from
-/// tape.pattern() / tape.history() plus the scenario's process bodies).
-/// Enables tracing, replays the schedule with the tape's crash points and
-/// link charges, and returns the trace hash. Replay stops early, exactly like
-/// the recording drive did, once every C-process has decided. Unlike a plan
-/// drive, replay is strict: a crash point or link charge that the drive
-/// reached but the world could not take throws (a crash point on an
-/// already-dead process stays a no-op).
+/// Drives `tape` in `w` (which must have been freshly built from
+/// tape.pattern() / tape.history() plus the scenario's process bodies):
+/// enables tracing and runs the schedule with the tape's crash points and
+/// link charges. It stops early, exactly like the recording drive did, once
+/// every C-process has decided. Unlike a plan drive it is strict: a crash
+/// point or link charge that the drive reached but the world could not take
+/// throws (a crash point on an already-dead process stays a no-op). The
+/// shrinker's scenario predicate (core/repro_scenarios.hpp) reads only the
+/// driven world, so it calls this and hashes nothing.
+DriveResult drive_tape(World& w, const ScheduleTape& tape);
+
+/// drive_tape(), then the trace hash of the run, checked against
+/// tape.expect_hash.
 ReplayResult replay_tape(World& w, const ScheduleTape& tape);
 
 }  // namespace efd

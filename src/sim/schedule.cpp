@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <exception>
+#include <utility>
 
 namespace efd {
 namespace {
@@ -74,12 +75,16 @@ std::optional<Pid> KConcurrencyScheduler::next(const World& w) {
   return std::nullopt;
 }
 
-DriveResult drive(World& w, Scheduler& sched, std::int64_t max_steps) {
-  return drive_with_faults(w, sched, max_steps, {}).drive;
-}
+namespace {
 
-PlanDriveResult drive_with_faults(World& w, Scheduler& sched, std::int64_t max_steps,
-                                  DriveFaults faults) {
+/// The one drive loop: the only function body that calls both
+/// Scheduler::next and World::step. drive_with_faults and rehearse_kills
+/// differ only in `stop_when`, asked after the stop rule with the number of
+/// S-kills that could still land: crash points not yet due, armed trigger
+/// kills, and triggers that have not fired.
+template <class StopWhen>
+PlanDriveResult drive_loop(World& w, Scheduler& sched, std::int64_t max_steps,
+                           DriveFaults faults, StopWhen stop_when) {
   std::sort(faults.crashes.begin(), faults.crashes.end(),
             [](const CrashPoint& a, const CrashPoint& b) { return a.step_index < b.step_index; });
   // Stable: same-step charges keep their order (a sever before its heal).
@@ -97,6 +102,7 @@ PlanDriveResult drive_with_faults(World& w, Scheduler& sched, std::int64_t max_s
   std::vector<TrigState> trig;
   trig.reserve(faults.triggers.size());
   for (const auto& t : faults.triggers) trig.push_back({&t, std::max(1, t.occurrence)});
+  std::size_t unfired = trig.size();
   std::vector<CrashPoint> armed;
   if (!trig.empty()) w.enable_trace();  // trigger matching reads the trace
   std::size_t trace_seen = w.trace().size();
@@ -146,6 +152,7 @@ PlanDriveResult drive_with_faults(World& w, Scheduler& sched, std::int64_t max_s
       r.budget_exhausted = true;
       return out;
     }
+    if (stop_when(faults.crashes.size() - next_crash + armed.size() + unfired)) return out;
     const auto pid = sched.next(w);
     if (!pid) {
       r.exhausted = true;
@@ -154,7 +161,7 @@ PlanDriveResult drive_with_faults(World& w, Scheduler& sched, std::int64_t max_s
     w.step(*pid);
     ++r.steps;
 
-    if (trig.empty()) continue;
+    if (unfired == 0) continue;
     const Trace& tr = w.trace();
     for (; trace_seen < tr.size(); ++trace_seen) {
       const StepRecord& rec = tr[trace_seen];
@@ -168,10 +175,28 @@ PlanDriveResult drive_with_faults(World& w, Scheduler& sched, std::int64_t max_s
           // steps after it (delay == 1: before the very next step executes).
           armed.push_back(CrashPoint{r.steps - 1 + std::max(1, ts.trig->delay), rec.pid.index});
           ++out.triggers_fired;
+          --unfired;
         }
       }
     }
   }
+}
+
+}  // namespace
+
+DriveResult drive(World& w, Scheduler& sched, std::int64_t max_steps) {
+  return drive_with_faults(w, sched, max_steps, {}).drive;
+}
+
+PlanDriveResult drive_with_faults(World& w, Scheduler& sched, std::int64_t max_steps,
+                                  DriveFaults faults) {
+  return drive_loop(w, sched, max_steps, std::move(faults), [](std::size_t) { return false; });
+}
+
+PlanDriveResult rehearse_kills(World& w, Scheduler& sched, std::int64_t max_steps,
+                               DriveFaults faults) {
+  return drive_loop(w, sched, max_steps, std::move(faults),
+                    [](std::size_t pending_kills) { return pending_kills == 0; });
 }
 
 }  // namespace efd

@@ -17,6 +17,8 @@
 // same loop with step-indexed faults landing in it; replay (sim/replay.hpp)
 // and fault plans (sim/faultplan.hpp) both drive through it, so a fault lands
 // at the same step when a run is recorded and when it is replayed.
+// `rehearse_kills` is that loop again, returning as soon as no kill can still
+// land.
 #pragma once
 
 #include <algorithm>
@@ -329,5 +331,17 @@ DriveResult drive(World& w, Scheduler& sched, std::int64_t max_steps);
 /// tracing when there are triggers (matching reads the trace).
 PlanDriveResult drive_with_faults(World& w, Scheduler& sched, std::int64_t max_steps,
                                   DriveFaults faults);
+
+/// drive_with_faults() that also returns, after landing the due faults and
+/// before the next pick, once no S-kill can still land: every crash point is
+/// due, no armed trigger kill is pending and every trigger has fired. From
+/// there on `applied` and `applied_at` cannot grow, so they equal what
+/// drive_with_faults() returns for the same world, scheduler and faults; the
+/// rest of the result describes the shorter drive (an early return sets no
+/// stop-cause flag). For rehearsals, whose only output is when each kill
+/// lands (core/campaign.hpp). A trigger that never matches keeps the drive
+/// going to its ordinary stop.
+PlanDriveResult rehearse_kills(World& w, Scheduler& sched, std::int64_t max_steps,
+                               DriveFaults faults);
 
 }  // namespace efd

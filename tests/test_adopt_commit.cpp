@@ -55,7 +55,9 @@ void check_outcomes(const World& w, int n, std::int64_t lo, std::int64_t hi) {
     EXPECT_LE(v, hi);
     if (r.at(0).as_int() == 1) {
       // Commit-agreement part 1: all commits carry the same value.
-      if (!committed.is_nil()) EXPECT_EQ(committed, r.at(1));
+      if (!committed.is_nil()) {
+        EXPECT_EQ(committed, r.at(1));
+      }
       committed = r.at(1);
     }
   }

@@ -55,7 +55,9 @@ TEST(CorpusKey, IsContentBasedAndStable) {
 
   // Distinct recordings hash distinct (different schedules -> trace hash).
   const ScheduleTape c = sample_tape(2);
-  if (a.expect_hash != c.expect_hash) EXPECT_NE(corpus_key(a), corpus_key(c));
+  if (a.expect_hash != c.expect_hash) {
+    EXPECT_NE(corpus_key(a), corpus_key(c));
+  }
 }
 
 TEST(CorpusStore, InsertIsFirstInsertWinsAndAtomic) {

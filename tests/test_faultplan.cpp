@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/campaign.hpp"
 #include "core/repro_scenarios.hpp"
 #include "fd/detectors.hpp"
 #include "sim/faultplan.hpp"
@@ -373,6 +374,37 @@ TEST(DriveWithPlan, FaultsTheWorldCannotTakeAreSkipped) {
   EXPECT_TRUE(r.applied.empty());
   EXPECT_EQ(r.drive.steps, drop_r.drive.steps);
   EXPECT_EQ(hash, drop_hash);
+}
+
+TEST(RehearseKills, LandsTheSameKillsAsTheFullDrive) {
+  // Every plan with a storm or trigger among the first 64 seed-42 plans of
+  // each campaign target, rehearsed as run_plan builds it: once to the
+  // drive's ordinary stop, once stopping when no kill can still land.
+  int shorter_cons = 0;
+  for (const CampaignTarget& target : campaign_targets()) {
+    const Scenario* sc = find_scenario(target.scenario);
+    ASSERT_NE(sc, nullptr) << target.name;
+    for (int i = 0; i < 64; ++i) {
+      const std::uint64_t seed = campaign_plan_seed(42, target.name, i);
+      const FaultPlan plan = FaultPlan::sample(seed, target.space);
+      if (plan.storm.empty() && plan.triggers.empty()) continue;
+      const auto rehearse = [&](auto&& entry) {
+        const FailurePattern base(target.num_s);
+        const DetectorPtr advice = plan.corrupt(target.advice());
+        World w = sc->make_world(base, advice->history(base, seed));
+        const auto inner = target.make_sched(seed);
+        BurstScheduler bursts(*inner, plan.bursts);
+        return entry(w, bursts, target.max_steps, plan.drive_faults());
+      };
+      const PlanDriveResult full = rehearse(drive_with_faults);
+      const PlanDriveResult cut = rehearse(rehearse_kills);
+      EXPECT_EQ(cut.applied, full.applied) << target.name << " " << plan.to_string();
+      EXPECT_EQ(cut.applied_at, full.applied_at) << target.name << " " << plan.to_string();
+      EXPECT_LE(cut.drive.steps, full.drive.steps) << target.name << " " << plan.to_string();
+      if (target.name == "cons" && cut.drive.steps < full.drive.steps) ++shorter_cons;
+    }
+  }
+  EXPECT_GT(shorter_cons, 0);
 }
 
 TEST(FaultPlan, SeverNearInt64MaxHealsSaturated) {

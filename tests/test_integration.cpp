@@ -123,7 +123,9 @@ TEST(Prop5, ColorlessCoincidence) {
   const auto r = run_efd(s, ps, 500000);
   EXPECT_TRUE(r.satisfied);
   for (int i = 0; i < n; ++i) {
-    if (f.correct(i)) EXPECT_FALSE(r.outputs[static_cast<std::size_t>(i)].is_nil());
+    if (f.correct(i)) {
+      EXPECT_FALSE(r.outputs[static_cast<std::size_t>(i)].is_nil());
+    }
   }
 }
 

@@ -128,7 +128,9 @@ TEST(Paxos, DecisionRegisterIsStable) {
     if (!pid) break;
     w.step(*pid);
     const Value d = w.memory().read("px/DEC");
-    if (!seen.is_nil()) EXPECT_EQ(d, seen);
+    if (!seen.is_nil()) {
+      EXPECT_EQ(d, seen);
+    }
     if (!d.is_nil()) seen = d;
   }
   EXPECT_FALSE(seen.is_nil());

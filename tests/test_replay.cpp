@@ -395,6 +395,62 @@ TEST(Shrink, CrashIndicesRemapUnderStepRemoval) {
   EXPECT_EQ(min.crashes[0].step_index, 0);
 }
 
+TEST(Shrink, NoCandidateIsReplayedTwice) {
+  // Later rounds offer again many candidates an earlier round rejected;
+  // shrink_tape replays each (steps, crashes, linkfaults) at most once, and
+  // ShrinkStats::candidates counts those replays.
+  for (const auto& sc : scenarios()) {
+    const ScheduleTape tape = sc.record(1);
+    const TapePredicate still_fails = scenario_predicate(sc, *tape.expect_violated);
+    std::vector<ScheduleTape> seen;
+    int repeats = 0;
+    const TapePredicate recording = [&](const ScheduleTape& c) {
+      repeats += static_cast<int>(std::any_of(seen.begin(), seen.end(), [&c](const auto& s) {
+        return s.steps == c.steps && s.crashes == c.crashes && s.linkfaults == c.linkfaults;
+      }));
+      seen.push_back(c);
+      return still_fails(c);
+    };
+    ShrinkStats stats;
+    (void)shrink_tape(tape, recording, {}, &stats);
+    EXPECT_EQ(repeats, 0) << sc.name << ": " << repeats << " of " << seen.size()
+                          << " replays repeat an earlier candidate";
+    EXPECT_EQ(stats.candidates, static_cast<std::int64_t>(seen.size())) << sc.name;
+  }
+}
+
+TEST(Shrink, ShrunkTapesArePinned) {
+  // What shrink_finding makes of each scenario's seed-1 recording: FNV-1a
+  // of the serialized minimized tape. Skipping candidates the shrink
+  // already rejected must not change a single one.
+  const std::map<std::string, std::uint64_t> pins = {
+      {"synth_write_race", 0x53975B6AD4E41E44ULL},
+      {"paxos_lockstep_livelock", 0x1A470BFC196D17C2ULL},
+      {"cons_leader_crash_commit", 0x79A194A03B32C33AULL},
+      {"renaming_flip_lockstep", 0x6E2CC476C0FB70ADULL},
+      {"ksa_starved_leader", 0x1B85A20EE9313FF4ULL},
+      {"quitter_window", 0x6B60D3F792ECD07DULL},
+      {"one_conc_window", 0x800EBF1635FDD20DULL},
+      {"buggy_cons_first_writer", 0x9777D6570EB768E3ULL},
+      {"buggy_ren_stale_claim", 0x3CAB2D57A104CCB3ULL},
+      {"buggy_torn_commit", 0x68B9D3296162B9BAULL},
+      {"mp_floodmin_clean", 0xE472605F823168EEULL},
+      {"mp_floodmin_partition", 0x1E642C7220882FD3ULL},
+      {"mp_floodmin_crash_bcast", 0x15E16A92813A54DBULL},
+      {"mp_floodmin_lossy_raw", 0xF955EB5F2E77467FULL},
+      {"mp_floodmin_lossy_rt", 0xB57BC1970B07B34AULL},
+  };
+  ASSERT_EQ(pins.size(), scenarios().size());
+  for (const auto& sc : scenarios()) {
+    const auto it = pins.find(sc.name);
+    ASSERT_NE(it, pins.end()) << sc.name;
+    const ShrunkFinding sf = shrink_finding(sc.name, sc.record(1));
+    EXPECT_TRUE(sf.replay_ok) << sc.name;
+    const std::uint64_t got = fnv1a(sf.mini.serialize());
+    EXPECT_EQ(got, it->second) << sc.name << " shrinks to 0x" << std::hex << got;
+  }
+}
+
 // ---- scenario registry -----------------------------------------------------
 
 TEST(Scenarios, RegistryNamesAreUniqueAndResolvable) {

@@ -79,7 +79,9 @@ void check_is_properties(const World& w, int n) {
       // Containment: comparable.
       EXPECT_TRUE(view_subset(vi, vj) || view_subset(vj, vi)) << i << "," << j;
       // Immediacy.
-      if (view_contains(vi, j)) EXPECT_TRUE(view_subset(vj, vi)) << i << "," << j;
+      if (view_contains(vi, j)) {
+        EXPECT_TRUE(view_subset(vj, vi)) << i << "," << j;
+      }
     }
   }
 }

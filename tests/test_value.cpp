@@ -149,9 +149,13 @@ TEST_P(ValueOrderProperty, TotalOrderAxioms) {
       const bool gt = b < a;
       const bool eq = a == b;
       EXPECT_EQ(lt + gt + eq, 1) << a.to_string() << " vs " << b.to_string();
-      if (eq) EXPECT_EQ(a.hash(), b.hash());
+      if (eq) {
+        EXPECT_EQ(a.hash(), b.hash());
+      }
       for (const auto& c : vals) {
-        if (a < b && b < c) EXPECT_LT(a, c);  // transitivity
+        if (a < b && b < c) {
+          EXPECT_LT(a, c);  // transitivity
+        }
       }
     }
   }
