@@ -1,6 +1,7 @@
 #include "algo/sim_program.hpp"
 
 #include <stdexcept>
+#include <string>
 
 namespace efd {
 namespace {
@@ -17,6 +18,15 @@ SimAction::Kind to_sim_kind(OpKind k) {
       return SimAction::Kind::kYield;
     case OpKind::kDecide:
       return SimAction::Kind::kDecide;
+    case OpKind::kSend:
+    case OpKind::kRecv:
+    case OpKind::kDeliver:
+      // No SimAction models a message op: halting here would make every
+      // searcher and simulation treat a sending process as finished.
+      throw std::logic_error(
+          std::string("ReplayProgram: the body's next op is a ") +
+          (k == OpKind::kSend ? "send" : k == OpKind::kRecv ? "recv" : "deliver") +
+          "; SimPrograms model registers, FD queries, yield and decide only");
   }
   return SimAction::Kind::kHalt;
 }

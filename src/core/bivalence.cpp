@@ -3,7 +3,6 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "core/workpool.hpp"
 #include "sim/hash.hpp"
 #include "sim/memory.hpp"
 
@@ -43,26 +42,6 @@ class LassoSearcher {
     dfs(c, sched);
     return out_;
   }
-
-  /// One shard of the parallel search: the subtree below first move `first`.
-  /// The root configuration is seeded on the stack (and as visited, and is
-  /// NOT charged — the merge accounts for it once), so cycles closing at the
-  /// root are still detected and prefix positions match the sequential
-  /// search. The shard has private visited/on-stack state and its own
-  /// max_states budget, making its result independent of every other shard.
-  LassoResult run_shard(int first) {
-    Config c = init_;
-    const std::uint64_t root_sig = c.sig();
-    visited_.insert(root_sig);
-    on_stack_[root_sig] = 0;
-    std::vector<int> sched;
-    step(c, first);
-    sched.push_back(first);
-    dfs(c, sched);
-    return out_;
-  }
-
-  [[nodiscard]] std::vector<int> initial_eligible() const { return eligible(init_); }
 
  private:
   /// Performs one step of participant slot `a`; returns false if it cannot
@@ -170,40 +149,7 @@ class LassoSearcher {
 
 LassoResult find_nontermination(const SimProgramPtr& prog, const ValueVec& inputs,
                                 const LassoConfig& cfg) {
-  if (cfg.threads <= 1) return LassoSearcher(prog, inputs, cfg).run();
-
-  const std::vector<int> first_moves = LassoSearcher(prog, inputs, cfg).initial_eligible();
-  if (first_moves.size() <= 1) return LassoSearcher(prog, inputs, cfg).run();
-
-  // Shard per top-level subtree; shards are fully independent (private
-  // visited/on-stack, private budget), so each one is deterministic on its
-  // own and the merge below is thread-count-invariant.
-  std::vector<LassoResult> parts(first_moves.size());
-  std::vector<std::function<void()>> jobs;
-  jobs.reserve(first_moves.size());
-  for (std::size_t i = 0; i < first_moves.size(); ++i) {
-    jobs.push_back([&, i] {
-      parts[i] = LassoSearcher(prog, inputs, cfg).run_shard(first_moves[i]);
-    });
-  }
-  WorkStealingPool::run(std::move(jobs), cfg.threads);
-
-  LassoResult out;
-  out.states = 1;  // the shared root, charged once
-  for (const LassoResult& p : parts) {
-    out.states += p.states;
-    out.budget_exhausted = out.budget_exhausted || p.budget_exhausted;
-  }
-  // Deterministic merge: the shard with the smallest first move wins.
-  for (const LassoResult& p : parts) {
-    if (p.found) {
-      out.found = true;
-      out.prefix = p.prefix;
-      out.cycle = p.cycle;
-      break;
-    }
-  }
-  return out;
+  return LassoSearcher(prog, inputs, cfg).run();
 }
 
 std::uint64_t lasso_config_sig(const std::vector<Value>& state, const std::vector<bool>& decided,

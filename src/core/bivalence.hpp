@@ -12,8 +12,11 @@
 // adversarial scheduler can iterate forever. (Coroutine-based algorithms
 // can be searched through ReplayProgram only if their step-result history
 // is periodic, which it never is — hand the searcher a genuine finite-state
-// automaton.) Every reported lasso is re-validated by replaying prefix +
-// several cycle iterations and checking that no decision occurs.
+// automaton. SimActions have no message ops, so only register algorithms
+// can be searched.) Every reported lasso is re-validated by
+// replaying prefix + several cycle iterations and checking that no
+// decision occurs. The search is one DFS with one visited set, one on-stack
+// map and one max_states budget.
 #pragma once
 
 #include <cstdint>
@@ -32,13 +35,6 @@ struct LassoConfig {
   int max_depth = 400;
   std::int64_t max_states = 200000;
   int validate_iterations = 8;      ///< cycle repetitions for re-validation
-  /// >1: search the top-level subtrees concurrently, each with a private
-  /// visited/on-stack structure and its own max_states budget (cycle
-  /// detection is path-dependent, so shards cannot share a visited set
-  /// without missing lassos). The merge is deterministic — the shard with
-  /// the smallest first move wins — so results do not depend on the thread
-  /// count; `states` sums the (independently deterministic) shard counts.
-  int threads = 1;
 };
 
 struct LassoResult {

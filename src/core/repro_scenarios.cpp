@@ -136,11 +136,22 @@ ScheduleTape synth_record(std::uint64_t seed) {
   return record_run("synth_write_race", w, rs, 2000);
 }
 
+/// `order` rotated left by (seed - 1) mod its length: the seed of a
+/// scenario whose adversary is a fixed lockstep or arrival order picks which
+/// process goes first, and seed 1 keeps the order as written.
+template <class T>
+std::vector<T> rotated(std::vector<T> order, std::uint64_t seed) {
+  const auto r = static_cast<std::ptrdiff_t>((seed - 1) % order.size());
+  std::rotate(order.begin(), order.begin() + r, order.end());
+  return order;
+}
+
 // ---- paxos_lockstep_livelock ----------------------------------------------
 // The Fig. 1 adversarial fact: strict lockstep rotation of two endless Paxos
 // proposers preempts every ballot. Violation = livelock witness (both
 // proposers keep working, nothing decides), so the EXPECTED outcome of this
-// scenario's tapes is `violated` — the counterexample is the artifact.
+// scenario's tapes is `violated` — the counterexample is the artifact. The
+// seed picks which proposer leads the rotation.
 
 World make_paxos_world(const FailurePattern& f, HistoryPtr h) {
   World w(f, std::move(h));
@@ -155,10 +166,10 @@ bool paxos_violated(const World& w) {
          w.steps_taken(cpid(1)) >= 8;
 }
 
-ScheduleTape paxos_record(std::uint64_t) {
+ScheduleTape paxos_record(std::uint64_t seed) {
   const FailurePattern base(0);
   World w = make_paxos_world(base, TrivialFd{}.history(base, 0));
-  LockstepScheduler ls({cpid(0), cpid(1)});
+  LockstepScheduler ls(rotated<Pid>({cpid(0), cpid(1)}, seed));
   return record_run("paxos_lockstep_livelock", w, ls, 400);
 }
 
@@ -227,7 +238,7 @@ ScheduleTape cons_record(std::uint64_t seed) {
 // Fig. 4 renaming under the flip-maximizing adversary: strict lockstep of
 // all j participants keeps every collect one step stale, so suggestions
 // flip-flop before settling. Safety: chosen names distinct and in
-// [1, 2j-1].
+// [1, 2j-1]. The seed rotates the lockstep order.
 
 constexpr int kRenJ = 3;
 
@@ -252,10 +263,10 @@ bool ren_violated(const World& w) {
   return false;
 }
 
-ScheduleTape ren_record(std::uint64_t) {
+ScheduleTape ren_record(std::uint64_t seed) {
   const FailurePattern base(1);
   World w = make_ren_world(base, TrivialFd{}.history(base, 0));
-  LockstepScheduler ls({cpid(0), cpid(1), cpid(2)});
+  LockstepScheduler ls(rotated<Pid>({cpid(0), cpid(1), cpid(2)}, seed));
   return record_run("renaming_flip_lockstep", w, ls, 5000);
 }
 
@@ -304,7 +315,8 @@ ScheduleTape ksa_record(std::uint64_t seed) {
 // The terminated-undecided window case: under a 1-concurrent admission
 // window, the middle arrival terminates WITHOUT deciding. The window must
 // retire it (a quitter can only take null steps) or the remaining arrivals
-// starve; concurrency must never exceed 1 either way.
+// starve; concurrency must never exceed 1 either way. The seed rotates the
+// arrival order, so the quitter may also arrive first or last.
 
 World make_quitter_world(const FailurePattern& f, HistoryPtr h) {
   World w(f, std::move(h));
@@ -318,10 +330,10 @@ bool quitter_violated(const World& w) {
   return !w.decided(cpid(0)) || !w.decided(cpid(2)) || max_concurrency(w.trace()) > 1;
 }
 
-ScheduleTape quitter_record(std::uint64_t) {
+ScheduleTape quitter_record(std::uint64_t seed) {
   const FailurePattern base(0);
   World w = make_quitter_world(base, TrivialFd{}.history(base, 0));
-  KConcurrencyScheduler ks(1, {0, 1, 2}, 0);
+  KConcurrencyScheduler ks(1, rotated<int>({0, 1, 2}, seed), 0);
   return record_run("quitter_window", w, ks, 200);
 }
 
@@ -330,6 +342,7 @@ ScheduleTape quitter_record(std::uint64_t) {
 // 1-concurrent runs, so the campaign drives it under a 1-slot admission
 // window (plus starvation bursts, which the BurstScheduler must never let
 // break the window). Safety: the decided vector satisfies the task relation.
+// The seed rotates the arrival order.
 
 constexpr int kP1cN = 3;
 
@@ -355,10 +368,10 @@ bool p1c_violated(const World& w) {
   return !p1c_task()->relation(in, w.output_vector());
 }
 
-ScheduleTape p1c_record(std::uint64_t) {
+ScheduleTape p1c_record(std::uint64_t seed) {
   const FailurePattern base(0);
   World w = make_p1c_world(base, TrivialFd{}.history(base, 0));
-  KConcurrencyScheduler ks(1, {0, 1, 2}, 0);
+  KConcurrencyScheduler ks(1, rotated<int>({0, 1, 2}, seed), 0);
   return record_run("one_conc_window", w, ks, 400);
 }
 

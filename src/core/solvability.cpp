@@ -187,13 +187,15 @@ void finish_sweep(ExploreOutcome& out, const SweepContext& ctx, int threads,
 // written flag, via RegisterFile::undo_write), the per-process signature
 // chain, decision/termination flags, the output vector, and the admission
 // window. The one thing that cannot be undone is the coroutine frame itself
-// — frames only run forward — so popping an edge merely marks its process
-// DIRTY (coroutine one step ahead of the logical position). The next time a
-// dirty process is scheduled it is respawned and fast-forwarded by
-// redelivering its logged step results; deterministic replay guarantees the
-// rebuilt frame is indistinguishable from one that never ran ahead. A
-// process that is never scheduled again is never rebuilt, which is what
-// makes the amortized cost per edge O(1): sibling subtrees of process c
+// — frames only run forward — so each process keeps a log of every step its
+// live frame consumed plus a logical position. Popping an edge only moves
+// the position back: the frame is then AHEAD of it. Re-pushing a step the
+// frame already consumed reuses the frame when the step would get the same
+// result; otherwise the process is respawned and fast-forwarded by
+// redelivering the results below the position, and deterministic replay
+// guarantees the rebuilt frame is indistinguishable from one that never ran
+// ahead. A process that is never scheduled again is never rebuilt, which is
+// what makes the amortized cost per edge O(1): sibling subtrees of process c
 // rebuild only c.
 //
 // World time (`now_`) keeps advancing across backtracks. That is sound here
@@ -218,10 +220,8 @@ class IncrementalExplorer {
     proc_sig_.assign(n, kFnv1aTruncatedBasis);
     decided_.assign(n, 0);
     terminated_.assign(n, 0);
-    exists_.assign(n, 0);
     outs_.resize(n);
-    proc_log_.resize(n);
-    ghost_.resize(n);
+    logs_.resize(n);
     bodies_.resize(n);
     for (int i : cfg_.arrival) {
       const auto ii = static_cast<std::size_t>(i);
@@ -229,7 +229,6 @@ class IncrementalExplorer {
       // of manufacturing a fresh std::function through the factory.
       bodies_[ii] = body_(i, inputs_[ii]);
       w_.spawn_c(i, bodies_[ii]);
-      exists_[ii] = 1;
     }
     if (cfg_.threads <= 1) w_.attach_observer(cfg_.observer);
     relation_ok_ = task_->relation(inputs_, outs_);
@@ -261,11 +260,11 @@ class IncrementalExplorer {
   /// root: the probe already accounted for the ancestors.
   void move_to(const std::vector<int>& prefix) {
     std::size_t common = 0;
-    while (common < prefix.size() && common < sched_.size() &&
-           sched_[common] == prefix[common]) {
+    while (common < prefix.size() && common < path_.size() &&
+           path_[common].c == prefix[common]) {
       ++common;
     }
-    while (sched_.size() > common) pop_step();
+    while (path_.size() > common) pop_step();
     for (std::size_t i = common; i < prefix.size(); ++i) push_step(prefix[i]);
   }
 
@@ -291,7 +290,7 @@ class IncrementalExplorer {
       ++out_.terminal_runs;
       return Node::kPruned;
     }
-    if (static_cast<int>(sched_.size()) >= cfg_.max_depth) {
+    if (static_cast<int>(path_.size()) >= cfg_.max_depth) {
       fail("no decision within step bound (possible non-termination)");
       return Node::kPruned;
     }
@@ -299,87 +298,14 @@ class IncrementalExplorer {
     return Node::kExpand;
   }
 
-  [[nodiscard]] const std::vector<int>& active() const noexcept { return window_.active(); }
-  [[nodiscard]] const std::vector<int>& sched() const noexcept { return sched_; }
-  ExploreOutcome take_outcome() { return std::move(out_); }
-
-  /// Eligible successors of the current configuration: the admission window
-  /// filtered by the blocking-recv rule (substrate worlds). Counts a blocked
-  /// dead end like dfs() would — used by the parallel frontier expansion so
-  /// probe and workers agree with the sequential engine node for node.
-  [[nodiscard]] std::vector<int> eligible_children() {
-    std::vector<int> out;
-    push_eligible_children(out);
-    return out;
-  }
-
- private:
-  /// One DFS edge of the undo log.
-  struct PathStep {
-    int c = 0;
-    OpKind op = OpKind::kYield;
-    RegAddr addr;                ///< write target (op == kWrite only)
-    Value prev_value;            ///< cell content before the write
-    bool prev_written = false;
-    std::uint64_t prev_proc_sig = 0;
-    bool became_decided = false;
-    bool became_terminated = false;
-    bool prev_relation_ok = true;  ///< relation verdict before this decide edge
-    AdmissionWindow::RefreshUndo win_undo;  ///< delta, not a window snapshot
-  };
-
-  /// One step a live coroutine frame consumed BEYOND the logical position
-  /// (its edge was popped). Deterministic replay cuts both ways: if the next
-  /// logical step of the process would deliver exactly `result` again, the
-  /// ran-ahead frame is already in the correct post-step state, and the step
-  /// can be applied world-side only — no respawn, no replay, no resume.
-  /// Everything here is a pure function of the process's consumed-result
-  /// prefix, which is what makes the reuse sound.
-  struct GhostStep {
-    OpKind op = OpKind::kYield;
-    RegAddr addr;           ///< op target (kRead/kWrite)
-    Value result;           ///< result the frame consumed at this position
-    Value value;            ///< written value (kWrite) / decision (kDecide)
-    bool decided = false;   ///< this step recorded the first decision
-    bool terminated = false;///< this step completed the coroutine
-  };
-
-  [[nodiscard]] bool finished(int c) const {
-    const auto i = static_cast<std::size_t>(c);
-    return decided_[i] != 0 || terminated_[i] != 0;
-  }
-
-  /// BLOCKING recv: true iff scheduling c now would execute a recv on an
-  /// empty mailbox. Exploration never schedules such a step — otherwise a
-  /// poll loop (recv-Nil-retry) makes every MP protocol a spurious
-  /// step-bound violation, exactly the busy-waiting the paper's wait-free
-  /// notion abstracts away. A dirty process (frame ran ahead) is judged by
-  /// its next ghost step, never by w_'s pending op — the frame is past the
-  /// logical position and its pending op belongs to a future configuration.
-  [[nodiscard]] bool blocked(int c) {
-    const auto i = static_cast<std::size_t>(c);
-    OpKind op;
-    RegAddr addr;
-    if (!ghost_[i].empty()) {
-      const GhostStep& gs = ghost_[i].back();
-      op = gs.op;
-      addr = gs.addr;
-    } else {
-      const PendingOp* p = w_.pending_op(cpid(c));
-      if (p == nullptr) return false;
-      op = p->kind;
-      addr = p->addr;
-    }
-    if (op != OpKind::kRecv) return false;
-    return w_.substrate().peek_recv(w_.memory(), addr).is_nil();
-  }
-
   /// Appends the eligible successors of the current configuration: the
   /// admission window, minus blocked-recv processes when a substrate is
   /// installed (pure register worlds keep the zero-overhead copy). A node
   /// whose window is live but fully blocked is a DEAD END, not a terminal
   /// run: nobody can move, nobody has violated anything — counted so
-  /// cross-backend runs can assert they agree on blocking structure.
+  /// cross-backend runs can assert they agree on blocking structure. The
+  /// parallel probe expands through this too, so probe and workers agree
+  /// with the sequential engine node for node.
   void push_eligible_children(std::vector<int>& out) {
     if (!mp_) {
       out.insert(out.end(), window_.active().begin(), window_.active().end());
@@ -392,157 +318,180 @@ class IncrementalExplorer {
     if (out.size() == base && !window_.active().empty()) ++out_.blocked_runs;
   }
 
-  /// Rebuilds c's coroutine at the logical position if it ran ahead
-  /// (non-empty ghost log = frame consumed results beyond the position).
-  void ensure_fresh(int c) {
+  ExploreOutcome take_outcome() { return std::move(out_); }
+
+ private:
+  /// One step a process's frame consumed: enough to take it again
+  /// world-side only, and to undo it.
+  struct LoggedStep {
+    OpKind op = OpKind::kYield;
+    RegAddr addr;             ///< op target (register or mailbox)
+    Value value;              ///< written (kWrite), decided (kDecide) or sent value
+    bool decided = false;     ///< this step recorded the process's first decision
+    bool terminated = false;  ///< this step completed the coroutine
+  };
+
+  /// Every step one process's live frame has consumed, in order, and its
+  /// logical position. Entries below `pos` are the process's steps on the
+  /// DFS path; entries at or above it were consumed by a frame that ran
+  /// ahead of popped edges. results[j] is what step j delivered, so a
+  /// rebuilt frame is fed exactly results[0, pos).
+  struct StepLog {
+    std::vector<LoggedStep> steps;
+    std::vector<Value> results;
+    std::size_t pos = 0;
+  };
+
+  /// Undo data of one DFS edge. What the step did is the last entry below
+  /// the stepping process's log position.
+  struct PathStep {
+    int c = 0;
+    Value prev_value;  ///< the touched cell (write, send, recv) before the step
+    bool prev_written = false;
+    std::uint64_t prev_proc_sig = 0;
+    bool prev_relation_ok = true;  ///< relation verdict before a decide edge
+    AdmissionWindow::RefreshUndo win_undo;  ///< delta, not a window snapshot
+  };
+
+  [[nodiscard]] bool finished(int c) const {
     const auto i = static_cast<std::size_t>(c);
-    if (ghost_[i].empty()) return;
-    ghost_[i].clear();
-    w_.respawn(cpid(c), bodies_[i]);
-    ++out_.stats.respawns;
-    w_.redeliver_all(cpid(c), proc_log_[i]);
-    out_.stats.redelivers += static_cast<std::int64_t>(proc_log_[i].size());
+    return decided_[i] != 0 || terminated_[i] != 0;
   }
 
-  /// Fast path of push_step: the frame ran ahead, and its next ghost step
-  /// would consume exactly the result the current configuration delivers.
-  /// Applies the step's world-side effects (memory write, flags, window)
-  /// and reclaims the ghost entry; the frame itself is already past the
-  /// step. Returns false (leaving no side effects) when the results
-  /// diverge — the caller then respawns and replays as usual.
-  bool try_ghost_step(int c) {
-    const auto i = static_cast<std::size_t>(c);
-    const GhostStep& gs = ghost_[i].back();
-    if (gs.op == OpKind::kSend || gs.op == OpKind::kRecv || gs.op == OpKind::kDeliver) {
-      // Substrate ops mutate fabric/mailbox state through the substrate, not
-      // a single register cell; replaying them world-side only would need the
-      // substrate's mutation AND a proof the consumed result still matches.
-      // Rare on the explored (eager, blocking-recv) tree — always respawn.
-      return false;
+  /// BLOCKING recv: true iff scheduling c now would execute a recv on an
+  /// empty mailbox. Exploration never schedules such a step — otherwise a
+  /// poll loop (recv-Nil-retry) makes every MP protocol a spurious
+  /// step-bound violation, exactly the busy-waiting the paper's wait-free
+  /// notion abstracts away. A frame that ran ahead is judged by its logged
+  /// step at the logical position, never by w_'s pending op — that op
+  /// belongs to a future configuration.
+  [[nodiscard]] bool blocked(int c) {
+    const StepLog& log = logs_[static_cast<std::size_t>(c)];
+    OpKind op;
+    RegAddr addr;
+    if (log.pos < log.steps.size()) {
+      op = log.steps[log.pos].op;
+      addr = log.steps[log.pos].addr;
+    } else {
+      const PendingOp* p = w_.pending_op(cpid(c));
+      if (p == nullptr) return false;
+      op = p->kind;
+      addr = p->addr;
     }
-    Value result;
-    if (gs.op == OpKind::kRead) {
-      result = w_.memory().read(gs.addr);
-      if (result != gs.result) return false;
-    } else if (gs.op == OpKind::kQuery) {
-      return false;  // FD answers are time-dependent; never ghost-replayed
-    }
-    // Non-read ops deliver Nil, which trivially matches the ghost.
-    PathStep& ps = path_.emplace_back();
-    ps.c = c;
-    ps.op = gs.op;
-    ps.addr = gs.addr;
-    ps.prev_proc_sig = proc_sig_[i];
-    if (gs.op == OpKind::kWrite) {
-      ps.prev_written = w_.memory().written(gs.addr);
-      if (ps.prev_written) ps.prev_value = w_.memory().read(gs.addr);
-      w_.memory().write(gs.addr, gs.value);
-    }
-    proc_log_[i].push_back(result);
-    proc_sig_[i] = explore_sig::chain_step(proc_sig_[i], ps.op, result);
-    if (gs.decided && decided_[i] == 0) {
-      ps.became_decided = true;
-      decided_[i] = 1;
-      outs_[i] = gs.value;
-      ps.prev_relation_ok = relation_ok_;
-      relation_ok_ = task_->relation(inputs_, outs_);
-    }
-    if (gs.terminated) {
-      ps.became_terminated = true;
-      terminated_[i] = 1;
-    }
-    if (StepObserver* obs = w_.observer()) {
-      // Same signature World::step would have reported for this step.
-      obs->on_step(cpid(c), gs.op, false, gs.op == OpKind::kDecide, gs.terminated);
-    }
-    ghost_[i].pop_back();
-    ++out_.stats.ghost_hits;
-    window_.refresh_tracked([this](int cc) { return finished(cc); }, ps.win_undo);
-    sched_.push_back(c);
-    out_.stats.max_undo_depth =
-        std::max(out_.stats.max_undo_depth, static_cast<std::int64_t>(path_.size()));
-    return true;
+    if (op != OpKind::kRecv) return false;
+    return w_.substrate().peek_recv(w_.memory(), addr).is_nil();
   }
 
-  void push_step(int c) {
+  /// True iff the frame ran ahead and the step it consumed at the logical
+  /// position would get exactly the result the current configuration
+  /// delivers: then the frame is already in the post-step state. Writes,
+  /// yields and decides get Nil; a read is compared against memory.
+  /// Substrate ops change a mailbox through the substrate, not one register
+  /// cell, and FD answers are time-dependent, so neither is reused.
+  [[nodiscard]] bool ahead_matches(const StepLog& log) const {
+    if (log.pos == log.steps.size()) return false;
+    const LoggedStep& st = log.steps[log.pos];
+    if (st.op == OpKind::kRead) return w_.memory().read(st.addr) == log.results[log.pos];
+    return st.op == OpKind::kWrite || st.op == OpKind::kYield || st.op == OpKind::kDecide;
+  }
+
+  /// Records the cell the step (op, addr) is about to change: the register
+  /// of a write, or the mailbox of a send or recv, read through the
+  /// substrate (fabric pending queue or backing register — the substrate
+  /// knows which) so pop_step can restore it exactly.
+  void snapshot_cell(PathStep& ps, OpKind op, RegAddr addr) {
+    if (op == OpKind::kWrite) {
+      ps.prev_written = w_.memory().written(addr);
+      if (ps.prev_written) ps.prev_value = w_.memory().read(addr);
+    } else if (op == OpKind::kSend || op == OpKind::kRecv) {
+      ps.prev_written = w_.substrate().cell_state(w_.memory(), addr, ps.prev_value);
+    }
+  }
+
+  /// Takes c's next step in the world and logs it at the logical position.
+  /// A frame that ran ahead is first rebuilt there: the steps it consumed
+  /// past the position are dropped, and the rest are redelivered.
+  void step_live(int c, StepLog& log, PathStep& ps) {
     const auto i = static_cast<std::size_t>(c);
-    if (!ghost_[i].empty() && try_ghost_step(c)) return;
-    ensure_fresh(c);
+    if (log.pos < log.steps.size()) {
+      log.steps.resize(log.pos);
+      log.results.resize(log.pos);
+      w_.respawn(cpid(c), bodies_[i]);
+      ++out_.stats.respawns;
+      w_.redeliver_all(cpid(c), log.results);
+      out_.stats.redelivers += static_cast<std::int64_t>(log.pos);
+    }
     const PendingOp* op = w_.pending_op(cpid(c));
     if (op == nullptr) {
       throw std::logic_error("IncrementalExplorer: scheduled a finished process");
     }
-    PathStep& ps = path_.emplace_back();  // filled in place; popped on undo
-    ps.c = c;
-    ps.op = op->kind;
-    ps.prev_proc_sig = proc_sig_[i];
+    snapshot_cell(ps, op->kind, op->addr);
     Value result;  // what the step delivers back (mirrors World::step)
     if (op->kind == OpKind::kRead) {
-      ps.addr = op->addr;  // kept so a popped edge can become a ghost step
       result = w_.memory().read(op->addr);
-    } else if (op->kind == OpKind::kWrite) {
-      ps.addr = op->addr;
-      ps.prev_written = w_.memory().written(op->addr);
-      if (ps.prev_written) ps.prev_value = w_.memory().read(op->addr);
-    } else if (op->kind == OpKind::kSend || op->kind == OpKind::kRecv) {
-      // Substrate ops touch exactly one mailbox cell; snapshot it through
-      // the substrate (fabric pending queue or backing register — the
-      // substrate knows which) so pop_step can restore it exactly.
-      ps.addr = op->addr;
-      ps.prev_written = w_.substrate().cell_state(w_.memory(), op->addr, ps.prev_value);
-      if (op->kind == OpKind::kRecv) {
-        result = w_.substrate().peek_recv(w_.memory(), op->addr);
-      }
+    } else if (op->kind == OpKind::kRecv) {
+      result = w_.substrate().peek_recv(w_.memory(), op->addr);
     }
+    log.steps.push_back(LoggedStep{op->kind, op->addr, op->value});
     w_.step(cpid(c));  // executes exactly `op`
-    proc_log_[i].push_back(result);
-    proc_sig_[i] = explore_sig::chain_step(proc_sig_[i], ps.op, result);
-    if (decided_[i] == 0 && w_.decided(cpid(c))) {
-      ps.became_decided = true;
+    log.steps.back().decided = decided_[i] == 0 && w_.decided(cpid(c));
+    log.steps.back().terminated = terminated_[i] == 0 && w_.terminated(cpid(c));
+    log.results.push_back(std::move(result));
+  }
+
+  void push_step(int c) {
+    const auto i = static_cast<std::size_t>(c);
+    StepLog& log = logs_[i];
+    PathStep& ps = path_.emplace_back();  // filled in place; popped on undo
+    ps.c = c;
+    ps.prev_proc_sig = proc_sig_[i];
+    if (ahead_matches(log)) {
+      // The frame is already past this step: apply its world-side effects.
+      const LoggedStep& st = log.steps[log.pos];
+      snapshot_cell(ps, st.op, st.addr);
+      if (st.op == OpKind::kWrite) w_.memory().write(st.addr, st.value);
+      if (StepObserver* obs = w_.observer()) {
+        // Same signature World::step would have reported for this step.
+        obs->on_step(cpid(c), st.op, false, st.op == OpKind::kDecide, st.terminated);
+      }
+      ++out_.stats.ghost_hits;
+    } else {
+      step_live(c, log, ps);
+    }
+    const LoggedStep& st = log.steps[log.pos];
+    proc_sig_[i] = explore_sig::chain_step(proc_sig_[i], st.op, log.results[log.pos]);
+    ++log.pos;
+    if (st.decided) {
       decided_[i] = 1;
-      outs_[i] = w_.decision(cpid(c));
+      outs_[i] = st.value;
       ps.prev_relation_ok = relation_ok_;
       relation_ok_ = task_->relation(inputs_, outs_);
     }
-    if (terminated_[i] == 0 && w_.terminated(cpid(c))) {
-      ps.became_terminated = true;
-      terminated_[i] = 1;
-    }
+    if (st.terminated) terminated_[i] = 1;
     window_.refresh_tracked([this](int cc) { return finished(cc); }, ps.win_undo);
-    sched_.push_back(c);
     out_.stats.max_undo_depth =
         std::max(out_.stats.max_undo_depth, static_cast<std::int64_t>(path_.size()));
   }
 
+  /// Undoes the last edge. The step stays in its process's log, above the
+  /// position, so pushing it again can reuse the frame.
   void pop_step() {
-    PathStep& ps = path_.back();
-    sched_.pop_back();
+    const PathStep& ps = path_.back();
     const auto i = static_cast<std::size_t>(ps.c);
+    const LoggedStep& st = logs_[i].steps[--logs_[i].pos];
     window_.unrefresh(ps.win_undo);
     proc_sig_[i] = ps.prev_proc_sig;
-    // The frame stays one step ahead; record what it consumed so a future
-    // push of this process can reuse it instead of respawning (ghost path).
-    GhostStep gs;
-    gs.op = ps.op;
-    gs.addr = ps.addr;
-    gs.result = std::move(proc_log_[i].back());
-    gs.decided = ps.became_decided;
-    gs.terminated = ps.became_terminated;
-    if (ps.op == OpKind::kWrite) gs.value = w_.memory().read(ps.addr);
-    if (ps.became_decided) {
-      gs.value = outs_[i];
+    if (st.decided) {
       decided_[i] = 0;
       outs_[i] = Value{};
       relation_ok_ = ps.prev_relation_ok;
     }
-    if (ps.became_terminated) terminated_[i] = 0;
-    if (ps.op == OpKind::kWrite) {
-      w_.memory().undo_write(ps.addr, ps.prev_value, ps.prev_written);
-    } else if (ps.op == OpKind::kSend || ps.op == OpKind::kRecv) {
-      w_.substrate().restore_cell(w_.memory(), ps.addr, ps.prev_value, ps.prev_written);
+    if (st.terminated) terminated_[i] = 0;
+    if (st.op == OpKind::kWrite) {
+      w_.memory().undo_write(st.addr, ps.prev_value, ps.prev_written);
+    } else if (st.op == OpKind::kSend || st.op == OpKind::kRecv) {
+      w_.substrate().restore_cell(w_.memory(), st.addr, ps.prev_value, ps.prev_written);
     }
-    proc_log_[i].pop_back();
-    ghost_[i].push_back(std::move(gs));
     path_.pop_back();  // invalidates ps — must stay last
   }
 
@@ -552,7 +501,7 @@ class IncrementalExplorer {
   [[nodiscard]] std::uint64_t sig() const {
     std::uint64_t s = w_.state_hash();
     for (std::size_t i = 0; i < proc_sig_.size(); ++i) {
-      s = explore_sig::fold_proc(s, proc_sig_[i], exists_[i] != 0 && decided_[i] != 0);
+      s = explore_sig::fold_proc(s, proc_sig_[i], decided_[i] != 0);
     }
     return explore_sig::fold_arrival(s, window_.next_arrival());
   }
@@ -560,7 +509,8 @@ class IncrementalExplorer {
   void fail(const char* msg) {
     out_.ok = false;
     out_.violation = msg;
-    out_.bad_schedule = sched_;
+    out_.bad_schedule.clear();
+    for (const PathStep& ps : path_) out_.bad_schedule.push_back(ps.c);
     ctx_.stop();
   }
 
@@ -578,24 +528,19 @@ class IncrementalExplorer {
   /// (bodies sending without a factory install) keeps the unfiltered rule
   /// for the whole sweep, so eligibility stays configuration-deterministic.
   bool mp_;
-  std::vector<int> sched_;
-  std::vector<PathStep> path_;
+  std::vector<PathStep> path_;    ///< the DFS path, root edge first
   std::vector<int> elig_stack_;   ///< dfs eligibility snapshots, all depths
   std::vector<ProcBody> bodies_;  ///< cached per-process bodies (respawn)
 
   // Logical (undo-tracked) per-process state; w_'s own flags lag behind for
-  // dirty processes, so the engine never consults them outside push_step.
+  // frames that ran ahead, so the engine never consults them outside
+  // step_live.
   std::vector<std::uint64_t> proc_sig_;
   std::vector<std::uint8_t> decided_;
   std::vector<std::uint8_t> terminated_;
-  std::vector<std::uint8_t> exists_;
   ValueVec outs_;
   bool relation_ok_ = true;  ///< cached task_->relation(inputs_, outs_)
-  std::vector<std::vector<Value>> proc_log_;  ///< delivered results, per process
-  // Per process: results its live frame consumed beyond the logical position,
-  // innermost last. Invariant: concat(proc_log_[i], reverse(ghost_[i])) is
-  // exactly the prefix the frame has consumed; LIFO push/pop preserves it.
-  std::vector<std::vector<GhostStep>> ghost_;
+  std::vector<StepLog> logs_;
 };
 
 // ---------------------------------------------------------------------------
@@ -641,12 +586,15 @@ std::optional<ExploreOutcome> parallel_attempt(const TaskPtr& task,
     IncrementalExplorer probe(task, body, inputs, cfg, probe_ctx);
     std::deque<std::vector<int>> queue;
     queue.emplace_back();
+    std::vector<int> children;
     while (!queue.empty() && queue.size() < target && !ctx.stopped()) {
       std::vector<int> prefix = std::move(queue.front());
       queue.pop_front();
       probe.move_to(prefix);
       if (probe.enter_node() == IncrementalExplorer::Node::kExpand) {
-        for (int c : probe.eligible_children()) {
+        children.clear();
+        probe.push_eligible_children(children);
+        for (int c : children) {
           std::vector<int> child = prefix;
           child.push_back(c);
           queue.push_back(std::move(child));
@@ -696,32 +644,24 @@ std::optional<ExploreOutcome> parallel_attempt(const TaskPtr& task,
   return out;
 }
 
-/// A parallel sweep, or the canonical sequential outcome (identical to
-/// threads == 1) when the attempt was not clean — this doubles as the
-/// "lexicographically smallest bad_schedule wins" merge rule, since
-/// sequential DFS finds exactly that schedule first. The attempt's store,
-/// parts and crew are freed before the rerun fills a store of its own, so a
-/// rerun never holds two stores (or two spill directories) at once.
-ExploreOutcome explore_parallel(const TaskPtr& task,
-                                const std::function<ProcBody(int, Value)>& body,
-                                const ValueVec& inputs, const ExploreConfig& cfg) {
-  if (std::optional<ExploreOutcome> out = parallel_attempt(task, body, inputs, cfg)) {
-    return std::move(*out);
-  }
-  ExploreConfig seq = cfg;
-  seq.threads = 1;
-  return explore_sequential(task, body, inputs, seq);
-}
-
 }  // namespace
 
 ExploreOutcome explore_k_concurrent(const TaskPtr& task,
                                     const std::function<ProcBody(int, Value)>& body,
                                     const ValueVec& inputs, const ExploreConfig& cfg) {
-  if (cfg.threads > 1) {
-    return explore_parallel(task, body, inputs, cfg);
+  if (cfg.threads <= 1) return explore_sequential(task, body, inputs, cfg);
+  if (std::optional<ExploreOutcome> out = parallel_attempt(task, body, inputs, cfg)) {
+    return std::move(*out);
   }
-  return explore_sequential(task, body, inputs, cfg);
+  // The attempt was not clean: return the canonical sequential outcome
+  // (identical to threads == 1). This doubles as the "lexicographically
+  // smallest bad_schedule wins" merge rule, since sequential DFS finds
+  // exactly that schedule first. The attempt's store, parts and crew are
+  // freed before the rerun fills a store of its own, so a rerun never holds
+  // two stores (or two spill directories) at once.
+  ExploreConfig seq = cfg;
+  seq.threads = 1;
+  return explore_sequential(task, body, inputs, seq);
 }
 
 CleanLevelResult max_clean_level(const TaskPtr& task,

@@ -13,9 +13,12 @@
 // The explorer is incremental: one persistent World advanced a single step
 // per DFS edge, with an exact undo log (memory cells, signatures, decision
 // flags, admission window) for backtracking. Coroutine frames cannot run
-// backwards, so a backtracked process is lazily respawned and fast-forwarded
-// by redelivering its logged step results — deterministic replay makes that
-// equivalent to never having rewound it. O(1) amortized work per edge.
+// backwards, so each process keeps a log of the steps its frame consumed and
+// a logical position in it: a backtracked frame is reused when its next
+// logged step would get the same result again, and otherwise lazily
+// respawned and fast-forwarded by redelivering the results below the
+// position — deterministic replay makes that equivalent to never having
+// rewound it. O(1) amortized work per edge.
 // Configuration signatures follow core/explore_sig.hpp. Every sweep, at any
 // thread count, charges its states against one chunked budget pool and
 // inserts its signatures into one tiered signature store

@@ -90,10 +90,11 @@ class RandomScheduler final : public Scheduler {
 /// exploration-based certification.)
 ///
 /// This is the single source of truth for admission bookkeeping: both the
-/// KConcurrencyScheduler and the exhaustive explorers (core/solvability)
+/// KConcurrencyScheduler and the exhaustive explorer (core/solvability)
 /// refresh through it — they historically hand-mirrored each other and
-/// disagreed on exactly the terminated-but-undecided case. Copyable, so
-/// explorers can store per-node snapshots for backtracking.
+/// disagreed on exactly the terminated-but-undecided case. The explorer
+/// backtracks by logging each refresh's delta (RefreshUndo) and rewinding
+/// it with unrefresh().
 class AdmissionWindow {
  public:
   AdmissionWindow() = default;
@@ -105,16 +106,8 @@ class AdmissionWindow {
   template <class FinishedFn,
             class = std::enable_if_t<std::is_invocable_r_v<bool, FinishedFn&, int>>>
   void refresh(FinishedFn&& finished) {
-    const auto before = active_.size();
-    active_.erase(std::remove_if(active_.begin(), active_.end(),
-                                 [&](int c) { return finished(c); }),
-                  active_.end());
-    stats_.retired += static_cast<std::int64_t>(before - active_.size());
-    while (next_arrival_ < arrival_.size() && static_cast<int>(active_.size()) < k_) {
-      active_.push_back(arrival_[next_arrival_++]);
-      ++stats_.admitted;
-    }
-    stats_.peak_active = std::max(stats_.peak_active, static_cast<int>(active_.size()));
+    RefreshUndo discarded;
+    refresh_tracked(finished, discarded);
   }
 
   /// Convenience refresh against a live World.
@@ -141,10 +134,9 @@ class AdmissionWindow {
     std::vector<Retired> overflow_retired;  ///< entries 4.. in retire order
   };
 
-  /// refresh(), but records the exact delta into `u` so unrefresh() can
+  /// refresh(), recording the exact delta into `u` so unrefresh() can
   /// rewind it. `u` is reset and reused; repeated track/unwind cycles touch
   /// the heap only if a single refresh retires more than 4 processes.
-  /// Replaces the incremental explorer's per-edge full-window snapshots.
   template <class FinishedFn,
             class = std::enable_if_t<std::is_invocable_r_v<bool, FinishedFn&, int>>>
   void refresh_tracked(FinishedFn&& finished, RefreshUndo& u) {
@@ -206,8 +198,8 @@ class AdmissionWindow {
   /// Everyone arrived and every admitted process finished.
   [[nodiscard]] bool exhausted() const noexcept { return all_arrived() && active_.empty(); }
 
-  /// Admission totals since construction (copied with the window, so the
-  /// incremental explorer's undo log rewinds them along with the rest).
+  /// Admission totals since construction (unrefresh() rewinds them along
+  /// with the rest of the window).
   [[nodiscard]] const AdmissionStats& stats() const noexcept { return stats_; }
 
  private:

@@ -31,8 +31,9 @@
 //    World::state_hash() is byte-identical across backends holding the same
 //    mailbox contents (ShmSubstrate keeps no state: its mailboxes already
 //    live in the RegisterFile's accumulator).
-// Send/recv steps are never ghost-replayed (world-side state cannot be
-// re-applied safely); the explorer refuses them in try_ghost_step.
+// Send/recv steps are never taken world-side only from a frame that ran
+// ahead (world-side state cannot be re-applied safely): the explorer
+// respawns the process instead (ahead_matches in core/solvability.cpp).
 #pragma once
 
 #include <cstdint>

@@ -7,10 +7,13 @@
 //    and interning orders, and equal to the full-replay oracle
 //    (tests/support/explore_oracle.hpp);
 //  * explorer-vs-oracle equivalence on seeded random process trees and at
-//    the budget boundary.
+//    the budget boundary;
+//  * the engine's own counters (respawns, redelivers, frame reuses, undo
+//    depth) pinned on three sweeps.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <mutex>
 #include <set>
@@ -19,12 +22,14 @@
 #include <thread>
 #include <vector>
 
+#include "algo/mp_protocols.hpp"
 #include "algo/one_concurrent.hpp"
 #include "core/bivalence.hpp"
 #include "core/diskset.hpp"
 #include "core/solvability.hpp"
 #include "core/workpool.hpp"
 #include "sim/memory.hpp"
+#include "sim/msg_world.hpp"
 #include "sim/schedule.hpp"
 #include "tasks/consensus.hpp"
 #include "support/explore_oracle.hpp"
@@ -409,64 +414,67 @@ TEST(LassoSig, MemoryFoldIsCommutative) {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel lasso search.
+// Engine counters.
 // ---------------------------------------------------------------------------
 
-/// Namespaced variant of test_bivalence's naive strong 2-renaming candidate:
-/// symmetric lockstep flips names forever, so a lasso exists.
-struct NsRenaming final : SimProgram {
-  std::string ns;
-  explicit NsRenaming(std::string n) : ns(std::move(n)) {}
-  Value init(int index, const Value&) const override {
-    return vec(Value(index), Value(1), Value(0), Value(0));
-  }
-  SimAction action(const Value& st) const override {
-    const int me = static_cast<int>(st.at(0).int_or(0));
-    const auto phase = st.at(3).int_or(0);
-    if (phase == 0) return {SimAction::Kind::kWrite, reg(ns + "/R", me), st.at(1)};
-    if (phase == 1) return {SimAction::Kind::kRead, reg(ns + "/R", 1 - me), {}};
-    if (phase == 2) return {SimAction::Kind::kDecide, "", st.at(1)};
-    return {};
-  }
-  Value transition(const Value& st, const Value& result) const override {
-    const auto phase = st.at(3).int_or(0);
-    std::int64_t name = st.at(1).int_or(1);
-    std::int64_t stable = st.at(2).int_or(0);
-    std::int64_t next = phase + 1;
-    if (phase == 1) {
-      if (result.is_nil() || result.int_or(0) != name) {
-        next = ++stable >= 2 ? 2 : 0;
-      } else {
-        stable = 0;
-        name = 3 - name;
-        next = 0;
-      }
-    }
-    return vec(st.at(0), Value(name), Value(stable), Value(next));
-  }
-};
+/// states, terminal_runs, dedup_misses, respawns, redelivers, ghost_hits,
+/// max_undo_depth. The oracle neither respawns nor reuses frames, so these
+/// pins are what catches a change in how the explorer backtracks; at one
+/// thread every one of them is deterministic.
+using EngineCounters = std::array<std::int64_t, 7>;
 
-TEST(LassoParallel, FindsTheLassoAndIsThreadCountInvariant) {
-  LassoConfig cfg;
-  cfg.participants = {0, 1};
-  cfg.max_depth = 200;
-  const ValueVec in{Value(0), Value(1)};
-  const auto prog = std::make_shared<NsRenaming>("lpar");
+EngineCounters engine_counters(const ExploreOutcome& o) {
+  return {o.states,          o.terminal_runs,   o.stats.dedup_misses,  o.stats.respawns,
+          o.stats.redelivers, o.stats.ghost_hits, o.stats.max_undo_depth};
+}
 
-  const auto seq = find_nontermination(prog, in, cfg);
-  cfg.threads = 2;
-  const auto t2 = find_nontermination(prog, in, cfg);
-  cfg.threads = 8;
-  const auto t8 = find_nontermination(prog, in, cfg);
+ExploreOutcome pinned_sweep(const TaskPtr& task, const std::function<ProcBody(int, Value)>& body,
+                            const ValueVec& in, int k,
+                            const std::function<World()>& world_factory = {}) {
+  ExploreConfig cfg;
+  cfg.k = k;
+  cfg.arrival = Task::participants(in);
+  cfg.max_states = 5000000;
+  cfg.world_factory = world_factory;
+  const ExploreOutcome o = explore_k_concurrent(task, body, in, cfg);
+  EXPECT_TRUE(o.ok) << o.violation;
+  EXPECT_FALSE(o.budget_exhausted);
+  return o;
+}
 
-  EXPECT_TRUE(seq.found);
-  EXPECT_TRUE(t2.found);
-  EXPECT_FALSE(t2.cycle.empty());
-  EXPECT_EQ(t2.found, t8.found);
-  EXPECT_EQ(t2.prefix, t8.prefix);
-  EXPECT_EQ(t2.cycle, t8.cycle);
-  EXPECT_EQ(t2.states, t8.states);
-  EXPECT_EQ(t2.budget_exhausted, t8.budget_exhausted);
+EngineCounters set_agreement_counters(int n, int set_k, int k) {
+  const TaskPtr task = std::make_shared<SetAgreementTask>(n, set_k);
+  ValueVec in;
+  for (int i = 0; i < n; ++i) in.push_back(Value(i));
+  return engine_counters(
+      pinned_sweep(task, one_conc(task, "pin" + std::to_string(n)), in, k));
+}
+
+TEST(ExploreEngine, EngineCountersArePinned) {
+  // The one-concurrent solver on (n,2)-set agreement at level 2, the E14
+  // and perfbench sweep family.
+  EXPECT_EQ(set_agreement_counters(5, 2, 2),
+            (EngineCounters{188474, 4341, 103142, 3081, 24726, 173081, 65}));
+  EXPECT_EQ(set_agreement_counters(6, 2, 2),
+            (EngineCounters{1369031, 25334, 741405, 17936, 176407, 1276307, 90}));
+
+  // Eager message passing (test_substrate's FloodMin, n = 3, f = 1) at full
+  // concurrency: sends and recvs are never reused from a frame that ran
+  // ahead, and recvs on an empty mailbox block.
+  constexpr int kN = 3;
+  const FloodMinConfig fm{kN, 1};
+  ValueVec in;
+  for (int i = 0; i < kN; ++i) in.push_back(Value(i));
+  const auto msg_world = [] {
+    World w = World::failure_free(1);
+    install_msg_eager(w, kN, kN);
+    return w;
+  };
+  EXPECT_EQ(engine_counters(pinned_sweep(
+                std::make_shared<SetAgreementTask>(kN, 2),
+                [fm](int i, Value input) { return make_floodmin(fm, i, std::move(input)); }, in,
+                kN, msg_world)),
+            (EngineCounters{27747, 648, 12221, 14086, 37500, 5387, 18}));
 }
 
 // ---------------------------------------------------------------------------

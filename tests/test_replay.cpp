@@ -230,12 +230,12 @@ TEST(Replay, RecordedTapesArePinned) {
   // serialized tape at seeds 1 and 2.
   const std::map<std::string, std::array<std::uint64_t, 2>> pins = {
       {"synth_write_race", {0xB097F2124568FE97ULL, 0xBD68360E43F27DD0ULL}},
-      {"paxos_lockstep_livelock", {0xE287F2C901BE502CULL, 0xE287F2C901BE502CULL}},
+      {"paxos_lockstep_livelock", {0xE287F2C901BE502CULL, 0xBD701652F7973810ULL}},
       {"cons_leader_crash_commit", {0x8D17A9FBFB65932BULL, 0xE7895FEB41724E89ULL}},
-      {"renaming_flip_lockstep", {0x114E5BC226786F20ULL, 0x114E5BC226786F20ULL}},
+      {"renaming_flip_lockstep", {0x114E5BC226786F20ULL, 0x17CD05D5CEEA631AULL}},
       {"ksa_starved_leader", {0x9871E8BAC4090F41ULL, 0xA1762DB8C922127EULL}},
-      {"quitter_window", {0x190FAF950BCF93AFULL, 0x190FAF950BCF93AFULL}},
-      {"one_conc_window", {0xAA63B0CD8F631FE5ULL, 0xAA63B0CD8F631FE5ULL}},
+      {"quitter_window", {0x190FAF950BCF93AFULL, 0xC363C75188975C4DULL}},
+      {"one_conc_window", {0xAA63B0CD8F631FE5ULL, 0x8883C7791C1C2439ULL}},
       {"buggy_cons_first_writer", {0x400459055E90DC8AULL, 0x15B88248D9742AAAULL}},
       {"buggy_ren_stale_claim", {0xF55D5DFE326FD55EULL, 0xB2375C2B1DB0AA53ULL}},
       {"buggy_torn_commit", {0xFA666EB56415983EULL, 0x1F8A60C2372FE8C3ULL}},

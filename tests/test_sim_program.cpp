@@ -149,5 +149,20 @@ TEST(ReplayProgram, QueryActionsSurface) {
   EXPECT_EQ(a.value.as_int(), 42);
 }
 
+TEST(ReplayProgram, MessageOpsAreRejected) {
+  // SimActions have no message kinds: a body whose first op is a send must
+  // be refused by name, not reported as a halted process.
+  const auto prog = std::make_shared<ReplayProgram>([](int, const Value&, Context& ctx) -> Proc {
+    co_await ctx.send(RegAddr{"sp/mb"}, Value(1));
+    co_await ctx.decide(Value(1));
+  });
+  try {
+    (void)prog->action(prog->init(0, Value{}));
+    FAIL() << "a send surfaced as a SimAction";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("send"), std::string::npos) << e.what();
+  }
+}
+
 }  // namespace
 }  // namespace efd
