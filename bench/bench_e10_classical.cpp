@@ -7,8 +7,6 @@
 
 #include "core/efd_system.hpp"
 
-EFD_BENCH_JSON("E10")
-
 namespace efd {
 namespace {
 
@@ -26,46 +24,39 @@ EfdSetup ksa_setup(int n, int k, int faults, std::uint64_t seed) {
   return s;
 }
 
-void E10_EfdVsClassical(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const int k = static_cast<int>(state.range(1));
-  const int faults = static_cast<int>(state.range(2));
-  EfdRunResult fair;
-  EfdRunResult personified;
-  int correct_cnt = 0;
-  for (auto _ : state) {
-    const auto setup = ksa_setup(n, k, faults, 21);
-    fair = run_efd_fair(setup, 3000000);
-    PersonifiedScheduler ps;
-    personified = run_efd(ksa_setup(n, k, faults, 21), ps, 300000);
-    correct_cnt = setup.pattern.num_correct();
-    if (!fair.all_decided || !fair.satisfied || !personified.satisfied) {
-      throw std::runtime_error("E10: a run violated the task");
-    }
+void efd_vs_classical(int n, int k, int faults) {
+  const auto setup = ksa_setup(n, k, faults, 21);
+  const EfdRunResult fair = run_efd_fair(setup, 3000000);
+  PersonifiedScheduler ps;
+  const EfdRunResult personified = run_efd(ksa_setup(n, k, faults, 21), ps, 300000);
+  const int correct_cnt = setup.pattern.num_correct();
+  if (!fair.all_decided || !fair.satisfied || !personified.satisfied) {
+    throw std::runtime_error("E10: a run violated the task");
   }
   int personified_decided = 0;
   for (const auto& o : personified.outputs) {
     if (!o.is_nil()) ++personified_decided;
   }
-  state.counters["fair_decided"] = static_cast<double>(n);
-  state.counters["personified_decided"] = static_cast<double>(personified_decided);
-  state.counters["fair_steps"] = static_cast<double>(fair.stats.steps);
-  state.counters["fair_null_steps"] = static_cast<double>(fair.stats.null_steps);
-  bench::json_run(state, "E10_EfdVsClassical", {n, k, faults});
+  bench::record("E10_EfdVsClassical", {n, k, faults},
+                {{"fair_decided", n},
+                 {"personified_decided", personified_decided},
+                 {"fair_steps", fair.stats.steps},
+                 {"fair_null_steps", fair.stats.null_steps}});
+  bench::row("%-3d %-3d %-7d %-12d %-18d %-10d %s", n, k, faults, n, personified_decided,
+             correct_cnt, (fair.satisfied && personified.satisfied) ? "yes" : "NO");
+}
 
+void run() {
   bench::table_header(
       "E10 (Prop. 3/5): EFD runs vs personified (classical) runs, KSA algorithm",
       "n   k   faults  EFD-decided  classical-decided  correct-S  both-satisfied");
-  efd::bench::row("%-3d %-3d %-7d %-12d %-18d %-10d %s", n, k, faults, n, personified_decided,
-              correct_cnt, (fair.satisfied && personified.satisfied) ? "yes" : "NO");
+  efd_vs_classical(3, 2, 1);
+  efd_vs_classical(4, 2, 2);
+  efd_vs_classical(5, 3, 2);
+  efd_vs_classical(5, 2, 4);
 }
 
 }  // namespace
 }  // namespace efd
 
-BENCHMARK(efd::E10_EfdVsClassical)
-    ->Args({3, 2, 1})
-    ->Args({4, 2, 2})
-    ->Args({5, 3, 2})
-    ->Args({5, 2, 4})
-    ->Unit(benchmark::kMillisecond);
+int main(int argc, char** argv) { return efd::bench::main_of("E10", efd::run, argc, argv); }

@@ -3,8 +3,6 @@
 // leadership delays decisions, never breaking safety) and vs system size.
 #include "bench_common.hpp"
 
-EFD_BENCH_JSON("E12")
-
 namespace efd {
 namespace {
 
@@ -25,60 +23,52 @@ std::int64_t consensus_latency(int n, Time gst, std::uint64_t seed, bool adopt_c
   return r.steps;
 }
 
-void E12_LatencyVsGst(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const Time gst = state.range(1);
-  const bool ac = state.range(2) != 0;
-  std::int64_t steps = 0;
-  for (auto _ : state) {
-    steps = consensus_latency(n, gst, 5, ac);
-  }
-  state.counters["steps"] = static_cast<double>(steps);
-  bench::json_run(state, "E12_LatencyVsGst", {n, gst, ac ? 1 : 0});
-
-  bench::table_header("E12 (ablation): leader-driven consensus, latency vs GST",
-                      "server        n   GST    steps-to-all-decided");
-  efd::bench::row("%-13s %-3d %-6lld %lld", ac ? "adopt-commit" : "paxos", n,
-                  static_cast<long long>(gst), static_cast<long long>(steps));
+void latency_vs_gst(int n, Time gst, bool ac) {
+  const std::int64_t steps = consensus_latency(n, gst, 5, ac);
+  bench::record("E12_LatencyVsGst", {n, gst, ac ? 1 : 0}, {{"steps", steps}});
+  bench::row("%-13s %-3d %-6lld %lld", ac ? "adopt-commit" : "paxos", n,
+             static_cast<long long>(gst), static_cast<long long>(steps));
 }
 
-void E12_SafetyUnderChaos(benchmark::State& state) {
+void safety_under_chaos(int n) {
   // GST beyond the run: the oracle misbehaves throughout; count how many runs
   // decide anyway and verify agreement in every one of them.
-  const int n = static_cast<int>(state.range(0));
   int decided_runs = 0;
   int safe_runs = 0;
   const int total = 20;
-  for (auto _ : state) {
-    decided_runs = 0;
-    safe_runs = 0;
-    for (std::uint64_t seed = 0; seed < total; ++seed) {
-      FailurePattern f(n);
-      OmegaFd omega(1000000);
-      World w(f, omega.history(f, seed));
-      const LeaderConsensusConfig cfg{"cons", n};
-      for (int i = 0; i < n; ++i) w.spawn_c(i, make_consensus_client(cfg, Value(i)));
-      for (int i = 0; i < n; ++i) w.spawn_s(i, make_consensus_server(cfg));
-      RandomScheduler rs(seed);
-      drive(w, rs, 30000);
-      const auto vals = bench::distinct_decisions(w, n);
-      if (!vals.empty()) ++decided_runs;
-      if (vals.size() <= 1) ++safe_runs;
+  for (std::uint64_t seed = 0; seed < total; ++seed) {
+    FailurePattern f(n);
+    OmegaFd omega(1000000);
+    World w(f, omega.history(f, seed));
+    const LeaderConsensusConfig cfg{"cons", n};
+    for (int i = 0; i < n; ++i) w.spawn_c(i, make_consensus_client(cfg, Value(i)));
+    for (int i = 0; i < n; ++i) w.spawn_s(i, make_consensus_server(cfg));
+    RandomScheduler rs(seed);
+    drive(w, rs, 30000);
+    const auto vals = bench::distinct_decisions(w, n);
+    if (!vals.empty()) ++decided_runs;
+    if (vals.size() <= 1) ++safe_runs;
+  }
+  bench::record("E12_SafetyUnderChaos", {n},
+                {{"decided_runs", decided_runs}, {"safe_runs", safe_runs}});
+  bench::row("%-3d %-5d %-15d %d", n, total, decided_runs, safe_runs);
+}
+
+void run() {
+  bench::table_header("E12 (ablation): leader-driven consensus, latency vs GST",
+                      "server        n   GST    steps-to-all-decided");
+  for (const bool ac : {false, true}) {
+    for (const Time gst : {0, 25, 100, 400}) {
+      for (const int n : {3, 5}) latency_vs_gst(n, gst, ac);
     }
   }
-  state.counters["decided_runs"] = static_cast<double>(decided_runs);
-  state.counters["safe_runs"] = static_cast<double>(safe_runs);
-  bench::json_run(state, "E12_SafetyUnderChaos", {n});
-
   bench::table_header("E12b (ablation): safety with a never-stabilizing leader oracle",
                       "n   runs  decided-anyway  agreement-held");
-  efd::bench::row("%-3d %-5d %-15d %d", n, total, decided_runs, safe_runs);
+  safety_under_chaos(3);
+  safety_under_chaos(5);
 }
 
 }  // namespace
 }  // namespace efd
 
-BENCHMARK(efd::E12_LatencyVsGst)
-    ->ArgsProduct({{3, 5}, {0, 25, 100, 400}, {0, 1}})
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK(efd::E12_SafetyUnderChaos)->Arg(3)->Arg(5)->Unit(benchmark::kMillisecond);
+int main(int argc, char** argv) { return efd::bench::main_of("E12", efd::run, argc, argv); }

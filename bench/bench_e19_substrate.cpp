@@ -1,5 +1,5 @@
 // E19 (message-passing substrate): the MP k-set agreement impossibility
-// boundary, cross-backend agreement, and per-backend exploration throughput.
+// boundary, cross-backend agreement, and daemon-mode drives of the fabric.
 //
 // FloodMin (n=3, f=1) explored exhaustively on both substrate backends —
 // ShmSubstrate (registers-as-mailboxes) and the eager MsgSubstrate — at every
@@ -9,15 +9,13 @@
 // whose FIFO inbox can order p1's flood before p0's). The agreement table
 // pins the tentpole property: states, terminal runs, blocked dead ends and
 // verdicts are byte-identical across backends at every tested thread count.
-// The timing rows report explored states/second per backend and, for the
-// daemon-mode fabric (per-link FIFO channels, deliveries as schedulable
-// S-steps), end-to-end model steps/second and deliveries/second.
+// The daemon-mode rows drive FloodMin over the full fabric (per-link FIFO
+// channels, deliveries as schedulable S-steps); perfbench times its delivery
+// path (channel.deliver_ns).
 #include "bench_common.hpp"
 
 #include <memory>
 #include <string>
-
-EFD_BENCH_JSON("E19")
 
 namespace efd {
 namespace {
@@ -62,8 +60,6 @@ ExploreOutcome e19_sweep(bool msg, int kset, int k, int threads) {
   return explore_k_concurrent(task, e19_body(), e19_inputs(), cfg);
 }
 
-// ---- headline tables (printed once, stored into BENCH_E19.json) ----------
-
 void e19_boundary_table() {
   bench::table_header(
       "E19: FloodMin (n=3, f=1) k-set agreement boundary, per backend",
@@ -103,73 +99,42 @@ void e19_agreement_table() {
   }
 }
 
-// ---- timing rows ---------------------------------------------------------
-
-void run_explore(benchmark::State& state, bool msg, const char* json_name) {
-  e19_boundary_table();
-  e19_agreement_table();
-  std::int64_t states_total = 0;
-  ExploreOutcome last;
-  for (auto _ : state) {
-    last = e19_sweep(msg, kF + 1, kN, 1);
-    states_total += last.states;
-  }
-  state.counters["states"] = static_cast<double>(last.states);
-  state.counters["states/s"] =
-      benchmark::Counter(static_cast<double>(states_total), benchmark::Counter::kIsRate);
-  state.counters["terminal_runs"] = static_cast<double>(last.terminal_runs);
-  state.counters["blocked_runs"] = static_cast<double>(last.blocked_runs);
-  state.counters["clean"] = last.ok && !last.budget_exhausted ? 1 : 0;
-  bench::json_run(state, json_name);
+void record_sweep(bool msg, const char* json_name) {
+  const ExploreOutcome o = e19_sweep(msg, kF + 1, kN, 1);
+  bench::record(json_name, {},
+                {{"states", o.states},
+                 {"terminal_runs", o.terminal_runs},
+                 {"blocked_runs", o.blocked_runs},
+                 {"clean", o.ok && !o.budget_exhausted ? 1 : 0}});
 }
 
-void E19_ExploreShm(benchmark::State& state) { run_explore(state, false, "E19_ExploreShm"); }
-void E19_ExploreMsg(benchmark::State& state) { run_explore(state, true, "E19_ExploreMsg"); }
-
-// Daemon-mode end-to-end throughput: FloodMin over per-link FIFO channels,
-// the n*n delivery daemons scheduled like any other S-process. Reports model
-// steps/second and deliveries/second of the full fabric.
-void E19_DaemonDrive(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
+// Daemon-mode FloodMin over per-link FIFO channels, the n*n delivery daemons
+// scheduled like any other S-process.
+void daemon_drive(int n) {
   const FloodMinConfig cfg{n, 1};
-  const auto one_run = [&](std::uint64_t seed, bool& decided, std::int64_t& steps,
-                           std::int64_t& delivers) {
-    FailurePattern base(n * n);
-    TrivialFd trivial;
-    World w = make_mp_world(n, n, base, trivial.history(base, 0));
-    for (int i = 0; i < n; ++i) w.spawn_c(i, make_floodmin(cfg, i, Value(i)));
-    RandomScheduler rs(seed);
-    const DriveResult r = drive(w, rs, 200000);
-    decided = decided && r.all_c_decided;
-    steps += w.run_stats().steps;
-    delivers += w.run_stats().delivers;
-  };
-  // One deterministic run for the table (dedup-stable across calibration
-  // re-invocations); the timing loop below sweeps seeds.
-  bool d1 = true;
-  std::int64_t s1 = 0, del1 = 0;
-  one_run(1, d1, s1, del1);
-  bench::row("daemon drive n=%d (seed 1) | %6lld steps | %6lld deliveries | decided=%d",
-             n, static_cast<long long>(s1), static_cast<long long>(del1), d1 ? 1 : 0);
+  FailurePattern base(n * n);
+  TrivialFd trivial;
+  World w = make_mp_world(n, n, base, trivial.history(base, 0));
+  for (int i = 0; i < n; ++i) w.spawn_c(i, make_floodmin(cfg, i, Value(i)));
+  RandomScheduler rs(1);
+  const DriveResult r = drive(w, rs, 200000);
+  bench::record("E19_DaemonDrive", {n}, {{"decided", r.all_c_decided ? 1 : 0}});
+  bench::row("daemon drive n=%d (seed 1) | %6lld steps | %6lld deliveries | decided=%d", n,
+             static_cast<long long>(w.run_stats().steps),
+             static_cast<long long>(w.run_stats().delivers), r.all_c_decided ? 1 : 0);
+}
 
-  std::int64_t steps_total = 0;
-  std::int64_t delivers_total = 0;
-  bool decided = true;
-  std::uint64_t seed = 1;
-  for (auto _ : state) {
-    one_run(seed++, decided, steps_total, delivers_total);
-  }
-  state.counters["steps_per_s"] =
-      benchmark::Counter(static_cast<double>(steps_total), benchmark::Counter::kIsRate);
-  state.counters["deliveries_per_s"] =
-      benchmark::Counter(static_cast<double>(delivers_total), benchmark::Counter::kIsRate);
-  state.counters["decided"] = decided ? 1 : 0;
-  bench::json_run(state, "E19_DaemonDrive", {n});
+void run() {
+  e19_boundary_table();
+  e19_agreement_table();
+  record_sweep(false, "E19_ExploreShm");
+  record_sweep(true, "E19_ExploreMsg");
+  // The daemon rows extend the agreement table.
+  daemon_drive(3);
+  daemon_drive(6);
 }
 
 }  // namespace
 }  // namespace efd
 
-BENCHMARK(efd::E19_ExploreShm)->Unit(benchmark::kMillisecond);
-BENCHMARK(efd::E19_ExploreMsg)->Unit(benchmark::kMillisecond);
-BENCHMARK(efd::E19_DaemonDrive)->Arg(3)->Arg(6)->Unit(benchmark::kMillisecond);
+int main(int argc, char** argv) { return efd::bench::main_of("E19", efd::run, argc, argv); }

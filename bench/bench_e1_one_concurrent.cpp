@@ -2,17 +2,14 @@
 // table: steps-to-decide per task and system size under 1-concurrency.
 #include "bench_common.hpp"
 
-EFD_BENCH_JSON("E1")
-
 namespace efd {
 namespace {
 
-// The world's own telemetry (RunStats, sim/stats.hpp) plus the two memory
-// figures perf_counters wants — no ad-hoc counter struct.
+// The world's own telemetry (RunStats, sim/stats.hpp) plus the register
+// footprint — no ad-hoc counter struct.
 struct E1Run {
   RunStats stats;
   std::size_t footprint = 0;
-  std::size_t writes = 0;
 };
 
 E1Run run_one_concurrent(const TaskPtr& task, std::uint64_t seed) {
@@ -30,7 +27,7 @@ E1Run run_one_concurrent(const TaskPtr& task, std::uint64_t seed) {
   if (!r.all_c_decided || !task->relation(in, out)) {
     throw std::runtime_error("E1: 1-concurrent run failed for " + task->name());
   }
-  return {w.run_stats(), w.memory().footprint(), w.memory().write_count()};
+  return {w.run_stats(), w.memory().footprint()};
 }
 
 TaskPtr menu_task(int which, int n) {
@@ -48,32 +45,27 @@ TaskPtr menu_task(int which, int n) {
   }
 }
 
-void E1_OneConcurrent(benchmark::State& state) {
-  const int which = static_cast<int>(state.range(0));
-  const int n = static_cast<int>(state.range(1));
-  const TaskPtr task = menu_task(which, n);
-  E1Run rs;
-  double total_steps = 0;
-  for (auto _ : state) {
-    rs = run_one_concurrent(task, 1);
-    total_steps += static_cast<double>(rs.stats.steps);
-  }
-  state.counters["steps"] = static_cast<double>(rs.stats.steps);
-  state.counters["decides"] = static_cast<double>(rs.stats.decides);
-  state.counters["null_steps"] = static_cast<double>(rs.stats.null_steps);
-  state.counters["n"] = n;
-  bench::perf_counters(state, total_steps, rs.footprint, rs.writes);
-  bench::json_run(state, "E1_OneConcurrent", {which, n});
-
+void run() {
   bench::table_header("E1 (Prop. 1): every task is 1-concurrently solvable",
                       "task                                   n   steps-to-all-decided");
-  efd::bench::row("%-38s %-3d %lld", task->name().c_str(), n,
-                  static_cast<long long>(rs.stats.steps));
+  for (const int n : {3, 5, 8}) {
+    for (int which = 0; which < 5; ++which) {
+      const TaskPtr task = menu_task(which, n);
+      const E1Run rs = run_one_concurrent(task, 1);
+      bench::record("E1_OneConcurrent", {which, n},
+                    {{"steps", rs.stats.steps},
+                     {"decides", rs.stats.decides},
+                     {"null_steps", rs.stats.null_steps},
+                     {"n", n},
+                     {"footprint", rs.footprint},
+                     {"writes", rs.stats.writes}});
+      bench::row("%-38s %-3d %lld", task->name().c_str(), n,
+                 static_cast<long long>(rs.stats.steps));
+    }
+  }
 }
 
 }  // namespace
 }  // namespace efd
 
-BENCHMARK(efd::E1_OneConcurrent)
-    ->ArgsProduct({{0, 1, 2, 3, 4}, {3, 5, 8}})
-    ->Unit(benchmark::kMicrosecond);
+int main(int argc, char** argv) { return efd::bench::main_of("E1", efd::run, argc, argv); }

@@ -1,5 +1,5 @@
 // E20 (unreliable links): the lossy-link acceptance pair and the link-fault
-// layer's cost.
+// layer's plan mix.
 //
 // The acceptance table drives timeout FloodMin and its retransmission-
 // hardened variant under the IDENTICAL cross-link drop storm (every ch[i][j],
@@ -8,17 +8,14 @@
 // seed, the hardened one stays safe and decides everywhere. The campaign
 // table sweeps sampled plans through the real run_plan pipeline on the
 // E20 campaign targets (mpfm_raw / mpfm_rt) and reports the link-plan mix.
-// The timing rows price the fault layer itself: daemon-mode deliveries/s
-// with charges off vs on (the off row measures the `faults_idle` fast path,
-// which must stay at E19-level throughput), and campaign plans/s with link
-// dimensions off vs on. Those rates are reported on stdout only; perfbench/
-// times the fast path as its channel.deliver_ns layer.
+// The remaining rows drive the hardened protocol with charges off and on,
+// and one mpfm_rt plan with link dimensions stripped and kept. perfbench
+// times the fault layer's fast path (channel.deliver_ns) and its charged
+// path (channel.deliver_charged_ns).
 #include "bench_common.hpp"
 
 #include <memory>
 #include <string>
-
-EFD_BENCH_JSON("E20")
 
 namespace efd {
 namespace {
@@ -72,8 +69,6 @@ E20Run e20_drive(bool hardened, bool storm, std::uint64_t seed) {
   return r;
 }
 
-// ---- headline tables (printed once, stored into BENCH_E20.json) ----------
-
 void e20_acceptance_table() {
   bench::table_header(
       "E20: FloodMin under the cross-link drop storm (2 drops per link), raw vs hardened",
@@ -119,67 +114,40 @@ void e20_campaign_table() {
   }
 }
 
-// ---- timing rows ---------------------------------------------------------
-
-// Daemon-mode delivery throughput, fault charges off vs on. The off row is
-// the zero-cost-when-idle claim: the fabric consults the charge map through
-// one empty() test, so it must track E19_DaemonDrive throughput.
-void E20_DeliveryThroughput(benchmark::State& state) {
-  const bool storm = state.range(0) != 0;
-  e20_acceptance_table();
-  std::int64_t steps_total = 0;
-  std::int64_t delivers_total = 0;
-  bool decided = true;
-  std::uint64_t seed = 1;
-  E20Run last;
-  for (auto _ : state) {
-    last = e20_drive(/*hardened=*/true, storm, seed++);
-    steps_total += last.steps;
-    delivers_total += last.delivers;
-    decided = decided && last.decided == kN;
-  }
-  state.counters["steps_per_s"] =
-      benchmark::Counter(static_cast<double>(steps_total), benchmark::Counter::kIsRate);
-  state.counters["deliveries_per_s"] =
-      benchmark::Counter(static_cast<double>(delivers_total), benchmark::Counter::kIsRate);
-  state.counters["dropped"] = static_cast<double>(last.dropped);
-  state.counters["decided"] = decided ? 1 : 0;
-  bench::json_run(state, "E20_DeliveryThroughput", {state.range(0)});
+// One hardened daemon-mode drive (seed 1), fault charges off vs on.
+void delivery(bool storm) {
+  const E20Run r = e20_drive(/*hardened=*/true, storm, 1);
+  bench::record("E20_DeliveryThroughput", {storm ? 1 : 0},
+                {{"dropped", r.dropped}, {"decided", r.decided == kN ? 1 : 0}});
 }
 
-// Campaign plan throughput against the hardened E20 target, link dimensions
-// stripped vs kept: what the link-fault layer costs per sampled plan.
-void E20_PlanThroughput(benchmark::State& state) {
-  const bool with_links = state.range(0) != 0;
-  e20_campaign_table();
+// One sampled plan against the hardened E20 target through run_plan, link
+// dimensions stripped vs kept.
+void plan(bool with_links) {
   const CampaignTarget* t = find_campaign_target("mpfm_rt");
-  if (t == nullptr) {
-    state.SkipWithError("mpfm_rt campaign target missing");
-    return;
-  }
+  if (t == nullptr) throw std::runtime_error("mpfm_rt campaign target missing");
   FaultPlan::Space space = t->space;
   if (!with_links) {
     space.mp_senders = 0;
     space.mp_mailboxes = 0;
     space.max_link_actions = 0;
   }
-  std::int64_t plans_total = 0;
-  std::int64_t violations = 0;
-  int index = 0;
-  for (auto _ : state) {
-    const std::uint64_t ps = campaign_plan_seed(42, t->name, index++);
-    const PlanOutcome out = run_plan(*t, FaultPlan::sample(ps, space), ps, /*monitors=*/true);
-    if (out.violated()) ++violations;
-    ++plans_total;
-  }
-  state.counters["plans_per_s"] =
-      benchmark::Counter(static_cast<double>(plans_total), benchmark::Counter::kIsRate);
-  state.counters["violations"] = static_cast<double>(violations);
-  bench::json_run(state, "E20_PlanThroughput", {state.range(0)});
+  const std::uint64_t ps = campaign_plan_seed(42, t->name, 0);
+  const PlanOutcome out = run_plan(*t, FaultPlan::sample(ps, space), ps, /*monitors=*/true);
+  bench::record("E20_PlanThroughput", {with_links ? 1 : 0},
+                {{"violations", out.violated() ? 1 : 0}});
+}
+
+void run() {
+  e20_acceptance_table();
+  delivery(false);
+  delivery(true);
+  e20_campaign_table();
+  plan(false);
+  plan(true);
 }
 
 }  // namespace
 }  // namespace efd
 
-BENCHMARK(efd::E20_DeliveryThroughput)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-BENCHMARK(efd::E20_PlanThroughput)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+int main(int argc, char** argv) { return efd::bench::main_of("E20", efd::run, argc, argv); }

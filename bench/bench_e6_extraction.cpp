@@ -3,8 +3,6 @@
 // does it stabilize, and how much local simulation the hunt spends.
 #include "bench_common.hpp"
 
-EFD_BENCH_JSON("E6")
-
 namespace efd {
 namespace {
 
@@ -57,33 +55,25 @@ E6Result run_extraction(int n, int k, int faults, std::uint64_t seed, std::int64
   return out;
 }
 
-void E6_Extraction(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const int k = static_cast<int>(state.range(1));
-  const int faults = static_cast<int>(state.range(2));
-  E6Result res;
-  for (auto _ : state) {
-    res = run_extraction(n, k, faults, 13, 6000);
-  }
-  state.counters["anti_ok"] = res.anti_ok ? 1 : 0;
-  state.counters["stable_from"] = static_cast<double>(res.stable_from);
-  bench::json_run(state, "E6_Extraction", {n, k, faults});
+void extraction(int n, int k, int faults) {
+  const E6Result res = run_extraction(n, k, faults, 13, 6000);
+  bench::record("E6_Extraction", {n, k, faults},
+                {{"anti_ok", res.anti_ok ? 1 : 0}, {"stable_from", res.stable_from}});
+  bench::row("%-3d %-3d %-7d %-15s %-14lld %lld", n, k, faults, res.anti_ok ? "PASS" : "fail",
+             static_cast<long long>(res.stable_from), static_cast<long long>(res.horizon));
+}
 
+void run() {
   bench::table_header(
       "E6 (Thm. 8 / Fig. 1): emulating anti-Omega-k from a KSA-solving detector",
       "n   k   faults  antiOmega-spec  stabilized-at  horizon");
-  efd::bench::row("%-3d %-3d %-7d %-15s %-14lld %lld", n, k, faults,
-              res.anti_ok ? "PASS" : "fail", static_cast<long long>(res.stable_from),
-              static_cast<long long>(res.horizon));
+  extraction(4, 2, 1);
+  extraction(4, 2, 2);
+  extraction(4, 3, 1);
+  extraction(5, 2, 2);
 }
 
 }  // namespace
 }  // namespace efd
 
-BENCHMARK(efd::E6_Extraction)
-    ->Args({4, 2, 1})
-    ->Args({4, 2, 2})
-    ->Args({4, 3, 1})
-    ->Args({5, 2, 2})
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
+int main(int argc, char** argv) { return efd::bench::main_of("E6", efd::run, argc, argv); }

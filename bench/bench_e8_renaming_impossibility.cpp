@@ -12,8 +12,6 @@
 #include "core/reduction.hpp"
 #include "core/solvability.hpp"
 
-EFD_BENCH_JSON("E8")
-
 namespace efd {
 namespace {
 
@@ -48,100 +46,78 @@ struct NaiveRenaming final : SimProgram {
   }
 };
 
-void E8a_LassoSearch(benchmark::State& state) {
-  LassoResult r;
-  double total_states = 0;
-  for (auto _ : state) {
-    LassoConfig cfg;
-    cfg.participants = {0, 1};
-    r = find_nontermination(std::make_shared<NaiveRenaming>(), {Value(0), Value(1)}, cfg);
-    total_states += static_cast<double>(r.states);
-  }
-  state.counters["found"] = r.found ? 1 : 0;
-  state.counters["states"] = static_cast<double>(r.states);
-  state.counters["states_per_s"] =
-      benchmark::Counter(total_states, benchmark::Counter::kIsRate);
-  bench::json_run(state, "E8a_LassoSearch");
-
+void lasso_search() {
+  LassoConfig cfg;
+  cfg.participants = {0, 1};
+  const LassoResult r =
+      find_nontermination(std::make_shared<NaiveRenaming>(), {Value(0), Value(1)}, cfg);
+  bench::record("E8a_LassoSearch", {}, {{"found", r.found ? 1 : 0}, {"states", r.states}});
   bench::table_header("E8a (Thm. 12): non-deciding 2-concurrent run of a candidate",
                       "candidate          lasso-found  states-explored  cycle-length");
-  efd::bench::row("%-18s %-12s %-16lld %zu", "naive-flip", r.found ? "yes" : "no",
-              static_cast<long long>(r.states), r.cycle.size());
+  bench::row("%-18s %-12s %-16lld %zu", "naive-flip", r.found ? "yes" : "no",
+             static_cast<long long>(r.states), r.cycle.size());
 }
 
-void E8b_Fig4BreaksAtTwo(benchmark::State& state) {
+void fig4_breaks_at_two() {
   const int n = 3;
-  ExploreOutcome lvl1;
-  ExploreOutcome lvl2;
-  for (auto _ : state) {
-    auto task = std::make_shared<RenamingTask>(RenamingTask::strong(n, 2));
-    const ValueVec in = task->sample_input(0);
-    const RenamingConfig rcfg{"ren", n};
-    auto body = [rcfg](int, Value input) { return make_renaming_kconc(rcfg, input); };
-    ExploreConfig cfg;
-    cfg.arrival = Task::participants(in);
-    cfg.k = 1;
-    lvl1 = explore_k_concurrent(task, body, in, cfg);
-    cfg.k = 2;
-    lvl2 = explore_k_concurrent(task, body, in, cfg);
-  }
-  state.counters["lvl1_ok"] = lvl1.ok ? 1 : 0;
-  state.counters["lvl2_ok"] = lvl2.ok ? 1 : 0;
-  state.counters["lvl2_dedup_hits"] = static_cast<double>(lvl2.stats.dedup_hits);
-  bench::json_run(state, "E8b_Fig4BreaksAtTwo");
-
+  auto task = std::make_shared<RenamingTask>(RenamingTask::strong(n, 2));
+  const ValueVec in = task->sample_input(0);
+  const RenamingConfig rcfg{"ren", n};
+  auto body = [rcfg](int, Value input) { return make_renaming_kconc(rcfg, input); };
+  ExploreConfig cfg;
+  cfg.arrival = Task::participants(in);
+  cfg.k = 1;
+  const ExploreOutcome lvl1 = explore_k_concurrent(task, body, in, cfg);
+  cfg.k = 2;
+  const ExploreOutcome lvl2 = explore_k_concurrent(task, body, in, cfg);
+  bench::record("E8b_Fig4BreaksAtTwo", {},
+                {{"lvl1_ok", lvl1.ok ? 1 : 0},
+                 {"lvl2_ok", lvl2.ok ? 1 : 0},
+                 {"lvl2_dedup_hits", lvl2.stats.dedup_hits}});
   bench::table_header("E8b (Thm. 12): Fig. 4 on strong 2-renaming, by concurrency level",
                       "level  clean-sweep  violation");
-  efd::bench::row("1      %-12s %s", lvl1.ok ? "yes" : "no",
-              lvl1.violation.empty() ? "-" : lvl1.violation.c_str());
-  efd::bench::row("2      %-12s %s", lvl2.ok ? "yes" : "no",
-              lvl2.violation.empty() ? "-" : lvl2.violation.c_str());
+  bench::row("1      %-12s %s", lvl1.ok ? "yes" : "no",
+             lvl1.violation.empty() ? "-" : lvl1.violation.c_str());
+  bench::row("2      %-12s %s", lvl2.ok ? "yes" : "no",
+             lvl2.violation.empty() ? "-" : lvl2.violation.c_str());
 }
 
-void E8c_Lemma11Construction(benchmark::State& state) {
-  const std::uint64_t seed = static_cast<std::uint64_t>(state.range(0));
-  std::int64_t steps = 0;
-  bool agreement = false;
-  double total_steps = 0;
-  std::size_t footprint = 0;
-  std::size_t writes = 0;
-  for (auto _ : state) {
-    const int n = 2;
-    const FailurePattern f = Environment(n, n - 1).sample(seed, static_cast<int>(seed % 2), 10);
-    OmegaFd omega(30);
-    World w(f, omega.history(f, seed));
-    const SlotRenamingConfig scfg{"l11slots", n, 2};
-    auto box = std::make_shared<ReplayProgram>(
-        [scfg](int, const Value& input, Context& ctx) {
-          return make_slot_renaming_client(scfg, input)(ctx);
-        });
-    for (int me = 0; me < 2; ++me) {
-      w.spawn_c(me, make_consensus_from_renaming("l11", me, Value(500 + me), box));
-    }
-    for (int i = 0; i < n; ++i) w.spawn_s(i, make_slot_renaming_server(scfg));
-    RandomScheduler rs(seed + 77);
-    const auto r = drive(w, rs, 2000000);
-    if (!r.all_c_decided) throw std::runtime_error("E8c: Lemma 11 run did not decide");
-    steps = r.steps;
-    total_steps += static_cast<double>(r.steps);
-    footprint = w.memory().footprint();
-    writes = w.memory().write_count();
-    agreement = w.decision(cpid(0)) == w.decision(cpid(1));
+void lemma11_construction(std::uint64_t seed) {
+  const int n = 2;
+  const FailurePattern f = Environment(n, n - 1).sample(seed, static_cast<int>(seed % 2), 10);
+  OmegaFd omega(30);
+  World w(f, omega.history(f, seed));
+  const SlotRenamingConfig scfg{"l11slots", n, 2};
+  auto box = std::make_shared<ReplayProgram>(
+      [scfg](int, const Value& input, Context& ctx) {
+        return make_slot_renaming_client(scfg, input)(ctx);
+      });
+  for (int me = 0; me < 2; ++me) {
+    w.spawn_c(me, make_consensus_from_renaming("l11", me, Value(500 + me), box));
   }
-  state.counters["steps"] = static_cast<double>(steps);
-  state.counters["agreement"] = agreement ? 1 : 0;
-  bench::perf_counters(state, total_steps, footprint, writes);
-  bench::json_run(state, "E8c_Lemma11Construction", {static_cast<std::int64_t>(seed)});
+  for (int i = 0; i < n; ++i) w.spawn_s(i, make_slot_renaming_server(scfg));
+  RandomScheduler rs(seed + 77);
+  const auto r = drive(w, rs, 2000000);
+  if (!r.all_c_decided) throw std::runtime_error("E8c: Lemma 11 run did not decide");
+  const bool agreement = w.decision(cpid(0)) == w.decision(cpid(1));
+  bench::record("E8c_Lemma11Construction", {static_cast<std::int64_t>(seed)},
+                {{"steps", r.steps},
+                 {"agreement", agreement ? 1 : 0},
+                 {"footprint", w.memory().footprint()},
+                 {"writes", w.run_stats().writes}});
+  bench::row("%-5lld %-10s %lld", static_cast<long long>(seed), agreement ? "yes" : "NO",
+             static_cast<long long>(r.steps));
+}
 
+void run() {
+  lasso_search();
+  fig4_breaks_at_two();
   bench::table_header("E8c (Lemma 11): consensus from a strong 2-renaming box",
                       "seed  agreement  steps");
-  efd::bench::row("%-5lld %-10s %lld", static_cast<long long>(seed), agreement ? "yes" : "NO",
-              static_cast<long long>(steps));
+  for (const std::uint64_t seed : {1, 2, 3}) lemma11_construction(seed);
 }
 
 }  // namespace
 }  // namespace efd
 
-BENCHMARK(efd::E8a_LassoSearch)->Unit(benchmark::kMicrosecond);
-BENCHMARK(efd::E8b_Fig4BreaksAtTwo)->Unit(benchmark::kMillisecond);
-BENCHMARK(efd::E8c_Lemma11Construction)->Arg(1)->Arg(2)->Arg(3)->Unit(benchmark::kMillisecond);
+int main(int argc, char** argv) { return efd::bench::main_of("E8", efd::run, argc, argv); }

@@ -5,29 +5,23 @@
 
 #include "core/hierarchy.hpp"
 
-EFD_BENCH_JSON("E9")
-
 namespace efd {
 namespace {
 
-void E9_Hierarchy(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  std::vector<HierarchyRow> rows;
-  for (auto _ : state) {
-    rows = classify_standard_menu(n, 250000);
-  }
+void run() {
+  const int n = 4;
+  const std::vector<HierarchyRow> rows = classify_standard_menu(n, 250000);
   std::int64_t states = 0;
   ExploreStats merged;
   for (const auto& r : rows) {
     states += r.states_explored;
     merged.merge(r.stats);
   }
-  state.counters["tasks"] = static_cast<double>(rows.size());
-  state.counters["states_explored"] = static_cast<double>(states);
-  state.counters["terminal_runs"] = static_cast<double>(merged.terminal_runs);
-  state.counters["dedup_hits"] = static_cast<double>(merged.dedup_hits);
-  bench::json_run(state, "E9_Hierarchy", {n});
-
+  bench::record("E9_Hierarchy", {n},
+                {{"tasks", rows.size()},
+                 {"states_explored", states},
+                 {"terminal_runs", merged.terminal_runs},
+                 {"dedup_hits", merged.dedup_hits}});
   bench::table_header("E9 (Thm. 10): task hierarchy / weakest-FD classification", "");
   bench::row("%s", format_hierarchy(rows).c_str());
 }
@@ -35,4 +29,4 @@ void E9_Hierarchy(benchmark::State& state) {
 }  // namespace
 }  // namespace efd
 
-BENCHMARK(efd::E9_Hierarchy)->Arg(4)->Unit(benchmark::kMillisecond)->Iterations(1);
+int main(int argc, char** argv) { return efd::bench::main_of("E9", efd::run, argc, argv); }

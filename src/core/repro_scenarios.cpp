@@ -15,6 +15,7 @@
 #include "sim/faultplan.hpp"
 #include "sim/memory.hpp"
 #include "tasks/consensus.hpp"
+#include "tasks/set_agreement.hpp"
 
 namespace efd {
 namespace {
@@ -41,6 +42,23 @@ Proc yield_n_then_quit(Context& ctx, int n) {
   // Terminates WITHOUT deciding: the quitter the admission window must
   // retire (the terminated-undecided case of AdmissionWindow::refresh).
 }
+
+/// Safety predicate of a scenario whose n C-processes propose first,
+/// first+1, ..., first+n-1: violated iff the decisions break the (n, k)-set
+/// agreement relation — a decision nobody proposed, or more than k distinct
+/// decisions.
+struct SetAgreementCheck {
+  SetAgreementTask task;
+  ValueVec inputs;
+
+  SetAgreementCheck(int n, int k, std::int64_t first)
+      : task(n, k), inputs(static_cast<std::size_t>(n)) {
+    for (int i = 0; i < n; ++i) inputs[static_cast<std::size_t>(i)] = Value(first + i);
+  }
+  [[nodiscard]] bool violated(const World& w) const {
+    return !task.relation(inputs, w.output_vector());
+  }
+};
 
 // The fixed register names below are resolved once per process: the farm
 // builds a fresh world for every run and every shrink candidate.
@@ -191,14 +209,8 @@ World make_cons_world(const FailurePattern& f, HistoryPtr h) {
 }
 
 bool cons_violated(const World& w) {
-  std::set<std::int64_t> vals;
-  for (int i = 0; i < kConsN; ++i) {
-    if (!w.decided(cpid(i))) continue;
-    const Value d = w.decision(cpid(i));
-    if (!d.is_int() || d.as_int() < 10 || d.as_int() >= 10 + kConsN) return true;  // validity
-    vals.insert(d.as_int());
-  }
-  return vals.size() > 1;  // agreement
+  static const SetAgreementCheck check(kConsN, 1, 10);
+  return check.violated(w);
 }
 
 ScheduleTape cons_record(std::uint64_t seed) {
@@ -289,14 +301,8 @@ World make_ksa_world(const FailurePattern& f, HistoryPtr h) {
 }
 
 bool ksa_violated(const World& w) {
-  std::set<std::int64_t> vals;
-  for (int i = 0; i < kKsaN; ++i) {
-    if (!w.decided(cpid(i))) continue;
-    const Value d = w.decision(cpid(i));
-    if (!d.is_int() || d.as_int() < 0 || d.as_int() >= kKsaN) return true;  // validity
-    vals.insert(d.as_int());
-  }
-  return static_cast<int>(vals.size()) > kKsaK;
+  static const SetAgreementCheck check(kKsaN, kKsaK, 0);
+  return check.violated(w);
 }
 
 ScheduleTape ksa_record(std::uint64_t seed) {
@@ -397,14 +403,8 @@ World make_bcf_world(const FailurePattern& f, HistoryPtr h) {
 }
 
 bool bcf_violated(const World& w) {
-  std::set<std::int64_t> vals;
-  for (int i = 0; i < kBcfN; ++i) {
-    if (!w.decided(cpid(i))) continue;
-    const Value d = w.decision(cpid(i));
-    if (!d.is_int() || d.as_int() < 100 || d.as_int() >= 100 + kBcfN) return true;  // validity
-    vals.insert(d.as_int());
-  }
-  return vals.size() > 1;  // agreement
+  static const SetAgreementCheck check(kBcfN, 1, 100);
+  return check.violated(w);
 }
 
 ScheduleTape bcf_record(std::uint64_t seed) {
@@ -525,19 +525,15 @@ World make_mpfm_world(const FailurePattern& f, HistoryPtr h) {
   return w;
 }
 
-bool mpfm_violated_at(const World& w, int k) {
-  std::set<std::int64_t> vals;
-  for (int i = 0; i < kMpfmN; ++i) {
-    if (!w.decided(cpid(i))) continue;
-    const Value d = w.decision(cpid(i));
-    if (!d.is_int() || d.as_int() < 0 || d.as_int() >= kMpfmN) return true;  // validity
-    vals.insert(d.as_int());
-  }
-  return static_cast<int>(vals.size()) > k;
+bool mpfm_kset_violated(const World& w) {
+  static const SetAgreementCheck check(kMpfmN, kMpfmF + 1, 0);
+  return check.violated(w);
 }
 
-bool mpfm_kset_violated(const World& w) { return mpfm_violated_at(w, kMpfmF + 1); }
-bool mpfm_cons_violated(const World& w) { return mpfm_violated_at(w, 1); }
+bool mpfm_cons_violated(const World& w) {
+  static const SetAgreementCheck check(kMpfmN, 1, 0);
+  return check.violated(w);
+}
 
 ScheduleTape mpfm_clean_record(std::uint64_t seed) {
   const FailurePattern base(kMpfmN * kMpfmN);

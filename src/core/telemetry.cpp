@@ -1,10 +1,10 @@
 #include "core/telemetry.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <stdexcept>
 
@@ -81,198 +81,6 @@ void append_number(std::string& out, double v) {
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   out += buf;
 }
-
-class Parser {
- public:
-  explicit Parser(const std::string& text) : s_(text) {}
-
-  Json document() {
-    Json v = value();
-    skip_ws();
-    if (pos_ != s_.size()) fail("trailing characters");
-    return v;
-  }
-
- private:
-  [[noreturn]] void fail(const char* what) const {
-    throw std::runtime_error("Json::parse: " + std::string(what) + " at offset " +
-                             std::to_string(pos_));
-  }
-
-  void skip_ws() {
-    while (pos_ < s_.size() && std::isspace(static_cast<unsigned char>(s_[pos_])) != 0) ++pos_;
-  }
-
-  char peek() {
-    if (pos_ >= s_.size()) fail("unexpected end of input");
-    return s_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail("unexpected character");
-    ++pos_;
-  }
-
-  bool literal(const char* lit) {
-    const std::size_t n = std::char_traits<char>::length(lit);
-    if (s_.compare(pos_, n, lit) != 0) return false;
-    pos_ += n;
-    return true;
-  }
-
-  std::string string_body() {
-    expect('"');
-    std::string out;
-    for (;;) {
-      if (pos_ >= s_.size()) fail("unterminated string");
-      const char c = s_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= s_.size()) fail("unterminated escape");
-      const char e = s_[pos_++];
-      switch (e) {
-        case '"':
-          out += '"';
-          break;
-        case '\\':
-          out += '\\';
-          break;
-        case '/':
-          out += '/';
-          break;
-        case 'n':
-          out += '\n';
-          break;
-        case 't':
-          out += '\t';
-          break;
-        case 'r':
-          out += '\r';
-          break;
-        case 'b':
-          out += '\b';
-          break;
-        case 'f':
-          out += '\f';
-          break;
-        case 'u': {
-          if (pos_ + 4 > s_.size()) fail("truncated \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = s_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') {
-              code += static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              code += static_cast<unsigned>(h - 'a' + 10);
-            } else if (h >= 'A' && h <= 'F') {
-              code += static_cast<unsigned>(h - 'A' + 10);
-            } else {
-              fail("bad \\u escape");
-            }
-          }
-          // Our emitter only escapes control characters; decode BMP code
-          // points to UTF-8 so round-trips are lossless for them.
-          if (code < 0x80) {
-            out += static_cast<char>(code);
-          } else if (code < 0x800) {
-            out += static_cast<char>(0xC0 | (code >> 6));
-            out += static_cast<char>(0x80 | (code & 0x3F));
-          } else {
-            out += static_cast<char>(0xE0 | (code >> 12));
-            out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-            out += static_cast<char>(0x80 | (code & 0x3F));
-          }
-          break;
-        }
-        default:
-          fail("unknown escape");
-      }
-    }
-  }
-
-  Json number() {
-    const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) != 0 || s_[pos_] == '.' ||
-            s_[pos_] == 'e' || s_[pos_] == 'E' || s_[pos_] == '+' || s_[pos_] == '-')) {
-      ++pos_;
-    }
-    const std::string tok = s_.substr(start, pos_ - start);
-    if (tok.find_first_of(".eE") == std::string::npos) {
-      try {
-        return Json(static_cast<std::int64_t>(std::stoll(tok)));
-      } catch (const std::exception&) {
-        fail("bad integer");
-      }
-    }
-    try {
-      return Json(std::stod(tok));
-    } catch (const std::exception&) {
-      fail("bad number");
-    }
-  }
-
-  Json value() {
-    skip_ws();
-    const char c = peek();
-    if (c == '{') {
-      ++pos_;
-      Json obj = Json::object();
-      skip_ws();
-      if (peek() == '}') {
-        ++pos_;
-        return obj;
-      }
-      for (;;) {
-        skip_ws();
-        std::string key = string_body();
-        skip_ws();
-        expect(':');
-        obj[key] = value();
-        skip_ws();
-        if (peek() == ',') {
-          ++pos_;
-          continue;
-        }
-        expect('}');
-        return obj;
-      }
-    }
-    if (c == '[') {
-      ++pos_;
-      Json arr = Json::array();
-      skip_ws();
-      if (peek() == ']') {
-        ++pos_;
-        return arr;
-      }
-      for (;;) {
-        arr.push_back(value());
-        skip_ws();
-        if (peek() == ',') {
-          ++pos_;
-          continue;
-        }
-        expect(']');
-        return arr;
-      }
-    }
-    if (c == '"') return Json(string_body());
-    if (literal("true")) return Json(true);
-    if (literal("false")) return Json(false);
-    if (literal("null")) return Json();
-    if (c == '-' || std::isdigit(static_cast<unsigned char>(c)) != 0) return number();
-    fail("unexpected character");
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
 
 }  // namespace
 
@@ -366,8 +174,6 @@ std::string Json::dump(int indent) const {
   return out;
 }
 
-Json Json::parse(const std::string& text) { return Parser(text).document(); }
-
 std::string git_describe() {
 #if defined(_WIN32)
   return "unknown";
@@ -398,17 +204,10 @@ std::string BenchEmitter::experiment() const {
   return experiment_;
 }
 
-bool BenchEmitter::table_header_once(const std::string& title, const std::string& columns) {
+void BenchEmitter::add_table(const std::string& title, const std::string& columns) {
   const std::lock_guard<std::mutex> lk(mu_);
-  for (std::size_t i = 0; i < tables_.size(); ++i) {
-    if (tables_[i].title == title) {
-      current_table_ = i;
-      return false;
-    }
-  }
   tables_.push_back(Table{title, columns, {}});
   current_table_ = tables_.size() - 1;
-  return true;
 }
 
 void BenchEmitter::add_row(const std::string& row) {
@@ -420,17 +219,9 @@ void BenchEmitter::add_row(const std::string& row) {
 }
 
 void BenchEmitter::record_benchmark(const std::string& name,
-                                    std::vector<std::pair<std::string, double>> counters,
-                                    std::int64_t iterations) {
+                                    std::map<std::string, double> counters) {
   const std::lock_guard<std::mutex> lk(mu_);
-  for (Bench& b : benches_) {
-    if (b.name == name) {  // calibration rerun: the final invocation wins
-      b.iterations = iterations;
-      b.counters = std::move(counters);
-      return;
-    }
-  }
-  benches_.push_back(Bench{name, iterations, std::move(counters)});
+  benches_.push_back(Bench{name, std::move(counters)});
 }
 
 Json BenchEmitter::to_json() const {
@@ -443,7 +234,6 @@ Json BenchEmitter::to_json() const {
   for (const Bench& b : benches_) {
     Json jb = Json::object();
     jb["name"] = b.name;
-    jb["iterations"] = b.iterations;
     Json counters = Json::object();
     for (const auto& [k, v] : b.counters) counters[k] = v;
     jb["counters"] = std::move(counters);

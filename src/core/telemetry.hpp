@@ -14,15 +14,13 @@
 //    a particular run got there and is excluded from equality checks.
 //
 //  * telemetry::Json + telemetry::BenchEmitter — a minimal ordered JSON
-//    value (writer AND parser, so emission is round-trip testable without
-//    external deps) and the per-process collector behind the BENCH_E<n>.json
-//    files: experiment name, one counter map per benchmark, the stdout
-//    tables, and `git describe`. BenchEmitter also owns the once-per-TITLE
-//    table-header suppression (the old bench-local std::once_flag dropped
-//    every header after the first in two-table binaries).
+//    value writer and the per-process collector behind the BENCH_E<n>.json
+//    files: experiment name, one counter map per experiment row, the stdout
+//    tables, and `git describe`. tools/bench_diff.py is the reader.
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <mutex>
 #include <string>
 #include <utility>
@@ -83,9 +81,7 @@ struct ExploreStats {
 namespace telemetry {
 
 /// Minimal JSON value: null, bool, int64, double, string, array, object.
-/// Objects preserve insertion order so emitted files diff stably. The parser
-/// accepts exactly what dump() produces (plus arbitrary whitespace), which
-/// is all the round-trip tests and bench_diff need.
+/// Objects preserve insertion order so emitted files diff stably.
 class Json {
  public:
   enum class Kind { kNull, kBool, kInt, kDouble, kString, kArray, kObject };
@@ -139,10 +135,6 @@ class Json {
   /// Serializes with `indent` spaces per level (0 = compact single line).
   [[nodiscard]] std::string dump(int indent = 2) const;
 
-  /// Parses a JSON document. Throws std::runtime_error on malformed input
-  /// or trailing garbage.
-  [[nodiscard]] static Json parse(const std::string& text);
-
  private:
   void dump_to(std::string& out, int indent, int depth) const;
 
@@ -170,21 +162,15 @@ class BenchEmitter {
   void set_experiment(std::string name);
   [[nodiscard]] std::string experiment() const;
 
-  /// True exactly once per distinct TITLE, and makes that table current for
-  /// subsequent add_row calls. Keyed by title: a process printing several
-  /// tables gets every header (the old single process-global once_flag
-  /// suppressed all but the first).
-  bool table_header_once(const std::string& title, const std::string& columns);
+  /// Appends a table and makes it current for subsequent add_row calls.
+  void add_table(const std::string& title, const std::string& columns);
 
   /// Records one rendered row into the current table (no-op before the
-  /// first table_header_once).
+  /// first add_table).
   void add_row(const std::string& row);
 
-  /// Records a benchmark's counters; re-recording the same name overwrites
-  /// (google-benchmark re-invokes functions while calibrating).
-  void record_benchmark(const std::string& name,
-                        std::vector<std::pair<std::string, double>> counters,
-                        std::int64_t iterations);
+  /// Records one experiment row's counters (emitted sorted by name).
+  void record_benchmark(const std::string& name, std::map<std::string, double> counters);
 
   /// The efd-bench-v1 document: schema, experiment, git, benchmarks, tables.
   [[nodiscard]] Json to_json() const;
@@ -201,8 +187,7 @@ class BenchEmitter {
   };
   struct Bench {
     std::string name;
-    std::int64_t iterations = 0;
-    std::vector<std::pair<std::string, double>> counters;
+    std::map<std::string, double> counters;
   };
 
   mutable std::mutex mu_;

@@ -25,7 +25,6 @@ void RegisterFile::write(RegAddr addr, Value v) {
   hash_acc_ += h;
   cell_hash_[id] = h;
   cells_[id] = std::move(v);
-  ++writes_;
 }
 
 void RegisterFile::undo_write(RegAddr addr, const Value& prev, bool was_written) {
@@ -45,7 +44,6 @@ void RegisterFile::undo_write(RegAddr addr, const Value& prev, bool was_written)
     cells_[id] = Value{};
     --footprint_;
   }
-  --writes_;
 }
 
 std::uint64_t RegisterFile::content_hash_slow() const noexcept {

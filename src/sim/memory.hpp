@@ -44,7 +44,6 @@ class RegisterFile {
  public:
   /// Current value of `addr`; Nil if never written.
   [[nodiscard]] Value read(RegAddr addr) const noexcept {
-    ++reads_;
     const RegId id = addr.id();
     return (id < cells_.size() && written_[id] != 0) ? cells_[id] : Value{};
   }
@@ -61,21 +60,14 @@ class RegisterFile {
   void write(RegAddr addr, Value v);
 
   /// Exact inverse of the most recent write(addr, ...): restores the cell to
-  /// `prev` / never-written (`was_written == false`), rewinding footprint,
-  /// write count, and the incremental content hash. Used by the incremental
+  /// `prev` / never-written (`was_written == false`), rewinding the
+  /// footprint and the incremental content hash. Used by the incremental
   /// explorer's undo log; `(prev, was_written)` must be the pair observed via
   /// read()/written() immediately before that write.
   void undo_write(RegAddr addr, const Value& prev, bool was_written);
 
   /// Number of distinct registers ever written.
   [[nodiscard]] std::size_t footprint() const noexcept { return footprint_; }
-
-  /// Total number of write operations applied (for bench reporting).
-  [[nodiscard]] std::size_t write_count() const noexcept { return writes_; }
-
-  /// Total number of read operations served (telemetry; undo_write does not
-  /// count its internal lookups — it goes through the cells directly).
-  [[nodiscard]] std::size_t read_count() const noexcept { return reads_; }
 
   /// Deterministic hash of the full memory contents (for exploration
   /// dedup). O(1): maintained incrementally by write().
@@ -102,8 +94,6 @@ class RegisterFile {
   std::vector<std::uint64_t> cell_hash_;  ///< last cell_content_hash per id
   std::uint64_t hash_acc_ = 0;        ///< commutative sum of cell hashes
   std::size_t footprint_ = 0;
-  std::size_t writes_ = 0;
-  mutable std::size_t reads_ = 0;     ///< mutable: read() stays const/noexcept
 };
 
 }  // namespace efd

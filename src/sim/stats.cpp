@@ -18,8 +18,7 @@ std::string format_run_report(const World& w) {
   if (s.injected_crashes > 0) {
     os << "  fault injection: " << s.injected_crashes << " crash points applied\n";
   }
-  os << "  registers      : " << m.footprint() << " written (" << m.write_count()
-     << " writes, " << m.read_count() << " reads)\n";
+  os << "  registers      : " << m.footprint() << " written\n";
   int decided = 0;
   for (int i = 0; i < w.num_c(); ++i) {
     if (w.exists(cpid(i)) && w.decided(cpid(i))) ++decided;

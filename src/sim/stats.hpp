@@ -72,8 +72,8 @@ struct AdmissionStats {
   int peak_active = 0;         ///< max simultaneously admitted, unfinished
 };
 
-/// Human-readable run report: step mix, decisions, register footprint and
-/// write/read volume of `w` — what examples/quickstart prints.
+/// Human-readable run report: step mix, decisions and register footprint
+/// of `w` — what examples/quickstart prints.
 [[nodiscard]] std::string format_run_report(const World& w);
 
 }  // namespace efd

@@ -200,7 +200,7 @@ TEST(ExploreStats, MergeSumsCountsAndMaxesDepth) {
 // telemetry::Json
 // ---------------------------------------------------------------------------
 
-TEST(TelemetryJson, RoundTripsThroughDumpAndParse) {
+TEST(TelemetryJson, DumpsInInsertionOrderAndLooksUpFields) {
   namespace tj = telemetry;
   tj::Json doc = tj::Json::object();
   doc["schema"] = tj::Json("efd-bench-v1");
@@ -214,75 +214,58 @@ TEST(TelemetryJson, RoundTripsThroughDumpAndParse) {
   arr.push_back(tj::Json());
   doc["items"] = std::move(arr);
 
-  const std::string text = doc.dump();
-  const tj::Json parsed = tj::Json::parse(text);
-  EXPECT_EQ(parsed.dump(), text);
-  EXPECT_EQ(parsed.find("count")->as_int(), 42);
-  EXPECT_DOUBLE_EQ(parsed.find("rate")->as_double(), 1.5);
-  EXPECT_TRUE(parsed.find("flag")->as_bool());
-  EXPECT_EQ(parsed.find("escaped")->as_string(),
-            "tab\there \"quoted\" back\\slash\nnewline");
-  ASSERT_EQ(parsed.find("items")->size(), 3u);
-  EXPECT_TRUE(parsed.find("items")->at(2).is_null());
-  // Compact dump parses too.
-  EXPECT_EQ(tj::Json::parse(doc.dump(0)).dump(), text);
-}
-
-TEST(TelemetryJson, ParseRejectsMalformedInput) {
-  using telemetry::Json;
-  EXPECT_THROW((void)Json::parse(""), std::runtime_error);
-  EXPECT_THROW((void)Json::parse("{"), std::runtime_error);
-  EXPECT_THROW((void)Json::parse("[1,]"), std::runtime_error);
-  EXPECT_THROW((void)Json::parse("{} trailing"), std::runtime_error);
-  EXPECT_THROW((void)Json::parse("'single'"), std::runtime_error);
+  EXPECT_EQ(doc.dump(0),
+            R"({"schema":"efd-bench-v1","count":42,"rate":1.5,"flag":true,)"
+            R"("escaped":"tab\there \"quoted\" back\\slash\nnewline","items":[1,"two",null]})");
+  EXPECT_EQ(doc.find("count")->as_int(), 42);
+  EXPECT_DOUBLE_EQ(doc.find("rate")->as_double(), 1.5);
+  EXPECT_TRUE(doc.find("flag")->as_bool());
+  EXPECT_EQ(doc.find("escaped")->as_string(), "tab\there \"quoted\" back\\slash\nnewline");
+  ASSERT_EQ(doc.find("items")->size(), 3u);
+  EXPECT_EQ(doc.find("items")->at(1).as_string(), "two");
+  EXPECT_TRUE(doc.find("items")->at(2).is_null());
+  EXPECT_EQ(doc.find("missing"), nullptr);
 }
 
 // ---------------------------------------------------------------------------
 // telemetry::BenchEmitter
 // ---------------------------------------------------------------------------
 
-// Regression: the bench layer's header suppression was one process-global
-// std::once_flag, so in a binary with several tables every header after the
-// first vanished (E4/E8). Suppression is per-TITLE now.
-TEST(BenchEmitter, HeaderPrintsOncePerDistinctTitle) {
-  telemetry::BenchEmitter em;
-  EXPECT_TRUE(em.table_header_once("table A", "col1 col2"));
-  EXPECT_FALSE(em.table_header_once("table A", "col1 col2"));
-  EXPECT_TRUE(em.table_header_once("table B", "col1"));
-  EXPECT_FALSE(em.table_header_once("table B", "col1"));
-  EXPECT_FALSE(em.table_header_once("table A", "col1 col2"));
-}
-
 TEST(BenchEmitter, BuildsTheSchemaDocument) {
   telemetry::BenchEmitter em;
   em.set_experiment("ETEST");
-  em.table_header_once("first", "a b");
+  em.add_table("first", "a b");
   em.add_row("1 2\n");
-  em.table_header_once("second", "c");
+  em.add_table("second", "c");
   em.add_row("3\n");
-  em.record_benchmark("Bench/1", {{"steps", 12.0}, {"rate_per_s", 5.5}}, 3);
-  em.record_benchmark("Bench/1", {{"steps", 14.0}}, 7);  // re-record overwrites
+  em.record_benchmark("Bench/1", {{"steps", 12.0}, {"allocs_per_step", 0.5}});
+  em.record_benchmark("Bench/2", {{"steps", 14.0}});
 
   const telemetry::Json doc = em.to_json();
   EXPECT_EQ(doc.find("schema")->as_string(), "efd-bench-v1");
   EXPECT_EQ(doc.find("experiment")->as_string(), "ETEST");
   EXPECT_FALSE(doc.find("git")->as_string().empty());
-  ASSERT_EQ(doc.find("benchmarks")->size(), 1u);
+  ASSERT_EQ(doc.find("benchmarks")->size(), 2u);
   const telemetry::Json& b = doc.find("benchmarks")->at(0);
   EXPECT_EQ(b.find("name")->as_string(), "Bench/1");
-  EXPECT_EQ(b.find("iterations")->as_int(), 7);
-  EXPECT_DOUBLE_EQ(b.find("counters")->find("steps")->as_double(), 14.0);
+  EXPECT_EQ(b.find("iterations"), nullptr);
+  // Counters come out sorted by name.
+  const telemetry::Json& counters = *b.find("counters");
+  ASSERT_EQ(counters.size(), 2u);
+  EXPECT_EQ(counters.items()[0].first, "allocs_per_step");
+  EXPECT_DOUBLE_EQ(counters.find("steps")->as_double(), 12.0);
+  EXPECT_EQ(doc.find("benchmarks")->at(1).find("name")->as_string(), "Bench/2");
   ASSERT_EQ(doc.find("tables")->size(), 2u);
   EXPECT_EQ(doc.find("tables")->at(0).find("title")->as_string(), "first");
+  EXPECT_EQ(doc.find("tables")->at(0).find("columns")->as_string(), "a b");
+  EXPECT_EQ(doc.find("tables")->at(0).find("rows")->at(0).as_string(), "1 2");
   EXPECT_EQ(doc.find("tables")->at(1).find("rows")->at(0).as_string(), "3");
-  // The document round-trips through the parser.
-  EXPECT_EQ(telemetry::Json::parse(doc.dump()).dump(), doc.dump());
 }
 
 TEST(BenchEmitter, WritesTheFileWhereAsked) {
   telemetry::BenchEmitter em;
   em.set_experiment("ETESTFILE");
-  em.record_benchmark("B", {{"x", 1.0}}, 1);
+  em.record_benchmark("B", {{"x", 1.0}});
   const std::string dir = ::testing::TempDir();
   ASSERT_TRUE(em.write_file(dir));
   const std::string path = dir + "/BENCH_ETESTFILE.json";
@@ -290,8 +273,7 @@ TEST(BenchEmitter, WritesTheFileWhereAsked) {
   ASSERT_TRUE(in.good()) << path;
   std::stringstream ss;
   ss << in.rdbuf();
-  const telemetry::Json doc = telemetry::Json::parse(ss.str());
-  EXPECT_EQ(doc.find("experiment")->as_string(), "ETESTFILE");
+  EXPECT_EQ(ss.str(), em.to_json().dump(2) + "\n");
   std::remove(path.c_str());
 }
 

@@ -8,7 +8,7 @@ Schema (efd-bench-v1), produced by efd::telemetry::BenchEmitter:
       "experiment": "E14",
       "git": "<git describe --always --dirty>",
       "benchmarks": [
-        {"name": "E14_Parallel/4", "iterations": 3,
+        {"name": "E14_Parallel/4",
          "counters": {"states": 188474.0, ...}},
         ...
       ],
@@ -38,14 +38,11 @@ Usage:
         and one containing "allocs_per" (heap traffic, lower is better)
         rising by more than 10% and by more than an absolute epsilon, so
         0 -> ~0 noise never trips. Other counters are reported when they
-        differ but never fail the diff: they are workload-shape figures or
-        sums over google-benchmark's calibrated iteration count. The files
-        carry no rates; those stay on the benches' stdout, and perfbench/
-        is the timed benchmark.
+        differ but never fail the diff: they are workload-shape figures.
+        The files carry no timings; perfbench/ is the timed benchmark.
 
-The committed baselines live in bench/baseline/ (one smoke-settings run of
-all 17 bench binaries); tools/bench_smoke.sh diffs every fresh smoke run
-against them.
+The committed baselines live in bench/baseline/ (one run of all 17 bench
+binaries); tools/bench_smoke.sh diffs every fresh run against them.
 """
 
 import argparse
@@ -67,12 +64,12 @@ HIGHER_BETTER_MARKERS = ("hit_rate",)
 # threshold is the regression. ALLOC_EPSILON absorbs jitter around zero —
 # since the respawn-path fix the sweep hot loop performs no steady-state
 # allocations at all, so the bar is a tight 0.002 allocs/step: enough for
-# one-off warm-up allocations amortized over a different iteration count,
-# far below any real per-state allocation creeping back in.
+# a few one-off allocations amortized over a pass, far below any real
+# per-state allocation creeping back in.
 LOWER_BETTER_MARKERS = ("allocs_per",)
 ALLOC_EPSILON = 0.002
 # Experiments whose benches carry the allocation probe, each with the name
-# prefix of the rows that report it (E15's monitor A/B rows do not);
+# prefix of the rows that report it (E15's monitor rows do not);
 # --validate requires the counter on those rows so a silently dropped probe
 # cannot pass the smoke test.
 ALLOC_PROBED_EXPERIMENTS = {"E13": "", "E14": "", "E15": "E15_Campaign"}
@@ -247,8 +244,6 @@ def validate_doc(path, doc, require_alloc_probe=True):
         check(isinstance(name, str) and name, "benchmark without a name")
         check(name not in seen, f"duplicate benchmark name {name!r}")
         seen.add(name)
-        check(isinstance(b.get("iterations"), int) and b["iterations"] > 0,
-              f"{name}: iterations must be a positive integer")
         counters = b.get("counters")
         check(isinstance(counters, dict) and counters,
               f"{name}: counters must be a non-empty object")

@@ -2,16 +2,19 @@
 # Smoke-run one bench binary, check the JSON it emits, and diff its tables
 # against the committed baseline.
 #
-# Usage: bench_smoke.sh BENCH_BINARY EXPERIMENT BASELINE_DIR [BENCHMARK_ARGS...]
+# Usage: bench_smoke.sh BENCH_BINARY EXPERIMENT BASELINE_DIR
 #   BENCH_BINARY  path to a bench executable (bench/bench_e<k>_*)
 #   EXPERIMENT    the E<n> tag the binary writes (BENCH_E<n>.json)
 #   BASELINE_DIR  directory of committed baselines (bench/baseline)
 #
-# Runs the binary for a single tiny timing window into a scratch directory
-# (EFD_BENCH_JSON_DIR), then:
+# Checks that the binary rejects an argument (exit 2, no file written), runs
+# it once into a scratch directory (EFD_BENCH_JSON_DIR), then:
 #  1. schema-checks the resulting file with tools/bench_diff.py --validate;
-#  2. checks that every table row in the file is a whole line of the
-#     binary's stdout, so no row runs into the output that follows it;
+#  2. checks that stdout holds only tables: every non-blank line is a
+#     recorded table's "=== title ===" line, its columns line or a line of
+#     one of its rows, and every row is a whole line of stdout, so no row
+#     runs into the output that follows it. E13 has no table, so it must
+#     print nothing;
 #  3. diffs the file against BASELINE_DIR/BENCH_<n>.json with bench_diff.py:
 #     a changed table row (or allocation/hit-rate regression) fails;
 #  4. changes one row in a copy of the file and checks that the diff then
@@ -23,7 +26,6 @@ set -eu
 bin=$1
 exp=$2
 baseline_dir=$3
-shift 3
 
 script_dir=$(CDPATH= cd -- "$(dirname -- "$0")" && pwd)
 diff_py="$script_dir/bench_diff.py"
@@ -31,7 +33,15 @@ diff_py="$script_dir/bench_diff.py"
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
 
-EFD_BENCH_JSON_DIR="$tmpdir" "$bin" --benchmark_min_time=0.001 "$@" > "$tmpdir/stdout.txt"
+mkdir "$tmpdir/rejected"
+rc=0
+EFD_BENCH_JSON_DIR="$tmpdir/rejected" "$bin" --any-argument > /dev/null 2>&1 || rc=$?
+if [ "$rc" != "2" ] || [ -n "$(ls "$tmpdir/rejected")" ]; then
+    echo "bench_smoke: $bin given an argument exited $rc; want 2 and no file written" >&2
+    exit 1
+fi
+
+EFD_BENCH_JSON_DIR="$tmpdir" "$bin" > "$tmpdir/stdout.txt"
 
 json="$tmpdir/BENCH_$exp.json"
 if [ ! -f "$json" ]; then
@@ -45,14 +55,24 @@ import json, sys
 with open(sys.argv[1], encoding="utf-8") as f:
     doc = json.load(f)
 with open(sys.argv[2], encoding="utf-8") as f:
-    out = "\n" + f.read()
+    text = f.read()
+out = "\n" + text
+allowed = set()
 bad = 0
 for t in doc["tables"]:
+    allowed.add(f'=== {t["title"]} ===')
+    allowed.add(t["columns"])
     for r in t["rows"]:
+        allowed.update(r.split("\n"))
         if "\n" + r + "\n" not in out:
             print(f'bench_smoke: {doc["experiment"]} "{t["title"]}": row is not a whole '
                   f"line of stdout: {r!r}", file=sys.stderr)
             bad += 1
+for i, line in enumerate(text.split("\n"), 1):
+    if line.strip() and line not in allowed:
+        print(f'bench_smoke: {doc["experiment"]} stdout line {i} is not part of a '
+              f"recorded table: {line!r}", file=sys.stderr)
+        bad += 1
 sys.exit(1 if bad else 0)
 EOF
 

@@ -10,6 +10,7 @@ set -eu
 
 campaign="$1"
 work="${2:-$(mktemp -d)}"
+script_dir="$(cd "$(dirname "$0")" && pwd)"
 mkdir -p "$work"
 out="$work/campaign_smoke.json"
 
@@ -21,6 +22,9 @@ out="$work/campaign_smoke.json"
   --target cons --target ksa --target ren --target p1c \
   --target synth --target bcf --target brn
 
+# The document must pass the efd-campaign-v1 schema check (every target's
+# verdict, plan mix and violation list) and list the consensus target.
+python3 "$script_dir/bench_diff.py" --validate "$out"
 grep -q '"schema": "efd-campaign-v1"' "$out" || {
   echo "FAIL: $out is not an efd-campaign-v1 document" >&2
   exit 1
