@@ -29,28 +29,24 @@ namespace efd::bench {
 // ---- heap-allocation telemetry (EFD_BENCH_ALLOC_PROBE) ----
 //
 // Benches that instantiate EFD_BENCH_ALLOC_PROBE() at file scope replace the
-// global operator new/delete with counting forwarders, so an experiment can
-// report its true heap traffic (`allocs_per_step`). The arena-pooled hot
+// global operator new/delete with malloc/free forwarders, and count every
+// operator-new call, so an experiment can report its true heap traffic
+// (`allocs_per_step`). The arena-pooled hot
 // path (sim/arena.hpp) must show ~0 allocations per explored state in
 // steady state; tools/bench_diff.py fails a diff whose allocs_per_* counter
-// rises. The counters are process-wide and relaxed: benches read deltas
+// rises. The counter is process-wide and relaxed: benches read deltas
 // around one measured pass (the parallel E14 rows count worker allocations
 // too, which is exactly what we want to observe).
 
-struct AllocCounters {
-  std::atomic<std::uint64_t> allocs{0};
-  std::atomic<std::uint64_t> frees{0};
-  std::atomic<std::uint64_t> bytes{0};
-};
-
-inline AllocCounters& alloc_counters() noexcept {
-  static AllocCounters c;
-  return c;
+/// The probe's operator-new counter.
+inline std::atomic<std::uint64_t>& alloc_counter() noexcept {
+  static std::atomic<std::uint64_t> allocs{0};
+  return allocs;
 }
 
 /// Total operator-new calls so far (0 unless EFD_BENCH_ALLOC_PROBE is live).
 inline std::uint64_t alloc_count() noexcept {
-  return alloc_counters().allocs.load(std::memory_order_relaxed);
+  return alloc_counter().load(std::memory_order_relaxed);
 }
 
 /// `allocs / steps`, the allocs_per_step counter (0 for an empty pass).
@@ -125,7 +121,8 @@ inline int main_of(const char* name, void (*experiment)(), int argc, char** argv
     return 1;
   }
   std::fflush(stdout);
-  if (!emitter().write_file()) {
+  const char* dir = std::getenv("EFD_BENCH_JSON_DIR");
+  if (!emitter().write_file(dir != nullptr && dir[0] != '\0' ? dir : ".")) {
     std::fprintf(stderr, "%s: could not write BENCH_%s.json\n", name, name);
     return 1;
   }
@@ -135,38 +132,30 @@ inline int main_of(const char* name, void (*experiment)(), int argc, char** argv
 }  // namespace efd::bench
 
 /// Place once at file scope (outside any namespace) in a bench binary that
-/// reports allocation counters: replaces the global operator new/delete with
-/// malloc/free forwarders that count into efd::bench::alloc_counters().
+/// reports allocation counters: replaces the global operator new with
+/// malloc forwarders that count into efd::bench::alloc_counter(), and
+/// operator delete with a plain free() forwarder.
 /// Replacement functions must have external linkage and appear in exactly
-/// one TU — fine here, every bench binary is a single TU. The freeing
-/// operator delete stays out of line: inlined into a container's node
-/// release, it would show GCC a free() of memory from operator new
-/// (-Wmismatched-new-delete).
+/// one TU — fine here, every bench binary is a single TU. The allocating
+/// operator news and the freeing operator delete stay out of line: inlined
+/// into a container's node allocation or release, they would show GCC
+/// malloc() memory reaching operator delete, or operator-new memory
+/// reaching free() (-Wmismatched-new-delete).
 #define EFD_BENCH_ALLOC_PROBE()                                               \
-  void* operator new(std::size_t n) {                                         \
-    auto& c = ::efd::bench::alloc_counters();                                 \
-    c.allocs.fetch_add(1, std::memory_order_relaxed);                         \
-    c.bytes.fetch_add(n, std::memory_order_relaxed);                          \
+  [[gnu::noinline]] void* operator new(std::size_t n) {                       \
+    ::efd::bench::alloc_counter().fetch_add(1, std::memory_order_relaxed);    \
     if (void* p = std::malloc(n != 0 ? n : 1)) return p;                      \
     throw std::bad_alloc{};                                                   \
   }                                                                           \
   void* operator new[](std::size_t n) { return ::operator new(n); }           \
-  void* operator new(std::size_t n, const std::nothrow_t&) noexcept {         \
-    auto& c = ::efd::bench::alloc_counters();                                 \
-    c.allocs.fetch_add(1, std::memory_order_relaxed);                         \
-    c.bytes.fetch_add(n, std::memory_order_relaxed);                          \
+  [[gnu::noinline]] void* operator new(std::size_t n, const std::nothrow_t&) noexcept { \
+    ::efd::bench::alloc_counter().fetch_add(1, std::memory_order_relaxed);    \
     return std::malloc(n != 0 ? n : 1);                                       \
   }                                                                           \
   void* operator new[](std::size_t n, const std::nothrow_t& t) noexcept {     \
     return ::operator new(n, t);                                              \
   }                                                                           \
-  [[gnu::noinline]] void operator delete(void* p) noexcept {                  \
-    if (p != nullptr) {                                                       \
-      ::efd::bench::alloc_counters().frees.fetch_add(1,                       \
-                                                     std::memory_order_relaxed); \
-      std::free(p);                                                           \
-    }                                                                         \
-  }                                                                           \
+  [[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }  \
   void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); } \
   void operator delete[](void* p) noexcept { ::operator delete(p); }          \
   void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); } \

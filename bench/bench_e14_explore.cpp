@@ -70,10 +70,15 @@ void run_one(bool full_replay, int threads, const char* label, const char* json_
       {"clean", ok ? 1 : 0},
       {"dedup_queries", st.dedup_queries},
       {"dedup_hits", st.dedup_hits},
-      {"respawns", st.respawns},
-      {"ghost_hits", st.ghost_hits},
-      {"pool_steals", st.pool_steals},
       {"allocs_per_step", bench::per_step(allocs_delta, static_cast<double>(o.states))}};
+  if (threads == 1) {
+    // Engine-shape counters follow thread interleaving on the parallel rows
+    // (which worker steals, respawns or ghost-hits what), so only the
+    // one-thread rows pin them.
+    counters["respawns"] = static_cast<double>(st.respawns);
+    counters["ghost_hits"] = static_cast<double>(st.ghost_hits);
+    counters["pool_steals"] = static_cast<double>(st.pool_steals);
+  }
   if (dedup != nullptr) {
     // Per-tier traffic of the tiered store (core/diskset.hpp). Hit rates are
     // fractions of all duplicate answers; bench_diff treats *hit_rate as

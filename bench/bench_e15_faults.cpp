@@ -107,18 +107,18 @@ void explore_monitored() {
   cfg.observer = &mon;
   const ExploreOutcome watched = explore_k_concurrent(task, body, in, cfg);
   const bool same = bare.states == watched.states && bare.terminal_runs == watched.terminal_runs;
-  bench::record("E15_ExploreMonitorOverhead", {},
+  bench::record("E15_ExploreMonitorTransparency", {},
                 {{"monitored_steps", mon.monitored_steps()}, {"outcomes_match", same ? 1 : 0}});
 }
 
 void run() {
-  bench::table_header("E15: campaign sweep throughput (seed 42, monitors+shrink on)",
+  bench::table_header("E15: campaign sweep verdicts (seed 42, monitors+shrink on)",
                       "target             |   plans swept |     violations | verdict");
   campaign("cons", 32, "E15_CampaignCons");
   campaign("ren", 32, "E15_CampaignRen");
   // Dominated by shrink + double-replay: nearly every plan violates.
   campaign("brn", 32, "E15_CampaignBuggyRenaming");
-  bench::table_header("E15: LivenessMonitor overhead A/B (consensus scenario drive)",
+  bench::table_header("E15: LivenessMonitor transparency (consensus scenario drive)",
                       "drive              | run outcome");
   monitor_drive(false, "E15_DriveBare");
   monitor_drive(true, "E15_DriveMonitored");

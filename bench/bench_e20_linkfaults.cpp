@@ -117,7 +117,7 @@ void e20_campaign_table() {
 // One hardened daemon-mode drive (seed 1), fault charges off vs on.
 void delivery(bool storm) {
   const E20Run r = e20_drive(/*hardened=*/true, storm, 1);
-  bench::record("E20_DeliveryThroughput", {storm ? 1 : 0},
+  bench::record("E20_DeliveryDrive", {storm ? 1 : 0},
                 {{"dropped", r.dropped}, {"decided", r.decided == kN ? 1 : 0}});
 }
 
@@ -134,7 +134,7 @@ void plan(bool with_links) {
   }
   const std::uint64_t ps = campaign_plan_seed(42, t->name, 0);
   const PlanOutcome out = run_plan(*t, FaultPlan::sample(ps, space), ps, /*monitors=*/true);
-  bench::record("E20_PlanThroughput", {with_links ? 1 : 0},
+  bench::record("E20_PlanRun", {with_links ? 1 : 0},
                 {{"violations", out.violated() ? 1 : 0}});
 }
 

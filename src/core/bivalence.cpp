@@ -9,6 +9,9 @@
 namespace efd {
 namespace {
 
+/// Cycle repetitions a found lasso is re-validated over.
+constexpr int kValidateIterations = 8;
+
 /// One configuration of the simulated restricted system.
 struct Config {
   std::vector<Value> state;      ///< per-participant automaton state
@@ -90,7 +93,7 @@ class LassoSearcher {
     Config c = init_;
     for (int a : prefix) step(c, a);
     const auto decided_before = c.decided;
-    for (int rep = 0; rep < cfg_.validate_iterations; ++rep) {
+    for (int rep = 0; rep < kValidateIterations; ++rep) {
       for (int a : cycle) {
         step(c, a);
         if (!decided_before[static_cast<std::size_t>(a)] &&

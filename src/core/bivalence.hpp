@@ -34,7 +34,6 @@ struct LassoConfig {
   std::vector<int> participants;    ///< process indices (full concurrency)
   int max_depth = 400;
   std::int64_t max_states = 200000;
-  int validate_iterations = 8;      ///< cycle repetitions for re-validation
 };
 
 struct LassoResult {

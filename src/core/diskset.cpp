@@ -23,7 +23,6 @@ namespace {
 }
 
 std::string default_dir_root() {
-  if (const char* d = std::getenv("EFD_DEDUP_DIR"); d != nullptr && *d != '\0') return d;
   if (const char* t = std::getenv("TMPDIR"); t != nullptr && *t != '\0') return t;
   return "/tmp";
 }
@@ -48,39 +47,6 @@ struct RecentCache {
 thread_local RecentCache t_recent;
 
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// DedupConfig
-// ---------------------------------------------------------------------------
-
-DedupConfig DedupConfig::from_env() {
-  DedupConfig cfg;
-  if (const char* t = std::getenv("EFD_DEDUP_TIERS"); t != nullptr && *t != '\0') {
-    const std::string tiers(t);
-    if (tiers == "tiered" || tiers == "disk") {
-      cfg.disk_tier = true;
-    } else if (tiers != "mem") {
-      throw std::runtime_error("EFD_DEDUP_TIERS must be \"mem\" or \"tiered\", got \"" + tiers +
-                               "\"");
-    }
-  }
-  if (const char* m = std::getenv("EFD_DEDUP_MEM_MB"); m != nullptr && *m != '\0') {
-    char* end = nullptr;
-    errno = 0;
-    const long long mb = std::strtoll(m, &end, 10);
-    // A MiB count above SIZE_MAX >> 20 would wrap when scaled to bytes.
-    if (end == m || *end != '\0' || errno == ERANGE || mb < 0 ||
-        static_cast<unsigned long long>(mb) > (SIZE_MAX >> 20)) {
-      throw std::runtime_error("EFD_DEDUP_MEM_MB must be a non-negative integer of at most " +
-                               std::to_string(SIZE_MAX >> 20));
-    }
-    cfg.mem_budget_bytes = static_cast<std::size_t>(mb) << 20;
-  }
-  if (const char* d = std::getenv("EFD_DEDUP_DIR"); d != nullptr && *d != '\0') {
-    cfg.spill_dir = d;
-  }
-  return cfg;
-}
 
 // ---------------------------------------------------------------------------
 // DiskTier::Bloom — two-probe bloom filter at ~16 bits per expected key

@@ -33,7 +33,7 @@
 //
 // Run files are unlinked immediately after mmap, so a crash can never leak
 // spill files; the per-store spill directory (created lazily under
-// EFD_DEDUP_DIR / $TMPDIR / /tmp) is removed on destruction.
+// DedupConfig::spill_dir, else $TMPDIR, else /tmp) is removed on destruction.
 #pragma once
 
 #include <atomic>
@@ -60,18 +60,12 @@ void bump_locked(std::atomic<T>& counter) noexcept {
 }
 
 /// Configuration of one dedup store. Default-constructed = unbudgeted
-/// in-memory store with no disk tier; from_env() reads:
-///   EFD_DEDUP_TIERS   "mem" (default) | "tiered" (alias "disk")
-///   EFD_DEDUP_MEM_MB  in-memory byte budget in MiB (0 / unset = unlimited)
-///   EFD_DEDUP_DIR     spill directory root (default $TMPDIR, then /tmp)
+/// in-memory store with no disk tier. Only the caller sets it: no
+/// environment variable reaches a store.
 struct DedupConfig {
   bool disk_tier = false;            ///< spill overflowing shards to disk
   std::size_t mem_budget_bytes = 0;  ///< total in-memory cap; 0 = unlimited
-  std::string spill_dir;             ///< root for run files; "" = env default
-
-  /// Throws std::runtime_error on a malformed variable, including an
-  /// EFD_DEDUP_MEM_MB whose byte count does not fit in size_t.
-  [[nodiscard]] static DedupConfig from_env();
+  std::string spill_dir;             ///< root for run files; "" = $TMPDIR, else /tmp
 };
 
 /// Per-tier traffic of one store (all counters monotone; snapshot via
@@ -95,7 +89,7 @@ struct TierStats {
 class DiskTier {
  public:
   /// `dir_root`: where the (lazily created, mkdtemp-named) spill directory
-  /// goes; resolved via DedupConfig rules when empty.
+  /// goes; $TMPDIR, else /tmp, when empty.
   explicit DiskTier(std::string dir_root);
   ~DiskTier();
   DiskTier(const DiskTier&) = delete;

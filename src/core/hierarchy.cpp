@@ -45,8 +45,8 @@ HierarchyRow classify(const TaskPtr& task, const std::function<ProcBody(int, Val
     // The sweep did NOT cover level r.level + 1, so a clean partial sweep
     // certifies nothing: the row is a lower bound. The note distinguishes
     // the state budget from the dedup memory cap: the former is lifted with
-    // max_states, the latter with EFD_DEDUP_MEM_MB or by enabling the disk
-    // tier (EFD_DEDUP_TIERS=tiered).
+    // max_states, the latter with the store's mem_budget_bytes or by
+    // enabling its disk tier (ExploreConfig::dedup_store).
     row.level_exhausted = true;
     row.mem_exhausted = r.mem_exhausted;
     const std::string at = std::to_string(r.level + 1);
@@ -60,7 +60,8 @@ HierarchyRow classify(const TaskPtr& task, const std::function<ProcBody(int, Val
   return row;
 }
 
-std::vector<HierarchyRow> classify_standard_menu(int n, std::int64_t max_states, int threads) {
+std::vector<HierarchyRow> classify_standard_menu(int n, std::int64_t max_states, int threads,
+                                                 const DedupConfig& store) {
   // One closure per row. Rows share no task, body, register namespace or
   // dedup store, so they run as one pool batch, each on the one-thread
   // engine (cfg.threads stays 1) and each into its own slot: every row is
@@ -69,6 +70,7 @@ std::vector<HierarchyRow> classify_standard_menu(int n, std::int64_t max_states,
   // every row below level n ends in one).
   ExploreConfig cfg;
   cfg.max_states = max_states;
+  cfg.dedup_store = store;
   std::vector<std::function<HierarchyRow()>> menu;
 
   auto one_conc_body = [](const TaskPtr& task, const std::string& ns) {

@@ -23,7 +23,7 @@ struct HierarchyRow {
   bool level_exhausted = false;  ///< the sweep above observed_level ran out of
                                  ///< budget: the level is a lower bound only
   bool mem_exhausted = false;    ///< that budget was the dedup memory cap
-                                 ///< (EFD_DEDUP_MEM_MB), not max_states
+                                 ///< (DedupConfig::mem_budget_bytes), not max_states
   bool violation_above = false;  ///< a concrete violating run exists at level+1
   std::string violation;       ///< what went wrong at level+1
   std::string weakest_fd;      ///< Thm. 10 class for the observed level
@@ -43,11 +43,13 @@ HierarchyRow classify(const TaskPtr& task, const std::function<ProcBody(int, Val
 /// strong renaming, (j, j+k-1)-renaming, weak symmetry breaking — all at
 /// system size n (kept small: exploration is exhaustive). With `threads` > 1
 /// up to `threads` rows are classified at once, each on the one-thread
-/// engine, so every row is byte-identical to the 1-thread menu's. The dedup
-/// memory cap (EFD_DEDUP_MEM_MB) applies per sweep, so up to `threads`
-/// stores can be live at once.
+/// engine, so every row is byte-identical to the 1-thread menu's. Every
+/// sweep builds its own dedup store of shape `store`; its memory cap binds
+/// each sweep on its own, so up to `threads` capped stores can be live at
+/// once.
 std::vector<HierarchyRow> classify_standard_menu(int n, std::int64_t max_states = 60000,
-                                                 int threads = 1);
+                                                 int threads = 1,
+                                                 const DedupConfig& store = {});
 
 /// Renders the table (one row per line, aligned) for benches and examples.
 std::string format_hierarchy(const std::vector<HierarchyRow>& rows);

@@ -152,10 +152,9 @@ void finish_sweep(ExploreOutcome& out, const SweepContext& ctx, int threads,
                   std::chrono::steady_clock::time_point t0) {
   const std::chrono::duration<double> dt = std::chrono::steady_clock::now() - t0;
   const SweepCounts counts = ctx.totals();
-  const bool mem_exhausted = ctx.store().mem_exhausted();
   out.states = counts.states;
-  out.mem_exhausted = mem_exhausted;
-  if (ctx.exhausted() || mem_exhausted) out.budget_exhausted = true;
+  out.mem_exhausted = ctx.store().mem_exhausted();
+  if (ctx.exhausted() || out.mem_exhausted) out.budget_exhausted = true;
   ExploreStats& stats = out.stats;
   stats.terminal_runs = out.terminal_runs;
   stats.blocked_runs = out.blocked_runs;
@@ -166,7 +165,6 @@ void finish_sweep(ExploreOutcome& out, const SweepContext& ctx, int threads,
   stats.threads = threads;
   stats.elapsed_s = dt.count();
   stats.states_per_s = dt.count() > 0 ? static_cast<double>(stats.states) / dt.count() : 0;
-  stats.mem_exhausted = mem_exhausted;
   const TierStats t = ctx.store().tier_stats();
   stats.dedup_recent_hits = t.recent_hits;
   stats.dedup_mem_hits = t.mem_hits;

@@ -76,22 +76,21 @@ struct ExploreConfig {
   /// registers-as-mailboxes side of a differential pair so both backends
   /// apply the identical rule.
   std::function<World()> world_factory;
-  /// Dedup store shape (core/diskset.hpp). The default reads EFD_DEDUP_TIERS
-  /// / EFD_DEDUP_MEM_MB / EFD_DEDUP_DIR, so every sweep in the process obeys
-  /// the environment; a default environment yields an unbudgeted in-memory
-  /// store (tier 0 over unbudgeted shards, at every thread count). Semantic
+  /// Dedup store shape (core/diskset.hpp). The default is an unbudgeted
+  /// in-memory store (tier 0 over unbudgeted shards, at every thread
+  /// count); no environment variable changes it. Semantic
   /// counters (states, terminal_runs, dedup_misses) are identical across
   /// store shapes — tiers only move where duplicates are detected and where
   /// the memory lives. The memory cap binds each sweep's store on its own:
   /// callers that run sweeps concurrently (classify_standard_menu with
   /// threads > 1) can hold one capped store per running sweep.
-  DedupConfig dedup_store = DedupConfig::from_env();
+  DedupConfig dedup_store;
 };
 
 struct ExploreOutcome {
   bool ok = true;
   bool budget_exhausted = false;   ///< hit max_states OR the memory cap before covering the tree
-  bool mem_exhausted = false;      ///< the dedup store hit EFD_DEDUP_MEM_MB with no disk tier
+  bool mem_exhausted = false;      ///< the dedup store hit its mem_budget_bytes with no disk tier
                                    ///< (implies budget_exhausted: the sweep certifies nothing)
   std::int64_t terminal_runs = 0;  ///< complete runs reached (all decided)
   std::int64_t blocked_runs = 0;   ///< dead ends: live processes, all blocked on

@@ -4,7 +4,6 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <stdexcept>
 
@@ -34,7 +33,6 @@ void ExploreStats::merge(const ExploreStats& o) {
   dedup_spilled_sigs += o.dedup_spilled_sigs;
   dedup_spill_bytes += o.dedup_spill_bytes;
   dedup_merges += o.dedup_merges;
-  mem_exhausted = mem_exhausted || o.mem_exhausted;
 }
 
 namespace telemetry {
@@ -263,12 +261,7 @@ bool BenchEmitter::write_file(const std::string& dir) const {
     empty = benches_.empty() && tables_.empty();
   }
   if (exp.empty() || empty) return false;
-  std::string target = dir;
-  if (target.empty()) {
-    const char* env = std::getenv("EFD_BENCH_JSON_DIR");
-    target = (env != nullptr && env[0] != '\0') ? env : ".";
-  }
-  const std::string path = target + "/BENCH_" + exp + ".json";
+  const std::string path = dir + "/BENCH_" + exp + ".json";
   std::ofstream os(path);
   if (!os) return false;
   os << to_json().dump(2) << "\n";

@@ -71,7 +71,6 @@ struct ExploreStats {
   std::int64_t dedup_spilled_sigs = 0; ///< signatures moved to disk in total
   std::int64_t dedup_spill_bytes = 0;  ///< bytes written to run files in total
   std::int64_t dedup_merges = 0;       ///< per-shard run merges
-  bool mem_exhausted = false;          ///< a sweep hit its memory cap with no disk tier
 
   /// Accumulates another sweep's counters (sums; max for depth; threads and
   /// rates keep the maximum seen so aggregates stay meaningful).
@@ -175,9 +174,9 @@ class BenchEmitter {
   /// The efd-bench-v1 document: schema, experiment, git, benchmarks, tables.
   [[nodiscard]] Json to_json() const;
 
-  /// Writes BENCH_<experiment>.json into `dir` (empty: $EFD_BENCH_JSON_DIR,
-  /// falling back to "."). False if nothing was recorded or the write failed.
-  bool write_file(const std::string& dir = "") const;
+  /// Writes BENCH_<experiment>.json into the directory `dir`. False if
+  /// nothing was recorded or the write failed.
+  bool write_file(const std::string& dir) const;
 
  private:
   struct Table {

@@ -38,6 +38,19 @@ std::vector<int> noise_subset(int n, int sz, std::uint64_t seed, int qi, Time t)
 
 }  // namespace
 
+Value vec_omega_complement(const Value& slots, int n, int k) {
+  std::vector<bool> named(static_cast<std::size_t>(n), false);
+  for (std::size_t j = 0; j < slots.size(); ++j) {
+    const auto id = slots.at(j).int_or(-1);
+    if (id >= 0 && id < n) named[static_cast<std::size_t>(id)] = true;
+  }
+  ValueVec out;
+  for (int i = 0; i < n && static_cast<int>(out.size()) < n - k; ++i) {
+    if (!named[static_cast<std::size_t>(i)]) out.emplace_back(i);
+  }
+  return Value(std::move(out));
+}
+
 // ---------------------------------------------------------------- trivial
 
 HistoryPtr TrivialFd::history(const FailurePattern&, std::uint64_t) const {

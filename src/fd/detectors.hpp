@@ -109,6 +109,12 @@ class VectorOmegaK final : public FailureDetector {
   Time gst_;
 };
 
+/// The →Ωk → ¬Ωk transformation of [28] on one sample: the ¬Ωk sample whose
+/// ids are the S-ids in [0, n) that no slot of the →Ωk sample `slots` names,
+/// ascending. Duplicate slots leave the complement too large; it is
+/// truncated to exactly n−k ids.
+[[nodiscard]] Value vec_omega_complement(const Value& slots, int n, int k);
+
 /// The eventually-perfect-style detector ◇P restricted to completeness +
 /// eventual accuracy: outputs the set of S-ids it currently suspects.
 /// Encoding: Vec of Ints (sorted suspect list). Included as a strong

@@ -44,18 +44,7 @@ DetectorPtr vec_omega_from_omega(DetectorPtr omega, int n, int k) {
 DetectorPtr anti_omega_from_vec_omega(DetectorPtr vec_omega, int n, int k) {
   return std::make_shared<MappedDetector>(
       std::move(vec_omega), "antiOmega" + std::to_string(k) + "(from vecOmega)",
-      [n, k](int, Time, const Value& slots) {
-        std::vector<bool> named(static_cast<std::size_t>(n), false);
-        for (std::size_t j = 0; j < slots.size(); ++j) {
-          const auto id = slots.at(j).int_or(-1);
-          if (id >= 0 && id < n) named[static_cast<std::size_t>(id)] = true;
-        }
-        ValueVec out;
-        for (int i = 0; i < n && static_cast<int>(out.size()) < n - k; ++i) {
-          if (!named[static_cast<std::size_t>(i)]) out.emplace_back(i);
-        }
-        return Value(std::move(out));
-      });
+      [n, k](int, Time, const Value& slots) { return vec_omega_complement(slots, n, k); });
 }
 
 }  // namespace efd

@@ -60,18 +60,7 @@ Proc vec_to_anti_converter(Context& ctx, std::string out_base, int n, int k) {
   const RegAddr my_out = reg(sym(out_base), me);
   for (;;) {
     const Value sample = co_await ctx.query();  // k-vector of S-ids
-    std::vector<bool> named(static_cast<std::size_t>(n), false);
-    for (std::size_t j = 0; j < sample.size(); ++j) {
-      const auto id = sample.at(j).int_or(-1);
-      if (id >= 0 && id < n) named[static_cast<std::size_t>(id)] = true;
-    }
-    ValueVec out;
-    // Duplicate slots in the sample leave the complement too large; truncate
-    // to exactly n-k ids.
-    for (int i = 0; i < n && static_cast<int>(out.size()) < n - k; ++i) {
-      if (!named[static_cast<std::size_t>(i)]) out.emplace_back(i);
-    }
-    co_await ctx.write(my_out, Value(std::move(out)));
+    co_await ctx.write(my_out, vec_omega_complement(sample, n, k));
   }
 }
 

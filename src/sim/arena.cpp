@@ -1,7 +1,6 @@
 #include "sim/arena.hpp"
 
 #include <atomic>
-#include <cstdlib>
 #include <new>
 
 namespace efd {
@@ -9,12 +8,7 @@ namespace {
 
 thread_local FrameArena* tls_current = nullptr;
 
-bool enabled_from_env() {
-  const char* v = std::getenv("EFD_FRAME_ARENA");
-  return v == nullptr || (v[0] != '0' || v[1] != '\0');
-}
-
-std::atomic<bool> g_enabled{enabled_from_env()};
+std::atomic<bool> g_enabled{true};
 
 // Prefixed to every frame_alloc block. 16 bytes keeps the frame itself on a
 // 16-byte boundary (coroutine frames may hold over-aligned locals up to that).

@@ -25,8 +25,8 @@
 // and a World is only ever stepped by one thread at a time (the parallel
 // frontier gives every worker its own World). The current-arena pointer is
 // thread-local, so concurrent Worlds on different threads never share
-// freelists. The process-global kill switch (set_enabled / EFD_FRAME_ARENA=0)
-// exists for A/B tests: pooled and heap runs must be bit-identical, which
+// freelists. The process-global kill switch (set_enabled) exists for A/B
+// tests: pooled and heap runs must be bit-identical, which
 // tests/test_alloc_pool.cpp checks property-style.
 #pragma once
 
@@ -67,9 +67,9 @@ class FrameArena {
   /// The thread's current arena (frame allocations target it), or nullptr.
   [[nodiscard]] static FrameArena* current() noexcept;
 
-  /// Process-global kill switch (default on; EFD_FRAME_ARENA=0 disables at
-  /// startup). When off, frame_alloc ignores the current arena and uses the
-  /// heap; already-live pooled frames still free correctly via their header.
+  /// Process-global kill switch (on at startup). When off, frame_alloc
+  /// ignores the current arena and uses the heap; already-live pooled frames
+  /// still free correctly via their header.
   static void set_enabled(bool on) noexcept;
   [[nodiscard]] static bool enabled() noexcept;
 

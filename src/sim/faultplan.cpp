@@ -145,103 +145,121 @@ std::vector<LinkFaultPoint> FaultPlan::resolve_links() const {
   return out;
 }
 
-FaultPlan FaultPlan::sample(std::uint64_t seed, const Space& space) {
-  SplitMix64 rng{seed * 0x2545F4914F6CDD1DULL + 0x632BE59BD9B4E019ULL};
-  FaultPlan plan;
-  const std::int64_t horizon = std::max<std::int64_t>(1, space.horizon);
+namespace {
 
-  if (space.num_s > 0 && space.max_crashes > 0) {
-    const auto n_crash = rng.below(static_cast<std::uint64_t>(space.max_crashes) + 1);
-    for (std::uint64_t i = 0; i < n_crash; ++i) {
-      if (!space.trigger_prefixes.empty() && rng.below(2) == 0) {
-        CrashTrigger t;
-        t.reg_prefix = space.trigger_prefixes[rng.below(space.trigger_prefixes.size())];
-        t.op = rng.below(4) == 0 ? OpKind::kRead : OpKind::kWrite;
-        t.delay = 1 + static_cast<int>(rng.below(8));
-        t.occurrence = 1 + static_cast<int>(rng.below(3));
-        plan.triggers.push_back(std::move(t));
-      } else {
-        plan.storm.push_back(CrashPoint{
-            static_cast<std::int64_t>(rng.below(static_cast<std::uint64_t>(horizon))),
-            static_cast<int>(rng.below(static_cast<std::uint64_t>(space.num_s)))});
-      }
-    }
-  }
+/// What a Space implies for sampling, mutating and clamping: the step
+/// horizon and the caps that default to a share of it when left at 0.
+struct SpaceLimits {
+  std::int64_t horizon = 1;        ///< step-index range, at least 1
+  Time max_gst = 1;                ///< FD corruption window cap
+  std::int64_t max_burst_len = 1;  ///< starvation burst length cap
+  std::int64_t sever_window = 1;   ///< link sever window cap
+  int charge_cap = 1;              ///< drop/dup/delay charge cap
+  int population = 0;              ///< burst victims: the C-, then the S-processes
+  bool links = false;              ///< the space has a link grid and link actions
+};
 
-  if (space.allow_fd_faults && space.num_s > 0) {
-    const Time max_gst = space.max_gst > 0 ? space.max_gst : std::max<Time>(1, horizon / 4);
-    switch (rng.below(4)) {
-      case 1: plan.fd.kind = FdFaultKind::kLying; break;
-      case 2: plan.fd.kind = FdFaultKind::kOmissive; break;
-      case 3: plan.fd.kind = FdFaultKind::kStuttering; break;
-      default: break;  // kNone: honest advice keeps the baseline in the mix
-    }
-    if (plan.fd.kind != FdFaultKind::kNone) {
-      plan.fd.gst = 1 + static_cast<Time>(rng.below(static_cast<std::uint64_t>(max_gst)));
-      plan.fd.param = 2 + static_cast<int>(rng.below(14));
-    }
-  }
-
-  const int population = space.num_c + space.num_s;
-  if (space.max_bursts > 0 && population > 0) {
-    const std::int64_t max_len =
-        space.max_burst_len > 0 ? space.max_burst_len : std::max<std::int64_t>(1, horizon / 8);
-    const auto n_burst = rng.below(static_cast<std::uint64_t>(space.max_bursts) + 1);
-    for (std::uint64_t i = 0; i < n_burst; ++i) {
-      StarvationBurst b;
-      const auto v = static_cast<int>(rng.below(static_cast<std::uint64_t>(population)));
-      b.victim = v < space.num_c ? cpid(v) : spid(v - space.num_c);
-      b.start_step = static_cast<std::int64_t>(rng.below(static_cast<std::uint64_t>(horizon)));
-      b.length = 1 + static_cast<std::int64_t>(rng.below(static_cast<std::uint64_t>(max_len)));
-      plan.bursts.push_back(b);
-    }
-  }
-
-  // Link actions last: non-MP spaces (grid dims zero) draw nothing here, so
-  // their sampling streams are unchanged from earlier plan versions.
-  if (space.max_link_actions > 0 && space.mp_senders > 0 && space.mp_mailboxes > 0) {
-    const std::int64_t sever_max =
-        space.max_sever_window > 0 ? space.max_sever_window : std::max<std::int64_t>(1, horizon / 8);
-    const int charge_max = std::max(1, space.max_link_charge);
-    const auto n_link = rng.below(static_cast<std::uint64_t>(space.max_link_actions) + 1);
-    for (std::uint64_t i = 0; i < n_link; ++i) {
-      LinkAction l;
-      // Drop-weighted kind draw (3/7): loss is the fault class that actually
-      // starves protocols — dup/delay/reorder/sever mostly perturb timing —
-      // so a uniform draw wastes most of the campaign's action budget.
-      switch (rng.below(7)) {
-        case 1: l.kind = LinkFaultKind::kDup; break;
-        case 2: l.kind = LinkFaultKind::kDelay; break;
-        case 3: l.kind = LinkFaultKind::kReorder; break;
-        case 4: l.kind = LinkFaultKind::kSever; break;
-        default: l.kind = LinkFaultKind::kDrop; break;
-      }
-      l.step = static_cast<std::int64_t>(rng.below(static_cast<std::uint64_t>(horizon)));
-      l.from = static_cast<int>(rng.below(static_cast<std::uint64_t>(space.mp_senders)));
-      l.to = static_cast<int>(rng.below(static_cast<std::uint64_t>(space.mp_mailboxes)));
-      l.amount = l.kind == LinkFaultKind::kSever
-                     ? 1 + static_cast<int>(rng.below(static_cast<std::uint64_t>(sever_max)))
-                     : 1 + static_cast<int>(rng.below(static_cast<std::uint64_t>(charge_max)));
-      plan.links.push_back(l);
-    }
-  }
-  return plan;
+SpaceLimits limits_of(const FaultPlan::Space& space) {
+  SpaceLimits lim;
+  lim.horizon = std::max<std::int64_t>(1, space.horizon);
+  const std::int64_t eighth = std::max<std::int64_t>(1, lim.horizon / 8);
+  lim.max_gst = space.max_gst > 0 ? space.max_gst : std::max<Time>(1, lim.horizon / 4);
+  lim.max_burst_len = space.max_burst_len > 0 ? space.max_burst_len : eighth;
+  lim.sever_window = space.max_sever_window > 0 ? space.max_sever_window : eighth;
+  lim.charge_cap = std::max(1, space.max_link_charge);
+  lim.population = space.num_c + space.num_s;
+  lim.links = space.max_link_actions > 0 && space.mp_senders > 0 && space.mp_mailboxes > 0;
+  return lim;
 }
 
-namespace {
+/// Uniform draw in [0, n).
+std::uint64_t draw(SplitMix64& rng, std::int64_t n) {
+  return rng.below(static_cast<std::uint64_t>(n));
+}
+
+/// Victim number v of the population: C-processes first, then S-processes.
+Pid victim_of(int v, const FaultPlan::Space& space) {
+  return v < space.num_c ? cpid(v) : spid(v - space.num_c);
+}
+
+Pid draw_victim(SplitMix64& rng, const SpaceLimits& lim, const FaultPlan::Space& space) {
+  return victim_of(static_cast<int>(draw(rng, lim.population)), space);
+}
+
+CrashPoint draw_storm_point(SplitMix64& rng, const SpaceLimits& lim,
+                            const FaultPlan::Space& space) {
+  CrashPoint c;
+  c.step_index = static_cast<std::int64_t>(draw(rng, lim.horizon));
+  c.s_index = static_cast<int>(draw(rng, space.num_s));
+  return c;
+}
+
+CrashTrigger draw_trigger(SplitMix64& rng, const FaultPlan::Space& space) {
+  CrashTrigger t;
+  t.reg_prefix = space.trigger_prefixes[rng.below(space.trigger_prefixes.size())];
+  t.op = rng.below(4) == 0 ? OpKind::kRead : OpKind::kWrite;
+  t.delay = 1 + static_cast<int>(rng.below(8));
+  t.occurrence = 1 + static_cast<int>(rng.below(3));
+  return t;
+}
+
+/// A fresh burst whose length is drawn from [1, len_cap].
+StarvationBurst draw_burst(SplitMix64& rng, const SpaceLimits& lim,
+                           const FaultPlan::Space& space, std::int64_t len_cap) {
+  StarvationBurst b;
+  b.victim = draw_victim(rng, lim, space);
+  b.start_step = static_cast<std::int64_t>(draw(rng, lim.horizon));
+  b.length = 1 + static_cast<std::int64_t>(draw(rng, len_cap));
+  return b;
+}
+
+void draw_link_ends(SplitMix64& rng, LinkAction& l, const FaultPlan::Space& space) {
+  l.from = static_cast<int>(draw(rng, space.mp_senders));
+  l.to = static_cast<int>(draw(rng, space.mp_mailboxes));
+}
+
+/// A sever window for kSever, else a charge count.
+int draw_link_amount(SplitMix64& rng, LinkFaultKind kind, const SpaceLimits& lim) {
+  return 1 + static_cast<int>(
+                 draw(rng, kind == LinkFaultKind::kSever ? lim.sever_window : lim.charge_cap));
+}
+
+/// A fresh link action whose kind is drawn modulo `kinds`: 1-4 pick dup,
+/// delay, reorder and sever, every other value drop. Sampling draws modulo
+/// 7, weighting drop 3/7: loss is the fault class that actually starves
+/// protocols (dup/delay/reorder/sever mostly perturb timing), so a uniform
+/// draw wastes most of the campaign's action budget.
+LinkAction draw_link(SplitMix64& rng, const SpaceLimits& lim, const FaultPlan::Space& space,
+                     std::uint64_t kinds) {
+  LinkAction l;
+  switch (rng.below(kinds)) {
+    case 1: l.kind = LinkFaultKind::kDup; break;
+    case 2: l.kind = LinkFaultKind::kDelay; break;
+    case 3: l.kind = LinkFaultKind::kReorder; break;
+    case 4: l.kind = LinkFaultKind::kSever; break;
+    default: l.kind = LinkFaultKind::kDrop; break;
+  }
+  l.step = static_cast<std::int64_t>(draw(rng, lim.horizon));
+  draw_link_ends(rng, l, space);
+  l.amount = draw_link_amount(rng, l.kind, lim);
+  return l;
+}
 
 /// Clamps a plan into `space`: at most max_crashes S-kills (storm points
 /// first, then triggers), at most max_bursts bursts, every index inside the
 /// horizon and every victim inside the population. sample() respects the
 /// caps by construction; mutate/splice re-clamp after editing.
 FaultPlan clamp_to_space(FaultPlan plan, const FaultPlan::Space& space) {
-  const std::int64_t horizon = std::max<std::int64_t>(1, space.horizon);
+  const SpaceLimits lim = limits_of(space);
+  const auto in_horizon = [&lim](std::int64_t step) {
+    return std::clamp<std::int64_t>(step, 0, lim.horizon - 1);
+  };
   if (space.num_s <= 0 || space.max_crashes == 0) {
     plan.storm.clear();
     plan.triggers.clear();
   }
   for (auto& c : plan.storm) {
-    c.step_index = std::clamp<std::int64_t>(c.step_index, 0, horizon - 1);
+    c.step_index = in_horizon(c.step_index);
     c.s_index = std::clamp(c.s_index, 0, std::max(0, space.num_s - 1));
   }
   while (static_cast<int>(plan.storm.size()) > space.max_crashes) plan.storm.pop_back();
@@ -250,39 +268,28 @@ FaultPlan clamp_to_space(FaultPlan plan, const FaultPlan::Space& space) {
   }
   if (!space.allow_fd_faults || space.num_s <= 0) plan.fd = FdFault{};
   if (plan.fd.kind != FdFaultKind::kNone) {
-    const Time max_gst = space.max_gst > 0 ? space.max_gst : std::max<Time>(1, horizon / 4);
-    plan.fd.gst = std::clamp<Time>(plan.fd.gst, 1, max_gst);
+    plan.fd.gst = std::clamp<Time>(plan.fd.gst, 1, lim.max_gst);
     plan.fd.param = std::max(1, plan.fd.param);
   }
-  const int population = space.num_c + space.num_s;
-  if (space.max_bursts <= 0 || population <= 0) plan.bursts.clear();
+  if (space.max_bursts <= 0 || lim.population <= 0) plan.bursts.clear();
   while (static_cast<int>(plan.bursts.size()) > space.max_bursts) plan.bursts.pop_back();
-  const std::int64_t max_len =
-      space.max_burst_len > 0 ? space.max_burst_len : std::max<std::int64_t>(1, horizon / 8);
   for (auto& b : plan.bursts) {
-    b.start_step = std::clamp<std::int64_t>(b.start_step, 0, horizon - 1);
-    b.length = std::clamp<std::int64_t>(b.length, 1, max_len);
+    b.start_step = in_horizon(b.start_step);
+    b.length = std::clamp<std::int64_t>(b.length, 1, lim.max_burst_len);
     const bool in_world = b.victim.is_s() ? b.victim.index < space.num_s
                                           : b.victim.index < space.num_c;
-    if (!in_world) {
-      const int v = b.victim.index % std::max(1, population);
-      b.victim = v < space.num_c ? cpid(v) : spid(v - space.num_c);
-    }
+    if (!in_world) b.victim = victim_of(b.victim.index % std::max(1, lim.population), space);
   }
-  if (space.max_link_actions <= 0 || space.mp_senders <= 0 || space.mp_mailboxes <= 0) {
-    plan.links.clear();
-  }
+  if (!lim.links) plan.links.clear();
   while (static_cast<int>(plan.links.size()) > space.max_link_actions) plan.links.pop_back();
-  const std::int64_t sever_max =
-      space.max_sever_window > 0 ? space.max_sever_window : std::max<std::int64_t>(1, horizon / 8);
   for (auto& l : plan.links) {
-    l.step = std::clamp<std::int64_t>(l.step, 0, horizon - 1);
+    l.step = in_horizon(l.step);
     l.from = std::clamp(l.from, 0, std::max(0, space.mp_senders - 1));
     l.to = std::clamp(l.to, 0, std::max(0, space.mp_mailboxes - 1));
     if (l.kind == LinkFaultKind::kSever) {
-      l.amount = static_cast<int>(std::clamp<std::int64_t>(l.amount, 1, sever_max));
+      l.amount = static_cast<int>(std::clamp<std::int64_t>(l.amount, 1, lim.sever_window));
     } else {
-      l.amount = std::clamp(l.amount, 1, std::max(1, space.max_link_charge));
+      l.amount = std::clamp(l.amount, 1, lim.charge_cap);
     }
   }
   return plan;
@@ -290,15 +297,59 @@ FaultPlan clamp_to_space(FaultPlan plan, const FaultPlan::Space& space) {
 
 }  // namespace
 
+FaultPlan FaultPlan::sample(std::uint64_t seed, const Space& space) {
+  SplitMix64 rng{seed * 0x2545F4914F6CDD1DULL + 0x632BE59BD9B4E019ULL};
+  FaultPlan plan;
+  const SpaceLimits lim = limits_of(space);
+
+  if (space.num_s > 0 && space.max_crashes > 0) {
+    const auto n_crash = rng.below(static_cast<std::uint64_t>(space.max_crashes) + 1);
+    for (std::uint64_t i = 0; i < n_crash; ++i) {
+      if (!space.trigger_prefixes.empty() && rng.below(2) == 0) {
+        plan.triggers.push_back(draw_trigger(rng, space));
+      } else {
+        plan.storm.push_back(draw_storm_point(rng, lim, space));
+      }
+    }
+  }
+
+  if (space.allow_fd_faults && space.num_s > 0) {
+    switch (rng.below(4)) {
+      case 1: plan.fd.kind = FdFaultKind::kLying; break;
+      case 2: plan.fd.kind = FdFaultKind::kOmissive; break;
+      case 3: plan.fd.kind = FdFaultKind::kStuttering; break;
+      default: break;  // kNone: honest advice keeps the baseline in the mix
+    }
+    if (plan.fd.kind != FdFaultKind::kNone) {
+      plan.fd.gst = 1 + static_cast<Time>(draw(rng, lim.max_gst));
+      plan.fd.param = 2 + static_cast<int>(rng.below(14));
+    }
+  }
+
+  if (space.max_bursts > 0 && lim.population > 0) {
+    const auto n_burst = rng.below(static_cast<std::uint64_t>(space.max_bursts) + 1);
+    for (std::uint64_t i = 0; i < n_burst; ++i) {
+      plan.bursts.push_back(draw_burst(rng, lim, space, lim.max_burst_len));
+    }
+  }
+
+  // Link actions last: non-MP spaces (grid dims zero) draw nothing here, so
+  // their sampling streams are unchanged from earlier plan versions.
+  if (lim.links) {
+    const auto n_link = rng.below(static_cast<std::uint64_t>(space.max_link_actions) + 1);
+    for (std::uint64_t i = 0; i < n_link; ++i) plan.links.push_back(draw_link(rng, lim, space, 7));
+  }
+  return plan;
+}
+
 FaultPlan FaultPlan::mutate(std::uint64_t seed, const Space& space) const {
   SplitMix64 rng{seed * 0xD1342543DE82EF95ULL + 0x9E6C63D0876A9A47ULL};
   FaultPlan plan = *this;
-  const std::int64_t horizon = std::max<std::int64_t>(1, space.horizon);
-  const std::int64_t jitter = std::max<std::int64_t>(1, horizon / 8);
+  const SpaceLimits lim = limits_of(space);
+  const std::int64_t jitter = std::max<std::int64_t>(1, lim.horizon / 8);
   const auto jittered = [&rng, jitter](std::int64_t step) {
     return sat_add(step, static_cast<std::int64_t>(rng.below(2 * jitter + 1)) - jitter);
   };
-  const int population = space.num_c + space.num_s;
 
   const int edits = 1 + static_cast<int>(rng.below(2));
   for (int e = 0; e < edits; ++e) {
@@ -307,14 +358,12 @@ FaultPlan FaultPlan::mutate(std::uint64_t seed, const Space& space) const {
         if (!plan.storm.empty()) {
           CrashPoint& c = plan.storm[rng.below(plan.storm.size())];
           if (rng.below(4) == 0 && space.num_s > 0) {
-            c.s_index = static_cast<int>(rng.below(static_cast<std::uint64_t>(space.num_s)));
+            c.s_index = static_cast<int>(draw(rng, space.num_s));
           } else {
             c.step_index = jittered(c.step_index);
           }
         } else if (space.num_s > 0 && space.max_crashes > 0) {
-          plan.storm.push_back(CrashPoint{
-              static_cast<std::int64_t>(rng.below(static_cast<std::uint64_t>(horizon))),
-              static_cast<int>(rng.below(static_cast<std::uint64_t>(space.num_s)))});
+          plan.storm.push_back(draw_storm_point(rng, lim, space));
         }
         break;
       case 1:  // perturb (or seed) a trigger
@@ -330,12 +379,7 @@ FaultPlan FaultPlan::mutate(std::uint64_t seed, const Space& space) const {
               break;
           }
         } else if (!space.trigger_prefixes.empty() && space.num_s > 0 && space.max_crashes > 0) {
-          CrashTrigger t;
-          t.reg_prefix = space.trigger_prefixes[rng.below(space.trigger_prefixes.size())];
-          t.op = rng.below(4) == 0 ? OpKind::kRead : OpKind::kWrite;
-          t.delay = 1 + static_cast<int>(rng.below(8));
-          t.occurrence = 1 + static_cast<int>(rng.below(3));
-          plan.triggers.push_back(std::move(t));
+          plan.triggers.push_back(draw_trigger(rng, space));
         }
         break;
       case 2:  // widen / narrow / retarget the FD corruption window
@@ -363,23 +407,15 @@ FaultPlan FaultPlan::mutate(std::uint64_t seed, const Space& space) const {
               break;
             case 1: {
               const std::int64_t span = std::max<std::int64_t>(1, sat_mul(2, b.length));
-              b.length = 1 + static_cast<std::int64_t>(rng.below(static_cast<std::uint64_t>(span)));
+              b.length = 1 + static_cast<std::int64_t>(draw(rng, span));
               break;
             }
             default:
-              if (population > 0) {
-                const auto v = static_cast<int>(rng.below(static_cast<std::uint64_t>(population)));
-                b.victim = v < space.num_c ? cpid(v) : spid(v - space.num_c);
-              }
+              if (lim.population > 0) b.victim = draw_victim(rng, lim, space);
               break;
           }
-        } else if (space.max_bursts > 0 && population > 0) {
-          StarvationBurst b;
-          const auto v = static_cast<int>(rng.below(static_cast<std::uint64_t>(population)));
-          b.victim = v < space.num_c ? cpid(v) : spid(v - space.num_c);
-          b.start_step = static_cast<std::int64_t>(rng.below(static_cast<std::uint64_t>(horizon)));
-          b.length = 1 + static_cast<std::int64_t>(rng.below(8));
-          plan.bursts.push_back(b);
+        } else if (space.max_bursts > 0 && lim.population > 0) {
+          plan.bursts.push_back(draw_burst(rng, lim, space, 8));
         }
         break;
       case 4:  // drop one fault element (shrinking move)
@@ -403,48 +439,22 @@ FaultPlan FaultPlan::mutate(std::uint64_t seed, const Space& space) const {
   }
   // Link edit drawn after the generic loop: non-MP spaces skip it entirely,
   // keeping their mutation streams identical to earlier plan versions.
-  if (space.max_link_actions > 0 && space.mp_senders > 0 && space.mp_mailboxes > 0) {
-    const std::int64_t sever_max =
-        space.max_sever_window > 0 ? space.max_sever_window : std::max<std::int64_t>(1, horizon / 8);
-    const int charge_max = std::max(1, space.max_link_charge);
+  if (lim.links) {
     switch (rng.below(3)) {
       case 0:  // perturb (or seed) a link action
         if (!plan.links.empty()) {
           LinkAction& l = plan.links[rng.below(plan.links.size())];
           switch (rng.below(3)) {
-            case 0:
-              l.step = jittered(l.step);
-              break;
-            case 1:
-              l.from = static_cast<int>(rng.below(static_cast<std::uint64_t>(space.mp_senders)));
-              l.to = static_cast<int>(rng.below(static_cast<std::uint64_t>(space.mp_mailboxes)));
-              break;
-            default:
-              l.amount = 1 + static_cast<int>(rng.below(static_cast<std::uint64_t>(
-                             l.kind == LinkFaultKind::kSever ? sever_max : charge_max)));
-              break;
+            case 0: l.step = jittered(l.step); break;
+            case 1: draw_link_ends(rng, l, space); break;
+            default: l.amount = draw_link_amount(rng, l.kind, lim); break;
           }
           break;
         }
         [[fallthrough]];
-      case 1: {  // add a link action
-        LinkAction l;
-        switch (rng.below(5)) {
-          case 1: l.kind = LinkFaultKind::kDup; break;
-          case 2: l.kind = LinkFaultKind::kDelay; break;
-          case 3: l.kind = LinkFaultKind::kReorder; break;
-          case 4: l.kind = LinkFaultKind::kSever; break;
-          default: l.kind = LinkFaultKind::kDrop; break;
-        }
-        l.step = static_cast<std::int64_t>(rng.below(static_cast<std::uint64_t>(horizon)));
-        l.from = static_cast<int>(rng.below(static_cast<std::uint64_t>(space.mp_senders)));
-        l.to = static_cast<int>(rng.below(static_cast<std::uint64_t>(space.mp_mailboxes)));
-        l.amount = l.kind == LinkFaultKind::kSever
-                       ? 1 + static_cast<int>(rng.below(static_cast<std::uint64_t>(sever_max)))
-                       : 1 + static_cast<int>(rng.below(static_cast<std::uint64_t>(charge_max)));
-        plan.links.push_back(l);
+      case 1:  // add a link action, every kind equally likely
+        plan.links.push_back(draw_link(rng, lim, space, 5));
         break;
-      }
       default:  // drop one link action (shrinking move)
         if (!plan.links.empty()) {
           plan.links.erase(plan.links.begin() +

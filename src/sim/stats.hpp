@@ -1,7 +1,7 @@
 // Run-level telemetry: cheap, always-on counters of one World execution.
 //
-// RunStats is carried by every World and incremented inside step()/respawn()/
-// redeliver_all() — a handful of integer adds per model step, so it stays on
+// RunStats is carried by every World and incremented inside step() and
+// inject_crash() — a handful of integer adds per model step, so it stays on
 // even in exploration hot loops. The block absorbs the ad-hoc per-bench
 // counters of earlier PRs (steps, footprint, writes) into one place with a
 // checkable invariant:
@@ -41,8 +41,6 @@ struct RunStats {
   std::int64_t null_steps = 0;        ///< steps of already-terminated processes
   std::int64_t crashed_attempts = 0;  ///< step() calls refused (crashed S-process)
   std::int64_t injected_crashes = 0;  ///< crash points applied (fault injection)
-  std::int64_t respawns = 0;          ///< coroutine rebuilds (incremental explorer)
-  std::int64_t redelivers = 0;        ///< replayed step results into rebuilt frames
 
   /// Sum of the per-op-kind counters; equals `steps` by construction and
   /// trace.size() when the run was traced (the test_telemetry invariant).
@@ -54,9 +52,8 @@ struct RunStats {
 
 /// True iff the deterministic subset of two runs' stats agrees: everything a
 /// schedule + environment fixes (step mix, refused steps, injected crashes).
-/// respawns/redelivers are engine-shape counters (how the incremental
-/// explorer got there), deliberately excluded — record/replay identity
-/// (sim/replay.hpp) is asserted on this subset plus the trace hash.
+/// Record/replay identity (sim/replay.hpp) is asserted on this subset plus
+/// the trace hash.
 [[nodiscard]] constexpr bool deterministic_equal(const RunStats& a, const RunStats& b) noexcept {
   return a.steps == b.steps && a.reads == b.reads && a.writes == b.writes &&
          a.queries == b.queries && a.yields == b.yields && a.decides == b.decides &&

@@ -51,7 +51,6 @@ void World::respawn(Pid pid, const ProcBody& body) {
   if (!s.proc.valid()) {
     throw std::invalid_argument("World::respawn: body produced no coroutine");
   }
-  ++stats_.respawns;
 }
 
 const PendingOp* World::pending_op(Pid pid) {
@@ -79,7 +78,6 @@ void World::redeliver_all(Pid pid, const std::vector<Value>& results) {
     }
   }
   s.steps += static_cast<int>(results.size());
-  stats_.redelivers += static_cast<std::int64_t>(results.size());
 }
 
 const World::Slot& World::slot(Pid pid) const {

@@ -27,10 +27,8 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <random>
-#include <stdexcept>
 #include <string>
 #include <thread>
 #include <unordered_set>
@@ -41,7 +39,6 @@
 #include "core/sigset.hpp"
 #include "core/solvability.hpp"
 #include "sim/hash.hpp"
-#include "support/env_guard.hpp"
 #include "support/outcome_eq.hpp"
 #include "tasks/set_agreement.hpp"
 
@@ -286,54 +283,6 @@ TEST(TieredSigSet, SpillDirIsRemovedOnDestruction) {
 }
 
 // ---------------------------------------------------------------------------
-// DedupConfig::from_env.
-// ---------------------------------------------------------------------------
-
-TEST(DedupConfig, FromEnvParsesTiersBudgetAndDir) {
-  {
-    // Default environment: unbudgeted in-memory store.
-    const DedupConfig cfg = DedupConfig::from_env();
-    EXPECT_FALSE(cfg.disk_tier);
-    EXPECT_EQ(cfg.mem_budget_bytes, 0u);
-    EXPECT_TRUE(cfg.spill_dir.empty());
-  }
-  {
-    EnvGuard t("EFD_DEDUP_TIERS", "tiered");
-    EnvGuard m("EFD_DEDUP_MEM_MB", "512");
-    EnvGuard d("EFD_DEDUP_DIR", "/tmp/efd-test-spill");
-    const DedupConfig cfg = DedupConfig::from_env();
-    EXPECT_TRUE(cfg.disk_tier);
-    EXPECT_EQ(cfg.mem_budget_bytes, 512u * 1024 * 1024);
-    EXPECT_EQ(cfg.spill_dir, "/tmp/efd-test-spill");
-  }
-  {
-    EnvGuard t("EFD_DEDUP_TIERS", "mem");
-    const DedupConfig cfg = DedupConfig::from_env();
-    EXPECT_FALSE(cfg.disk_tier);
-    EXPECT_EQ(cfg.mem_budget_bytes, 0u);
-  }
-  {
-    EnvGuard t("EFD_DEDUP_TIERS", "bogus");
-    EXPECT_THROW(DedupConfig::from_env(), std::runtime_error);
-  }
-  {
-    EnvGuard m("EFD_DEDUP_MEM_MB", "-3");
-    EXPECT_THROW(DedupConfig::from_env(), std::runtime_error);
-  }
-  {
-    // The largest MiB count whose byte count fits in size_t.
-    EnvGuard m("EFD_DEDUP_MEM_MB", std::to_string(SIZE_MAX >> 20));
-    EXPECT_EQ(DedupConfig::from_env().mem_budget_bytes, (SIZE_MAX >> 20) << 20);
-  }
-  // 2^44 + 1 MiB wraps size_t when scaled to bytes; the second value is
-  // out of range for strtoll itself.
-  for (const char* mb : {"17592186044417", "99999999999999999999"}) {
-    EnvGuard m("EFD_DEDUP_MEM_MB", mb);
-    EXPECT_THROW(DedupConfig::from_env(), std::runtime_error) << mb;
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Explorer integration: thread-count invariance with the disk tier, and the
 // memory-capped lower-bound path.
 // ---------------------------------------------------------------------------
@@ -356,7 +305,7 @@ ExploreOutcome sweep_with_store(const DedupConfig& store, int threads,
 }
 
 // The two disk-tier cases below sweep (5,2) under a 1 MiB budget: 16 KiB
-// per shard, the smallest budget a whole-MiB CLI or env setting produces.
+// per shard, the smallest budget a whole-MiB `--mem-mb` setting produces.
 // Each sweep spills a few dozen runs holding tens of thousands of
 // signatures. A 64 KiB budget floors every shard at 4 KiB, below a fresh
 // 8 KiB shard table, so each first insert spills a one-signature run:
@@ -438,7 +387,6 @@ TEST(TieredExplore, MemoryCapWithoutDiskReportsLowerBound) {
   EXPECT_EQ(o.states, 1);
   EXPECT_TRUE(o.mem_exhausted);
   EXPECT_TRUE(o.budget_exhausted) << "mem exhaustion must read as budget exhaustion";
-  EXPECT_TRUE(o.stats.mem_exhausted);
 
   const ExploreOutcome full = sweep_with_store(DedupConfig{}, 1);
   EXPECT_LT(o.states, full.states) << "the capped sweep must have stopped early";

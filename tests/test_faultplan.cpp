@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -12,6 +14,7 @@
 #include "core/repro_scenarios.hpp"
 #include "fd/detectors.hpp"
 #include "sim/faultplan.hpp"
+#include "sim/hash.hpp"
 #include "sim/replay.hpp"
 #include "sim/trace.hpp"
 
@@ -184,6 +187,39 @@ TEST(FaultPlan, MutationRespectsTightenedCaps) {
     expect_in_space(m, tight, seed);
     EXPECT_EQ(m.fd.kind, FdFaultKind::kNone) << "seed " << seed;
   }
+}
+
+TEST(FaultPlan, PlanStreamsArePinned) {
+  // The exact plans sample, mutate and splice draw, byte for byte: FNV-1a
+  // over the to_string() of each target's first 64 seed-42 plans, their
+  // mutants (of the plan and of the empty plan, so both the perturb and the
+  // seed-a-fresh-element branches run) and their splices with the previous
+  // plan. A refactor that reorders one RNG call moves these values.
+  const std::vector<std::string> want = {
+      "cons 0x155E4059BB273929",     "ksa 0x8DC56515C1C35A14",
+      "ren 0x21A962259587D5C3",      "p1c 0x79BA0E11F65B3336",
+      "synth 0xC43D1A0382512D5A",    "bcf 0x4F9BA1370EFA9CCD",
+      "brn 0x252F506AD2018000",      "tw 0xB05D5309FCD50E74",
+      "mpfm_raw 0xB0C8968272F0EFF0", "mpfm_rt 0x8FE81FBD8D614C32",
+  };
+  std::vector<std::string> got;
+  for (const CampaignTarget& t : campaign_targets()) {
+    std::string text;
+    FaultPlan prev;
+    for (int i = 0; i < 64; ++i) {
+      const std::uint64_t seed = campaign_plan_seed(42, t.name, i);
+      const FaultPlan plan = FaultPlan::sample(seed, t.space);
+      text += plan.to_string() + "\n";
+      text += plan.mutate(seed, t.space).to_string() + "\n";
+      text += FaultPlan{}.mutate(seed, t.space).to_string() + "\n";
+      text += FaultPlan::splice(plan, prev, seed, t.space).to_string() + "\n";
+      prev = plan;
+    }
+    char fnv[19];
+    std::snprintf(fnv, sizeof fnv, "0x%016llX", static_cast<unsigned long long>(fnv1a(text)));
+    got.push_back(t.name + " " + fnv);
+  }
+  EXPECT_EQ(got, want);
 }
 
 TEST(FaultPlan, SpliceIsDeterministicAndStaysInSpace) {

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "core/hierarchy.hpp"
-#include "support/env_guard.hpp"
 #include "support/outcome_eq.hpp"
 
 namespace efd {
@@ -128,10 +127,11 @@ TEST(Hierarchy, MemoryCappedMenuRowsMatchOneThread) {
   // A 1 MiB cap binds every sweep's store on its own, with no disk tier to
   // spill to: the rows whose last sweep outgrows it become lower bounds,
   // identically at 1 and 4 threads.
-  const EnvGuard tiers("EFD_DEDUP_TIERS", "mem");
-  const EnvGuard cap("EFD_DEDUP_MEM_MB", "1");
-  const auto one = classify_standard_menu(4, 2500000, 1);
-  expect_menus_eq(one, classify_standard_menu(4, 2500000, 4), "capped n=4 menu at 4 threads");
+  DedupConfig capped;
+  capped.mem_budget_bytes = std::size_t{1} << 20;
+  const auto one = classify_standard_menu(4, 2500000, 1, capped);
+  expect_menus_eq(one, classify_standard_menu(4, 2500000, 4, capped),
+                  "capped n=4 menu at 4 threads");
   for (const auto& [needle, level] : {std::pair<std::string, int>{"(Pi,3)-set-agreement", 2},
                                       std::pair<std::string, int>{"participating-set", 1}}) {
     const HierarchyRow* r = find_row(one, needle);

@@ -8,8 +8,9 @@
 # hits must add up to its duplicates. The same sweep at 4 threads, through
 # both store shapes, must reproduce the 1-thread counters. Also checks the
 # capped mem-only configuration degrades to a lower-bound verdict (exit 3)
-# instead of pretending to certify, and that an out-of-range --mem-mb is a
-# usage error.
+# instead of pretending to certify, that an out-of-range --mem-mb is a
+# usage error, and that the sweep ignores store variables in its
+# environment: the flags are its only store inputs.
 #
 # usage: dedup_smoke.sh <efd_dedup_sweep-binary> [workdir]
 set -eu
@@ -120,6 +121,29 @@ for mb in 17592186044417 99999999999999999999; do
   $sweep $common --tiers mem --mem-mb "$mb" >/dev/null 2>&1 || rc=$?
   [ "$rc" -eq 2 ] || {
     echo "FAIL: --mem-mb $mb exited $rc, want 2 (usage error)" >&2
+    exit 1
+  }
+done
+
+# No environment variable shapes the store: the plain sweep (no store flags)
+# with a malformed tier name and a 1 MiB cap exported must run the default
+# unbudgeted in-memory store and report the mem run's counters.
+rc=0
+EFD_DEDUP_TIERS=bogus EFD_DEDUP_MEM_MB=1 $sweep $common --out "$work/env.json" >/dev/null || rc=$?
+[ "$rc" -eq 0 ] || {
+  echo "FAIL: sweep with EFD_DEDUP_TIERS=bogus EFD_DEDUP_MEM_MB=1 exported exited $rc, want 0" >&2
+  exit 1
+}
+grep -q '"mem_budget_bytes": 0,' "$work/env.json" || {
+  echo "FAIL: exported EFD_DEDUP_MEM_MB reached the store's budget" >&2
+  exit 1
+}
+for key in states terminal_runs dedup_queries dedup_misses dedup_hits; do
+  a="$(field "$work/mem.json" $key)"
+  b="$(field "$work/env.json" $key)"
+  [ -n "$a" ] && [ "$a" = "$b" ] || {
+    echo "FAIL: semantic counter $key diverged under exported store variables:" \
+      "mem=$a env=$b" >&2
     exit 1
   }
 done

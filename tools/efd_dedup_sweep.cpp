@@ -11,10 +11,10 @@
 // level-L concurrency window and reports whether the level was FULLY
 // certified clean, only lower-bounded (the budget or the memory cap ran
 // out first — the paper-facing "L+" rows), or refuted by a violating run.
-// The dedup store defaults to the environment (EFD_DEDUP_TIERS /
-// EFD_DEDUP_MEM_MB / EFD_DEDUP_DIR) and each flag overrides one knob, so
-// the same invocation can be flipped between the RAM-capped mem-only
-// configuration and the out-of-core one to compare capacity.
+// The store flags are the sweep's only store inputs (default: unbudgeted,
+// in memory; no environment variable changes that), so the same invocation
+// can be flipped between the RAM-capped mem-only configuration and the
+// out-of-core one to compare capacity.
 //
 // --out writes an efd-dedup-sweep-v1 JSON document: the resolved config,
 // the semantic counters (identical across store shapes by design), the run
@@ -112,7 +112,7 @@ telemetry::Json sweep_json(const ExploreOutcome& o, const ExploreConfig& cfg, in
 int run(int argc, char** argv) {
   int n = 5;
   int set_k = 2;
-  ExploreConfig cfg;  // dedup_store defaults from the environment
+  ExploreConfig cfg;
   cfg.k = 2;
   cfg.max_states = 400000;
   std::string out_path;
