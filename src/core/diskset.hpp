@@ -12,8 +12,10 @@
 //           present. A hit answers "duplicate" with no lock. Only
 //           definitely-inserted signatures enter the cache, so a hit can
 //           never lose a state.
-//   tier 1  ShardedSigSet — the mutex-striped authoritative in-memory set
-//           (FlatSigSet shards), with an optional per-shard byte budget.
+//   tier 1  ShardedSigSet — the authoritative in-memory set (64 FlatSigSet
+//           shards), with an optional per-shard byte budget. Unbudgeted
+//           shards insert without a lock (a CAS on the table slot);
+//           budgeted ones insert under their shard's mutex.
 //   tier 2  DiskTier — per shard, a bloom prefilter in front of mmap'd
 //           sorted runs. When a shard crosses its budget it is drained,
 //           sorted, written to a run file and dropped from RAM; runs are
@@ -23,13 +25,17 @@
 //           sorted arrays — merging never needs to dedup, and the store's
 //           total size is the plain sum of tier sizes.
 //
-// First-insert-wins is preserved exactly: the entire probe (mem table →
-// bloom → runs) and the insert happen under the owning shard's mutex, so the
-// clean-sweep state counts remain thread-count-invariant with the disk tier
-// active. The default config (no budget, no disk tier) is tier 0 over
-// unbudgeted shards; with a byte budget but no disk tier the store latches
-// mem_exhausted() and the sweep reports a lower bound. Semantic counters are
-// identical across all store shapes.
+// First-insert-wins is preserved exactly. In an unbudgeted shard racing
+// inserts of one signature meet at the same first empty slot and exactly
+// one CAS succeeds, and growth waits for the inserts in flight; in a
+// budgeted shard the entire probe (mem table → bloom → runs) and the insert
+// happen under the shard's mutex. So the clean-sweep state counts are
+// thread-count-invariant with or without the disk tier. The default config
+// (no budget, no disk tier) is tier 0 over unbudgeted shards; with a byte
+// budget but no disk tier the store latches mem_exhausted() and the sweep
+// reports a lower bound. Semantic counters are identical across all store
+// shapes, and each inserting thread counts its own traffic in a slot of its
+// own (ShardedSigSet), so the per-tier counts are exact at any thread count.
 //
 // Run files are unlinked immediately after mmap, so a crash can never leak
 // spill files; the per-store spill directory (created lazily under
@@ -51,11 +57,12 @@ namespace efd {
 /// flags written by different threads never share a line.
 inline constexpr std::size_t kCacheLineBytes = 64;
 
-/// Adds one to a counter that only the holder of its owner's lock writes;
-/// other threads may read it concurrently. A plain load and store, because
-/// the lock already orders the writers.
+/// Adds one to a counter that one writer at a time updates (the holder of
+/// its owner's lock, or the thread that owns its slot); other threads may
+/// read it concurrently. A plain load and store, because the lock or the
+/// ownership already orders the writers.
 template <typename T>
-void bump_locked(std::atomic<T>& counter) noexcept {
+void bump_single_writer(std::atomic<T>& counter) noexcept {
   counter.store(counter.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
 }
 
@@ -163,14 +170,40 @@ class DiskTier {
   std::atomic<std::int64_t> merges_{0};
 };
 
-/// Tier 1: 64 mutex-striped, cache-line-padded FlatSigSet shards keyed by a
-/// mixed shard index, each with its own first-insert count. insert() is
-/// first-insert-wins, which is what makes the parallel explorers'
-/// clean-sweep state counts thread-count-invariant (see DESIGN.md,
-/// "Exploration engine").
+/// The calling thread's slot index. A thread takes the lowest free index on
+/// its first call and frees it when it exits, so the threads alive at one
+/// moment hold distinct indices, all below the most calling threads ever
+/// alive at once. A ShardedSigSet gives the thread with index i its slot i;
+/// a thread whose index is past ShardedSigSet::kThreadSlots has no slot and
+/// inserts under the shard lock instead.
+std::size_t thread_slot();
+
+/// Tier 1: 64 cache-line-padded FlatSigSet shards keyed by a mixed shard
+/// index. insert() is first-insert-wins, which is what makes the parallel
+/// explorers' clean-sweep state counts thread-count-invariant (see
+/// DESIGN.md, "Exploration engine" and 4f).
+///
+/// Unbudgeted shards insert without a lock. A thread announces which shard
+/// it is inside (a word in its own slot), then claims the signature's slot
+/// with one CAS (FlatSigSet::claim), so a first insert writes only that
+/// slot's cache line and the thread's own. Growth takes the shard lock,
+/// raises the shard's flag, waits until every announced insert into the
+/// shard has left, rehashes into a table twice the size and frees the old
+/// one; an inserter that sees the flag waits on the lock and retries. A
+/// thread adds its first inserts into a shard to the shard's load count in
+/// batches of capacity/1024, so the shared count is rarely written, and the
+/// shard grows at a 0.7 load factor (or at a full probe path, whatever the
+/// batches still hold); a shard with one inserting thread grows at the
+/// insert FlatSigSet::insert would grow at. Threads without a slot claim
+/// under the shard lock, which excludes growth. Budgeted shards (a byte
+/// budget or a disk tier) insert under the lock with the single-writer
+/// FlatSigSet::insert, since a spill drains the table.
 class ShardedSigSet {
  public:
   static constexpr std::size_t kShards = 64;
+  /// Per-thread slots of one set: the lock-free inserters' announcements
+  /// and counters. Threads past this many take the locked fallback.
+  static constexpr std::size_t kThreadSlots = 64;
 
   ShardedSigSet() = default;
   /// Budgeted form: when a shard's table crosses `shard_byte_budget` bytes
@@ -181,43 +214,25 @@ class ShardedSigSet {
       : shard_budget_(shard_byte_budget), cold_(cold) {}
 
   /// True iff `sig` was not present in the shard OR its cold storage (first
-  /// insert wins). Thread-safe; the whole probe-insert-spill sequence holds
-  /// the shard mutex, which is what keeps clean-sweep counts
+  /// insert wins). Thread-safe. A budgeted shard holds its lock over the
+  /// whole probe-insert-spill sequence, which keeps clean-sweep counts
   /// thread-count-invariant with the disk tier active.
-  bool insert(std::uint64_t sig) {
-    const std::size_t idx = shard_of(sig);
-    Shard& s = shards_[idx];
-    std::lock_guard<std::mutex> lk(s.mu);
-    if (cold_ == nullptr && shard_budget_ == 0) {
-      const bool fresh = s.set.insert(sig);
-      if (fresh) bump_locked(s.inserted);
-      return fresh;
-    }
-    if (s.set.contains(sig)) return false;
-    if (cold_ != nullptr && cold_->contains(idx, sig)) return false;
-    s.set.insert(sig);
-    bump_locked(s.inserted);
-    if (shard_budget_ != 0 && s.set.bytes() > shard_budget_) {
-      if (cold_ != nullptr) {
-        cold_->spill(idx, s.set);
-      } else {
-        mem_exhausted_.store(true, std::memory_order_relaxed);
-      }
-    }
-    return true;
-  }
+  bool insert(std::uint64_t sig);
+
+  /// Counts, in the calling thread's slot, one duplicate that a cache in
+  /// front of this set answered (the tiered store's tier 0).
+  void count_cached_hit();
 
   /// Signatures ever first-inserted (in-memory + spilled): the sum of the
-  /// per-shard first-insert counts. Each count only grows (a spill drains
-  /// the shard's table but never resets its count), so successive reads
-  /// from one thread never go backwards, and once the inserting threads
-  /// are joined the sum is exact. No lock is taken and no insert writes a
-  /// line another shard's insert writes.
-  [[nodiscard]] std::size_t size() const noexcept {
-    std::size_t n = 0;
-    for (const Shard& s : shards_) n += s.inserted.load(std::memory_order_relaxed);
-    return n;
-  }
+  /// slots' first-insert counts. Each count only grows (a spill drains a
+  /// shard's table but never resets a count, and a recycled slot keeps its
+  /// count), so successive reads from one thread never go backwards, and
+  /// once the inserting threads are joined the sum is exact.
+  [[nodiscard]] std::size_t size() const noexcept { return sum(&Slot::first_inserts); }
+  /// insert() calls that returned false; exact once the inserters are joined.
+  [[nodiscard]] std::size_t duplicates() const noexcept { return sum(&Slot::duplicates); }
+  /// count_cached_hit() calls; exact once the inserters are joined.
+  [[nodiscard]] std::size_t cached_hits() const noexcept { return sum(&Slot::cached_hits); }
 
   /// True once any shard crossed its byte budget with no disk tier to spill
   /// into (memory-capped mem-only mode).
@@ -231,16 +246,51 @@ class ShardedSigSet {
     return static_cast<std::size_t>((sig * 0x9E3779B97F4A7C15ULL) >> 58) % kShards;
   }
 
-  /// One stripe, padded to whole cache lines so that inserts into
-  /// neighbouring shards never contend for a line.
+  /// One shard, padded to whole cache lines so that inserts into
+  /// neighbouring shards never contend for a line. Lock-free inserters
+  /// only read its first line (the table's address and size, the flag).
   struct alignas(kCacheLineBytes) Shard {
-    std::mutex mu;
     FlatSigSet set;  ///< flat probing set: no node alloc per insert
-    /// First inserts into this shard, ever; written only under `mu`, read
-    /// lock-free by size().
-    std::atomic<std::size_t> inserted{0};
+    /// Raised by a grower (holding `mu`) until the doubled table is live.
+    std::atomic<bool> growing{false};
+    /// Guards growth, the locked inserts and, in a budgeted shard, `set`.
+    alignas(kCacheLineBytes) std::mutex mu;
+    /// First inserts that count toward the load factor: lock-free ones
+    /// arrive in per-thread batches, locked ones one at a time.
+    std::atomic<std::size_t> filled{0};
   };
+
+  /// One thread's slot; only its owner writes it. The counters' owner adds
+  /// with a plain load and store; shared_ (threads without a slot) adds
+  /// atomically. A slot recycled to a new thread keeps its counts.
+  struct alignas(kCacheLineBytes) Slot {
+    /// Shard index + 1 while the owner is inside a lock-free insert, else 0.
+    std::atomic<std::size_t> inside{0};
+    std::atomic<std::size_t> first_inserts{0};
+    std::atomic<std::size_t> duplicates{0};
+    std::atomic<std::size_t> cached_hits{0};
+    /// Per shard, the owner's lock-free first inserts not yet added to
+    /// Shard::filled, and the count it read when it last added some
+    /// (plain: only the owner reads them).
+    std::uint32_t pending[kShards] = {};
+    std::size_t seen[kShards] = {};
+  };
+
+  [[nodiscard]] std::size_t sum(std::atomic<std::size_t> Slot::*counter) const noexcept {
+    std::size_t n = (shared_.*counter).load(std::memory_order_relaxed);
+    for (const Slot& t : slots_) n += (t.*counter).load(std::memory_order_relaxed);
+    return n;
+  }
+
+  bool insert_lock_free(Shard& s, std::size_t idx, std::uint64_t sig, Slot& own);
+  bool insert_locked(Shard& s, std::size_t idx, std::uint64_t sig);
+  bool insert_budgeted(Shard& s, std::size_t idx, std::uint64_t sig);
+  void grow_from(Shard& s, std::size_t idx, std::size_t seen_capacity);
+  void grow_locked(Shard& s, std::size_t idx);
+
   Shard shards_[kShards];
+  Slot slots_[kThreadSlots];
+  Slot shared_;                   ///< counters of the threads without a slot
   std::size_t shard_budget_ = 0;  ///< bytes per shard; 0 = unlimited
   DiskTier* cold_ = nullptr;      ///< overflow target; null = latch exhaustion
   alignas(kCacheLineBytes) std::atomic<bool> mem_exhausted_{false};
@@ -258,7 +308,8 @@ class TieredSigSet {
   /// True iff `sig` was never inserted before (across all tiers).
   bool insert(std::uint64_t sig);
 
-  /// Unique signatures ever inserted (atomic; never torn).
+  /// Unique signatures ever inserted (ShardedSigSet::size: never goes
+  /// backwards, exact once the inserters are joined).
   [[nodiscard]] std::size_t size() const noexcept { return mem_.size(); }
 
   /// True once the in-memory budget was exceeded with no disk tier to
@@ -273,18 +324,6 @@ class TieredSigSet {
   std::unique_ptr<DiskTier> disk_;  ///< null when the disk tier is off
   ShardedSigSet mem_;
   std::uint64_t id_;  ///< nonce binding tier-0 TLS caches to this store
-
-  /// Duplicate counters of one thread stripe, on a cache line of its own: a
-  /// thread only bumps its own stripe and tier_stats() sums them, so
-  /// counting a duplicate never writes a line another inserter writes.
-  struct alignas(kCacheLineBytes) HitCell {
-    std::atomic<std::int64_t> recent_hits{0};
-    /// Duplicates reported by the locked path (tier 1 or tier 2);
-    /// tier_stats derives mem_hits as dup_returns - cold_hits.
-    std::atomic<std::int64_t> dup_returns{0};
-  };
-  static constexpr std::size_t kHitStripes = 16;
-  HitCell hits_[kHitStripes];
 };
 
 }  // namespace efd

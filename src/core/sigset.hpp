@@ -11,81 +11,139 @@
 // duplicates report false. Signatures are already avalanche-mixed by the
 // explorers (mix64 / content hashes), but the probe index is remixed here
 // anyway so a structured signature family cannot cluster the table.
-// Not thread-safe; it is the shard table of the one dedup store every
-// sweep inserts into: ShardedSigSet (core/diskset.hpp) stripes instances of
-// this set behind per-shard mutexes, and the disk tier drains a shard into
-// a run via drain_into() when it crosses its byte budget.
+//
+// It is the shard table of the one dedup store every sweep inserts into,
+// ShardedSigSet (core/diskset.hpp), which writes it in one of two ways.
+// insert() is the single-writer form (budgeted shards call it under their
+// lock; it counts and grows the table itself). claim() is the many-writer
+// form: the slots are atomic words, a claim takes an empty slot with one
+// CAS and neither counts nor grows, and the shard decides when to grow()
+// with no claim in flight. Relaxed atomic loads and stores compile to plain
+// moves on x86-64, so insert() costs what it would on a plain array.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace efd {
 
 class FlatSigSet {
  public:
-  FlatSigSet() : slots_(kInitialCap, kEmpty) {}
+  FlatSigSet() : slots_(kInitialCap) {}
 
   /// Inserts `sig`; true iff it was unseen (first insert wins). The load
   /// check runs only when the probe proved the signature fresh: inserting a
   /// duplicate can never grow the table, and the aside-tracked zero
   /// signature never counts toward the load factor (it occupies no slot).
+  /// Single writer: no insert(), claim() or grow() may run concurrently.
   bool insert(std::uint64_t sig) {
     // 0 cannot live in the table (it marks empty slots); track it aside.
     if (sig == kEmpty) {
-      const bool fresh = !has_zero_;
-      has_zero_ = true;
+      const bool fresh = !has_zero_.load(std::memory_order_relaxed);
+      has_zero_.store(true, std::memory_order_relaxed);
       return fresh;
     }
-    const std::size_t mask = slots_.size() - 1;
-    std::size_t i = probe_start(sig, mask);
-    while (slots_[i] != kEmpty) {
-      if (slots_[i] == sig) return false;
-      i = (i + 1) & mask;
+    const std::size_t m = mask();
+    std::size_t i = probe_start(sig, m);
+    for (std::uint64_t cur; (cur = load(i)) != kEmpty; i = (i + 1) & m) {
+      if (cur == sig) return false;
     }
-    if ((table_size_ + 1) * 10 >= slots_.size() * 7) {
+    if (at_load_limit(table_size_ + 1, m + 1)) {
       grow();
       // The table moved: re-derive the insertion slot (no duplicate can
       // appear — growth only rehashes existing, distinct signatures).
-      const std::size_t m2 = slots_.size() - 1;
-      i = probe_start(sig, m2);
-      while (slots_[i] != kEmpty) i = (i + 1) & m2;
+      i = empty_slot_for(sig);
     }
-    slots_[i] = sig;
+    slots_[i].store(sig, std::memory_order_relaxed);
     ++table_size_;
     return true;
   }
 
+  /// The growth rule: a table holding `entries` of `capacity` slots is
+  /// due to double (a 0.7 load factor).
+  [[nodiscard]] static constexpr bool at_load_limit(std::size_t entries,
+                                                    std::size_t capacity) noexcept {
+    return entries * 10 >= capacity * 7;
+  }
+
+  /// Outcome of one claim().
+  enum class Claim { kFresh, kPresent, kFull };
+
+  /// Many-writer insert: probes for `sig` and takes the first empty slot on
+  /// its path with one CAS. Racing claims of one signature walk the same
+  /// path and meet at the same first empty slot (a slot, once written,
+  /// never changes), so exactly one reports kFresh. kFull: the whole table
+  /// was probed without finding `sig` or an empty slot. Never grows and
+  /// never counts (size() covers insert() only): the caller keeps the load
+  /// count and calls grow() once no claim is in flight. Safe against
+  /// concurrent claim() and contains(); nothing else may run alongside.
+  Claim claim(std::uint64_t sig) noexcept {
+    if (sig == kEmpty) {
+      return has_zero_.exchange(true, std::memory_order_relaxed) ? Claim::kPresent
+                                                                 : Claim::kFresh;
+    }
+    const std::size_t m = mask();
+    std::size_t i = probe_start(sig, m);
+    for (std::size_t probed = 0; probed <= m; ++probed, i = (i + 1) & m) {
+      std::uint64_t cur = load(i);
+      if (cur == kEmpty) {
+        if (slots_[i].compare_exchange_strong(cur, sig, std::memory_order_relaxed)) {
+          return Claim::kFresh;
+        }
+        // Lost the slot: `cur` now holds the winner's signature.
+      }
+      if (cur == sig) return Claim::kPresent;
+    }
+    return Claim::kFull;
+  }
+
   /// True iff `sig` was inserted before. Never grows the table.
   [[nodiscard]] bool contains(std::uint64_t sig) const noexcept {
-    if (sig == kEmpty) return has_zero_;
-    const std::size_t mask = slots_.size() - 1;
-    std::size_t i = probe_start(sig, mask);
-    while (slots_[i] != kEmpty) {
-      if (slots_[i] == sig) return true;
-      i = (i + 1) & mask;
+    if (sig == kEmpty) return has_zero_.load(std::memory_order_relaxed);
+    const std::size_t m = mask();
+    std::size_t i = probe_start(sig, m);
+    for (std::uint64_t cur; (cur = load(i)) != kEmpty; i = (i + 1) & m) {
+      if (cur == sig) return true;
     }
     return false;
   }
 
+  /// Signatures insert() stored (claim() leaves counting to its caller).
   [[nodiscard]] std::size_t size() const noexcept {
-    return table_size_ + (has_zero_ ? 1u : 0u);
+    return table_size_ + (has_zero_.load(std::memory_order_relaxed) ? 1u : 0u);
   }
+
+  /// Slots in the table (a power of two).
+  [[nodiscard]] std::size_t capacity() const noexcept { return slots_.size(); }
 
   /// Bytes held by the slot array (the set's whole footprint; used by the
   /// tiered store's per-shard spill budget).
   [[nodiscard]] std::size_t bytes() const noexcept {
-    return slots_.size() * sizeof(std::uint64_t);
+    return capacity() * sizeof(std::uint64_t);
+  }
+
+  /// Doubles the table and rehashes every signature into it; the old table
+  /// is freed at once. No insert() or claim() may run concurrently.
+  void grow() {
+    std::vector<std::atomic<std::uint64_t>> old =
+        std::exchange(slots_, std::vector<std::atomic<std::uint64_t>>(capacity() * 2));
+    for (const std::atomic<std::uint64_t>& slot : old) {
+      const std::uint64_t sig = slot.load(std::memory_order_relaxed);
+      if (sig != kEmpty) slots_[empty_slot_for(sig)].store(sig, std::memory_order_relaxed);
+    }
   }
 
   /// Moves every stored signature (including an aside-tracked zero) into
   /// `out` (appended, unsorted) and resets the set to its initial capacity,
   /// releasing the table memory. Spill primitive of the tiered store.
   void drain_into(std::vector<std::uint64_t>& out) {
-    for (const std::uint64_t sig : slots_) {
+    for (const std::atomic<std::uint64_t>& slot : slots_) {
+      const std::uint64_t sig = slot.load(std::memory_order_relaxed);
       if (sig != kEmpty) out.push_back(sig);
     }
-    if (has_zero_) out.push_back(kEmpty);
+    if (has_zero_.load(std::memory_order_relaxed)) out.push_back(kEmpty);
     clear();
   }
 
@@ -93,9 +151,9 @@ class FlatSigSet {
   /// idiom guarantees the grown table's memory is actually released, which
   /// is the whole point of spilling a shard).
   void clear() {
-    std::vector<std::uint64_t>(kInitialCap, kEmpty).swap(slots_);
+    std::vector<std::atomic<std::uint64_t>>(kInitialCap).swap(slots_);
     table_size_ = 0;
-    has_zero_ = false;
+    has_zero_.store(false, std::memory_order_relaxed);
   }
 
  private:
@@ -105,22 +163,23 @@ class FlatSigSet {
   [[nodiscard]] static std::size_t probe_start(std::uint64_t sig, std::size_t mask) noexcept {
     return static_cast<std::size_t>((sig * 0x9E3779B97F4A7C15ULL) >> 17) & mask;
   }
-
-  void grow() {
-    std::vector<std::uint64_t> old = std::move(slots_);
-    slots_.assign(old.size() * 2, kEmpty);
-    const std::size_t mask = slots_.size() - 1;
-    for (const std::uint64_t sig : old) {
-      if (sig == kEmpty) continue;
-      std::size_t i = probe_start(sig, mask);
-      while (slots_[i] != kEmpty) i = (i + 1) & mask;
-      slots_[i] = sig;
-    }
+  [[nodiscard]] std::size_t mask() const noexcept { return slots_.size() - 1; }
+  [[nodiscard]] std::uint64_t load(std::size_t i) const noexcept {
+    return slots_[i].load(std::memory_order_relaxed);
+  }
+  /// First empty slot on `sig`'s probe path (single writer).
+  [[nodiscard]] std::size_t empty_slot_for(std::uint64_t sig) const noexcept {
+    const std::size_t m = mask();
+    std::size_t i = probe_start(sig, m);
+    while (load(i) != kEmpty) i = (i + 1) & m;
+    return i;
   }
 
-  std::vector<std::uint64_t> slots_;
-  std::size_t table_size_ = 0;  ///< slots occupied (excludes the aside zero)
-  bool has_zero_ = false;
+  /// Atomic words (value-initialized to kEmpty), so that claim() can CAS
+  /// them; the single-writer paths use relaxed loads and stores.
+  std::vector<std::atomic<std::uint64_t>> slots_;
+  std::size_t table_size_ = 0;  ///< slots insert() occupied (excludes the aside zero)
+  std::atomic<bool> has_zero_{false};
 };
 
 }  // namespace efd

@@ -1,6 +1,6 @@
 // Dedup-layer tests: the FlatSigSet bugfix pass, the ShardedSigSet size
-// (a sum of per-shard first-insert counts), and the tiered out-of-core
-// store (core/diskset.hpp).
+// (a sum of per-thread-slot first-insert counts), its lock-free inserts,
+// and the tiered out-of-core store (core/diskset.hpp).
 //
 //  * FlatSigSet regression — inserting a DUPLICATE at the 70% load boundary
 //    must not grow the table (the old code ran the grow check before
@@ -9,6 +9,11 @@
 //  * ShardedSigSet::size() — hammered from 8 writer threads while a poller
 //    asserts monotonicity (a spill drains a shard's table, so size() must
 //    not be derived from the tables);
+//  * lock-free inserts — 8 racers with overlapping streams through five
+//    doublings of every shard, into a bare ShardedSigSet and a default
+//    TieredSigSet: each distinct signature reported fresh exactly once,
+//    exact size() and exact duplicate counts; the same with 8 more racers
+//    alive at once than a set has thread slots (the locked fallback);
 //  * TieredSigSet property tests against a std::unordered_set oracle —
 //    random streams with duplicates, forced spills at tiny byte budgets,
 //    merge-then-query equivalence, exact per-tier duplicate counts under
@@ -16,7 +21,8 @@
 //  * explorer integration — ExploreOutcome through the disk tier (a 1 MiB
 //    budget that spills) is byte-identical to the default store across
 //    {1,2,8} threads, also at the exact budget boundary over {1,2,4,8};
-//    per-tier duplicate counts add up at every thread count; and a
+//    per-tier duplicate counts add up at every thread count, also over 24
+//    back-to-back 4-thread sweeps that recycle thread slots; and a
 //    memory-capped store with no disk tier degrades to a lower bound at the
 //    first state after the cap.
 //
@@ -25,8 +31,10 @@
 
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <latch>
 #include <memory>
 #include <random>
 #include <string>
@@ -163,6 +171,128 @@ TEST(ShardedSigSet, SizeCountsDuplicatesOnce) {
 }
 
 // ---------------------------------------------------------------------------
+// Lock-free inserts: races through growth and past the slot count.
+// ---------------------------------------------------------------------------
+
+/// Thread `t`'s insert stream: `n` keys drawn from `key_space` values that
+/// every thread draws from (so the threads' keys overlap), and every 8th
+/// insert repeats the one before it (a tier-0 hit in a TieredSigSet).
+std::vector<std::uint64_t> overlapping_stream(int t, std::size_t n, std::uint64_t key_space) {
+  SplitMix64 rng{0xD00D + static_cast<std::uint64_t>(t)};
+  std::vector<std::uint64_t> out;
+  out.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    out.push_back(i % 8 == 7 ? out.back() : splitmix64_finalize(1 + rng.next() % key_space));
+  }
+  return out;
+}
+
+/// What one race of streams did.
+struct Race {
+  std::int64_t inserts = 0;
+  std::int64_t duplicates = 0;     ///< inserts minus distinct keys
+  std::size_t distinct = 0;        ///< distinct keys over all streams
+  std::vector<std::size_t> slots;  ///< each racer's thread_slot()
+};
+
+/// Inserts each stream into `set` from a thread of its own. Every racer
+/// takes its thread slot index, then all start together, so all of them
+/// are alive at once. Checks first-insert-wins: each distinct key was
+/// reported fresh by exactly one insert, and size() is exact after the join.
+template <class Set>
+Race race_streams(Set& set, const std::vector<std::vector<std::uint64_t>>& streams) {
+  Race r;
+  std::vector<std::vector<std::uint64_t>> fresh(streams.size());
+  r.slots.resize(streams.size());
+  std::latch start(static_cast<std::ptrdiff_t>(streams.size()));
+  std::vector<std::thread> racers;
+  racers.reserve(streams.size());
+  for (std::size_t t = 0; t < streams.size(); ++t) {
+    racers.emplace_back([&, t] {
+      r.slots[t] = thread_slot();
+      start.arrive_and_wait();
+      for (const std::uint64_t sig : streams[t]) {
+        if (set.insert(sig)) fresh[t].push_back(sig);
+      }
+    });
+  }
+  for (std::thread& th : racers) th.join();
+
+  std::vector<std::uint64_t> keys;
+  std::vector<std::uint64_t> won;
+  for (std::size_t t = 0; t < streams.size(); ++t) {
+    keys.insert(keys.end(), streams[t].begin(), streams[t].end());
+    won.insert(won.end(), fresh[t].begin(), fresh[t].end());
+  }
+  r.inserts = static_cast<std::int64_t>(keys.size());
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  std::sort(won.begin(), won.end());
+  r.distinct = keys.size();
+  r.duplicates = r.inserts - static_cast<std::int64_t>(r.distinct);
+  EXPECT_EQ(std::adjacent_find(won.begin(), won.end()), won.end())
+      << "a signature was reported fresh twice";
+  EXPECT_EQ(won, keys) << "the fresh reports are not exactly the distinct keys";
+  EXPECT_EQ(set.size(), r.distinct);
+  return r;
+}
+
+// 8 racers, 2,560,000 inserts, ~56% duplicates: ~1.12 M distinct keys,
+// ~17.5 K per shard (spread ~130). A shard holding more than
+// 16,384 = 1,024 * 2^4 signatures has outgrown its 1,024-slot table at
+// least five times, so every shard grows at least five times mid-race.
+constexpr int kGrowthRacers = 8;
+constexpr std::size_t kGrowthInserts = 320000;
+constexpr std::uint64_t kGrowthKeySpace = 1400000;
+
+std::vector<std::vector<std::uint64_t>> growth_streams() {
+  std::vector<std::vector<std::uint64_t>> streams;
+  for (int t = 0; t < kGrowthRacers; ++t) {
+    streams.push_back(overlapping_stream(t, kGrowthInserts, kGrowthKeySpace));
+  }
+  return streams;
+}
+
+TEST(ShardedSigSet, FirstInsertWinsThroughGrowth) {
+  const auto set = std::make_unique<ShardedSigSet>();
+  const Race r = race_streams(*set, growth_streams());
+  ASSERT_GT(r.distinct, ShardedSigSet::kShards * 16384 * 105 / 100);
+  EXPECT_GT(r.duplicates * 2, r.inserts) << "the streams must overlap by about half";
+  EXPECT_EQ(set->duplicates(), static_cast<std::size_t>(r.duplicates));
+  EXPECT_EQ(set->cached_hits(), 0u);
+}
+
+TEST(TieredSigSet, FirstInsertWinsThroughGrowth) {
+  const auto store = std::make_unique<TieredSigSet>(DedupConfig{});
+  const Race r = race_streams(*store, growth_streams());
+  ASSERT_GT(r.distinct, ShardedSigSet::kShards * 16384 * 105 / 100);
+  const TierStats t = store->tier_stats();
+  EXPECT_GT(t.recent_hits, 0);
+  EXPECT_EQ(t.recent_hits + t.mem_hits, r.duplicates) << "each duplicate counted once";
+  EXPECT_EQ(t.cold_hits, 0);
+}
+
+TEST(TieredSigSet, ThreadsPastTheSlotCountInsertUnderTheLock) {
+  // 8 more racers alive at once than a set has slots: at least 8 of them
+  // have no slot and claim under the shard lock, racing the lock-free
+  // claims and the growths that both trigger.
+  constexpr std::size_t kRacers = ShardedSigSet::kThreadSlots + 8;
+  std::vector<std::vector<std::uint64_t>> streams;
+  for (std::size_t t = 0; t < kRacers; ++t) {
+    streams.push_back(overlapping_stream(static_cast<int>(t), 12000, 600000));
+  }
+  const auto store = std::make_unique<TieredSigSet>(DedupConfig{});
+  const Race r = race_streams(*store, streams);
+  const auto slotless = std::count_if(r.slots.begin(), r.slots.end(), [](std::size_t i) {
+    return i >= ShardedSigSet::kThreadSlots;
+  });
+  EXPECT_GE(slotless, 8) << "the racers were not all alive at once";
+  EXPECT_LT(slotless, static_cast<std::ptrdiff_t>(kRacers)) << "no racer had a slot";
+  const TierStats t = store->tier_stats();
+  EXPECT_EQ(t.recent_hits + t.mem_hits, r.duplicates) << "each duplicate counted once";
+}
+
+// ---------------------------------------------------------------------------
 // TieredSigSet vs std::unordered_set oracle.
 // ---------------------------------------------------------------------------
 
@@ -234,7 +364,7 @@ TEST(TieredSigSet, ConcurrentInsertersAgreeWithOracleSet) {
     });
   }
   for (auto& w : workers) w.join();
-  // The striped duplicate counters are exact: every insert that returned
+  // The per-slot duplicate counters are exact: every insert that returned
   // false was answered by exactly one tier.
   const TierStats t = store.tier_stats();
   const std::int64_t dups = kThreads * static_cast<std::int64_t>(kPerThread) - fresh_total.load();
@@ -375,6 +505,29 @@ TEST(TieredExplore, TierHitsAddUpAtEveryThreadCount) {
         << "threads=" << threads;
     EXPECT_GT(st.dedup_recent_hits, 0) << "threads=" << threads;
   }
+}
+
+TEST(TieredExplore, BackToBackParallelSweepsRecycleThreadSlots) {
+  // Each 4-thread sweep runs on a crew built for it, so 24 sweeps start 72
+  // worker threads, more than a store has slots. Their slots are recycled
+  // as they exit: every sweep inserts lock-free and equals the 1-thread
+  // sweep, and its per-tier duplicate counts add up exactly.
+  const ExploreOutcome seq = sweep_with_store(DedupConfig{}, 1, 400000, 5);
+  ASSERT_TRUE(seq.ok) << seq.violation;
+  ASSERT_FALSE(seq.budget_exhausted);
+  for (int round = 0; round < 24; ++round) {
+    const ExploreOutcome o = sweep_with_store(DedupConfig{}, 4, 400000, 5);
+    const std::string what = "round " + std::to_string(round);
+    expect_outcome_eq(o, seq, what);
+    const ExploreStats& st = o.stats;
+    EXPECT_EQ(st.dedup_recent_hits + st.dedup_mem_hits + st.dedup_cold_hits, st.dedup_hits)
+        << what;
+  }
+  // At most four threads inserted at once, so a new thread's index is low;
+  // without recycling it would be past the 72 indices the crews took.
+  std::size_t fresh_index = 0;
+  std::thread([&] { fresh_index = thread_slot(); }).join();
+  EXPECT_LT(fresh_index, 8u);
 }
 
 TEST(TieredExplore, MemoryCapWithoutDiskReportsLowerBound) {

@@ -6,7 +6,9 @@
 # tiered run must actually exercise the disk (spills > 0) and must leave
 # nothing behind in its spill directory. The in-memory 1-thread run's tier
 # hits must add up to its duplicates. The same sweep at 4 threads, through
-# both store shapes, must reproduce the 1-thread counters. Also checks the
+# both store shapes, must reproduce the 1-thread counters, and its tier hits
+# must add up to its own duplicates (each inserting thread counts in a slot
+# of its own, so the counts stay exact at any thread count). Also checks the
 # capped mem-only configuration degrades to a lower-bound verdict (exit 3)
 # instead of pretending to certify, that an out-of-range --mem-mb is a
 # usage error, and that the sweep ignores store variables in its
@@ -73,6 +75,16 @@ for run in mem_x4 tiered_x4; do
       exit 1
     }
   done
+  recent="$(field "$work/$run.json" recent_hits)"
+  memhits="$(field "$work/$run.json" mem_hits)"
+  coldhits="$(field "$work/$run.json" cold_hits)"
+  hits="$(field "$work/$run.json" dedup_hits)"
+  [ -n "$recent" ] && [ -n "$memhits" ] && [ -n "$coldhits" ] &&
+    [ $((recent + memhits + coldhits)) -eq "$hits" ] || {
+    echo "FAIL: $run tiers: recent_hits=$recent + mem_hits=$memhits +" \
+      "cold_hits=$coldhits, want dedup_hits=$hits" >&2
+    exit 1
+  }
 done
 
 spills="$(field "$work/tiered.json" spills)"
