@@ -13,23 +13,25 @@
 //           definitely-inserted signatures enter the cache, so a hit can
 //           never lose a state.
 //   tier 1  ShardedSigSet — the authoritative in-memory set (64 FlatSigSet
-//           shards), with an optional per-shard byte budget. Unbudgeted
-//           shards insert without a lock (a CAS on the table slot);
-//           budgeted ones insert under their shard's mutex.
+//           shards), with an optional per-shard byte budget. Every shard
+//           inserts without a lock (a CAS on the table slot), budgeted or
+//           not.
 //   tier 2  DiskTier — per shard, a bloom prefilter in front of mmap'd
-//           sorted runs. When a shard crosses its budget it is drained,
-//           sorted, written to a run file and dropped from RAM; runs are
-//           merged (and the bloom rebuilt) whenever a shard accumulates
-//           kMergeRuns of them. Because a signature is only inserted into
-//           tier 1 after missing tier 2, the runs of one shard are DISJOINT
-//           sorted arrays — merging never needs to dedup, and the store's
-//           total size is the plain sum of tier sizes.
+//           sorted runs. A shard whose doubled table would not fit its
+//           budget spills instead of growing: the table is sorted, appended
+//           as a run to the shard's one spill file and mapped, and only
+//           then emptied (it keeps its capacity); runs are merged (and the
+//           bloom rebuilt) whenever a shard accumulates kMergeRuns of them.
+//           Because a signature is only inserted into tier 1 after missing
+//           tier 2, the runs of one shard are DISJOINT sorted arrays —
+//           merging never needs to dedup, and the store's total size is the
+//           plain sum of tier sizes.
 //
-// First-insert-wins is preserved exactly. In an unbudgeted shard racing
-// inserts of one signature meet at the same first empty slot and exactly
-// one CAS succeeds, and growth waits for the inserts in flight; in a
-// budgeted shard the entire probe (mem table → bloom → runs) and the insert
-// happen under the shard's mutex. So the clean-sweep state counts are
+// First-insert-wins is preserved exactly. Racing inserts of one signature
+// meet at the same first empty slot and exactly one CAS succeeds; the
+// probe of the disk tier runs between the table probe and that CAS, and a
+// grow or a spill waits for the inserts in flight, so no spill moves the
+// table or the runs under one. So the clean-sweep state counts are
 // thread-count-invariant with or without the disk tier. The default config
 // (no budget, no disk tier) is tier 0 over unbudgeted shards; with a byte
 // budget but no disk tier the store latches mem_exhausted() and the sweep
@@ -37,9 +39,11 @@
 // shapes, and each inserting thread counts its own traffic in a slot of its
 // own (ShardedSigSet), so the per-tier counts are exact at any thread count.
 //
-// Run files are unlinked immediately after mmap, so a crash can never leak
-// spill files; the per-store spill directory (created lazily under
-// DedupConfig::spill_dir, else $TMPDIR, else /tmp) is removed on destruction.
+// A shard's spill file is unlinked as soon as it is created, so a crash can
+// never leak one, and a store holds at most one spill descriptor per shard;
+// the per-store spill directory (created lazily under
+// DedupConfig::spill_dir, else $TMPDIR, else /tmp) is removed on
+// destruction.
 #pragma once
 
 #include <atomic>
@@ -72,7 +76,7 @@ void bump_single_writer(std::atomic<T>& counter) noexcept {
 struct DedupConfig {
   bool disk_tier = false;            ///< spill overflowing shards to disk
   std::size_t mem_budget_bytes = 0;  ///< total in-memory cap; 0 = unlimited
-  std::string spill_dir;             ///< root for run files; "" = $TMPDIR, else /tmp
+  std::string spill_dir;             ///< root for spill files; "" = $TMPDIR, else /tmp
 };
 
 /// Per-tier traffic of one store (all counters monotone; snapshot via
@@ -84,15 +88,17 @@ struct TierStats {
   std::int64_t cold_probes = 0;   ///< in-memory misses that consulted tier 2
   std::int64_t bloom_skips = 0;   ///< cold probes settled by the bloom alone
   std::int64_t cold_hits = 0;     ///< duplicates found in an mmap'd run
-  std::int64_t spills = 0;        ///< shard drains to disk
+  std::int64_t spills = 0;        ///< shard tables spilled to disk
   std::int64_t spilled_sigs = 0;  ///< signatures moved to disk in total
-  std::int64_t spill_bytes = 0;   ///< bytes written to run files in total
+  std::int64_t spill_bytes = 0;   ///< bytes spilled (merges rewrite runs uncounted)
   std::int64_t merges = 0;        ///< per-shard run merges
 };
 
-/// Tier 2: per-shard bloom prefilter + mmap'd disjoint sorted runs.
-/// All per-shard calls arrive under that shard's ShardedSigSet mutex, so
-/// per-shard cold state needs no further synchronization.
+/// Tier 2: per-shard bloom prefilter + mmap'd disjoint sorted runs, kept
+/// in one spill file per shard. A shard's probes only read its cold state;
+/// its spills change it, and ShardedSigSet runs a spill under that shard's
+/// mutex once no insert into the shard is in flight, so per-shard cold
+/// state needs no further synchronization.
 class DiskTier {
  public:
   /// `dir_root`: where the (lazily created, mkdtemp-named) spill directory
@@ -102,15 +108,21 @@ class DiskTier {
   DiskTier(const DiskTier&) = delete;
   DiskTier& operator=(const DiskTier&) = delete;
 
-  /// True iff `sig` was spilled to this shard's runs earlier.
-  bool contains(std::size_t shard, std::uint64_t sig);
-  /// Moves the shard's in-memory contents to a new run (the set is drained
-  /// and reset to its initial footprint).
+  /// What probe() found: the shard has no runs yet, the bloom ruled the
+  /// signature out, the runs lack it, or a run holds it.
+  enum class Probe { kNoRuns, kBloomSkip, kMiss, kHit };
+  /// Looks `sig` up in the shard's runs, newest first. Changes nothing, so
+  /// probes of one shard may run concurrently with each other.
+  [[nodiscard]] Probe probe(std::size_t shard, std::uint64_t sig) const noexcept;
+  /// Appends the table's signatures, sorted, as one run to the shard's
+  /// spill file and maps it; only then clears the table, which keeps its
+  /// capacity. The kMergeRuns-th run is instead merged with the shard's
+  /// runs into one run in a fresh file. Throws std::runtime_error
+  /// ("diskset: ...") if the run's file cannot be created or the run
+  /// cannot be written or mapped; the table and the runs are then as they
+  /// were.
   void spill(std::size_t shard, FlatSigSet& set);
 
-  [[nodiscard]] std::int64_t cold_probes() const noexcept { return sum(&Shard::cold_probes); }
-  [[nodiscard]] std::int64_t bloom_skips() const noexcept { return sum(&Shard::bloom_skips); }
-  [[nodiscard]] std::int64_t cold_hits() const noexcept { return sum(&Shard::cold_hits); }
   [[nodiscard]] std::int64_t spills() const noexcept { return spills_.load(std::memory_order_relaxed); }
   [[nodiscard]] std::int64_t spilled_sigs() const noexcept { return spilled_sigs_.load(std::memory_order_relaxed); }
   [[nodiscard]] std::int64_t spill_bytes() const noexcept { return spill_bytes_.load(std::memory_order_relaxed); }
@@ -134,34 +146,25 @@ class DiskTier {
     const std::uint64_t* data = nullptr;
     std::size_t count = 0;
   };
-  /// Padded to whole cache lines: probes of different shards run under
-  /// different mutexes and must not write a common line.
-  struct alignas(kCacheLineBytes) Shard {
+  struct Shard {
     Bloom bloom;
     std::vector<Run> runs;
-    std::size_t spilled = 0;              ///< signatures across all runs
-    std::vector<std::uint64_t> scratch;   ///< drain/merge buffer (reused)
-    // Probe traffic, written under the shard mutex, summed by the accessors.
-    std::atomic<std::int64_t> cold_probes{0};
-    std::atomic<std::int64_t> bloom_skips{0};
-    std::atomic<std::int64_t> cold_hits{0};
+    std::size_t spilled = 0;             ///< signatures across all runs
+    int fd = -1;                         ///< the (unlinked) spill file; -1 before the first spill
+    std::size_t end = 0;                 ///< page-aligned offset where the next run goes
+    std::vector<std::uint64_t> scratch;  ///< spill/merge buffer (reused)
   };
 
-  [[nodiscard]] std::int64_t sum(std::atomic<std::int64_t> Shard::*counter) const noexcept {
-    std::int64_t n = 0;
-    for (const Shard& s : shards_) n += (s.*counter).load(std::memory_order_relaxed);
-    return n;
-  }
-
-  void ensure_dir();
-  Run write_run(const std::vector<std::uint64_t>& sigs, std::size_t shard);
+  int create_file(std::size_t shard);
+  static Run write_run(int fd, std::size_t offset, const std::vector<std::uint64_t>& sigs,
+                       std::size_t shard);
   static void drop_run(Run& r) noexcept;
-  void merge_shard(Shard& s, std::size_t shard_idx);
+  void merge_runs(Shard& s, std::size_t shard);
 
   std::string dir_root_;
   mutable std::mutex dir_mu_;  ///< guards lazy creation of dir_ across shards
   std::string dir_;
-  std::atomic<std::uint64_t> run_seq_{0};
+  std::atomic<std::uint64_t> file_seq_{0};
   std::vector<Shard> shards_;
 
   std::atomic<std::int64_t> spills_{0};
@@ -183,21 +186,23 @@ std::size_t thread_slot();
 /// explorers' clean-sweep state counts thread-count-invariant (see
 /// DESIGN.md, "Exploration engine" and 4f).
 ///
-/// Unbudgeted shards insert without a lock. A thread announces which shard
-/// it is inside (a word in its own slot), then claims the signature's slot
-/// with one CAS (FlatSigSet::claim), so a first insert writes only that
-/// slot's cache line and the thread's own. Growth takes the shard lock,
-/// raises the shard's flag, waits until every announced insert into the
-/// shard has left, rehashes into a table twice the size and frees the old
-/// one; an inserter that sees the flag waits on the lock and retries. A
-/// thread adds its first inserts into a shard to the shard's load count in
-/// batches of capacity/1024, so the shared count is rarely written, and the
-/// shard grows at a 0.7 load factor (or at a full probe path, whatever the
-/// batches still hold); a shard with one inserting thread grows at the
-/// insert FlatSigSet::insert would grow at. Threads without a slot claim
-/// under the shard lock, which excludes growth. Budgeted shards (a byte
-/// budget or a disk tier) insert under the lock with the single-writer
-/// FlatSigSet::insert, since a spill drains the table.
+/// Every shard inserts without a lock. A thread announces which shard it
+/// is inside (a word in its own slot), probes the table, on a miss probes
+/// the shard's disk tier (if any), and claims the signature's slot with one
+/// CAS (FlatSigSet::claim), so a first insert writes only that slot's cache
+/// line and the thread's own. Making room takes the shard lock, raises the
+/// shard's flag and waits until every announced insert into the shard has
+/// left; then it doubles the table, or, when the doubled table would not
+/// fit the shard's byte budget, spills it into the disk tier (or, with no
+/// disk tier, latches mem_exhausted() and doubles it). An inserter that
+/// sees the flag waits on the lock and retries. A thread adds its first
+/// inserts into a shard to the shard's load count in batches of
+/// capacity/1024, so the shared count is rarely written, and a shard makes
+/// room at a 0.7 load factor, at a full probe path, or when an insert
+/// leaves its table above the budget; a shard with one inserting thread
+/// makes room at the insert FlatSigSet::insert would grow at. Threads
+/// without a slot do the same under the shard lock, which excludes making
+/// room.
 class ShardedSigSet {
  public:
   static constexpr std::size_t kShards = 64;
@@ -206,17 +211,16 @@ class ShardedSigSet {
   static constexpr std::size_t kThreadSlots = 64;
 
   ShardedSigSet() = default;
-  /// Budgeted form: when a shard's table crosses `shard_byte_budget` bytes
-  /// after an insert, it is spilled into `cold` — or, with no disk tier,
-  /// the set latches mem_exhausted() so the sweep can stop and report a
-  /// lower bound instead of growing without bound.
+  /// Budgeted form: a shard whose doubled table would not fit
+  /// `shard_byte_budget` bytes spills into `cold` instead of growing — or,
+  /// with no disk tier, the set latches mem_exhausted() so the sweep can
+  /// stop and report a lower bound instead of growing without bound.
   ShardedSigSet(std::size_t shard_byte_budget, DiskTier* cold)
       : shard_budget_(shard_byte_budget), cold_(cold) {}
 
   /// True iff `sig` was not present in the shard OR its cold storage (first
-  /// insert wins). Thread-safe. A budgeted shard holds its lock over the
-  /// whole probe-insert-spill sequence, which keeps clean-sweep counts
-  /// thread-count-invariant with the disk tier active.
+  /// insert wins). Thread-safe. Throws what a spill throws; the signature
+  /// is then stored and counted, and nothing stored before is lost.
   bool insert(std::uint64_t sig);
 
   /// Counts, in the calling thread's slot, one duplicate that a cache in
@@ -224,7 +228,7 @@ class ShardedSigSet {
   void count_cached_hit();
 
   /// Signatures ever first-inserted (in-memory + spilled): the sum of the
-  /// slots' first-insert counts. Each count only grows (a spill drains a
+  /// slots' first-insert counts. Each count only grows (a spill clears a
   /// shard's table but never resets a count, and a recycled slot keeps its
   /// count), so successive reads from one thread never go backwards, and
   /// once the inserting threads are joined the sum is exact.
@@ -233,27 +237,38 @@ class ShardedSigSet {
   [[nodiscard]] std::size_t duplicates() const noexcept { return sum(&Slot::duplicates); }
   /// count_cached_hit() calls; exact once the inserters are joined.
   [[nodiscard]] std::size_t cached_hits() const noexcept { return sum(&Slot::cached_hits); }
+  /// Table misses that probed a shard's disk-tier runs, those the bloom
+  /// settled, and those a run answered (duplicates); exact once the
+  /// inserters are joined.
+  [[nodiscard]] std::size_t cold_probes() const noexcept { return sum(&Slot::cold_probes); }
+  [[nodiscard]] std::size_t bloom_skips() const noexcept { return sum(&Slot::bloom_skips); }
+  [[nodiscard]] std::size_t cold_hits() const noexcept { return sum(&Slot::cold_hits); }
 
-  /// True once any shard crossed its byte budget with no disk tier to spill
-  /// into (memory-capped mem-only mode).
+  /// True once a shard's doubled table would not fit its byte budget with
+  /// no disk tier to spill into (memory-capped mem-only mode).
   [[nodiscard]] bool mem_exhausted() const noexcept {
     return mem_exhausted_.load(std::memory_order_relaxed);
   }
 
- private:
+  /// The shard `sig` lives in.
   static std::size_t shard_of(std::uint64_t sig) noexcept {
     // Fibonacci mix so consecutive sigs don't pile onto one stripe.
     return static_cast<std::size_t>((sig * 0x9E3779B97F4A7C15ULL) >> 58) % kShards;
   }
 
+ private:
   /// One shard, padded to whole cache lines so that inserts into
   /// neighbouring shards never contend for a line. Lock-free inserters
-  /// only read its first line (the table's address and size, the flag).
+  /// only read its first line (the table's address and size, the flag and
+  /// the count of make-room passes).
   struct alignas(kCacheLineBytes) Shard {
     FlatSigSet set;  ///< flat probing set: no node alloc per insert
-    /// Raised by a grower (holding `mu`) until the doubled table is live.
-    std::atomic<bool> growing{false};
-    /// Guards growth, the locked inserts and, in a budgeted shard, `set`.
+    /// Raised by a thread making room (holding `mu`) until it is done.
+    std::atomic<bool> making_room{false};
+    /// Make-room passes so far (grows and spills; a spill keeps the
+    /// capacity, so only this count tells that another thread made room).
+    std::atomic<std::size_t> rooms{0};
+    /// Guards making room and the locked inserts.
     alignas(kCacheLineBytes) std::mutex mu;
     /// First inserts that count toward the load factor: lock-free ones
     /// arrive in per-thread batches, locked ones one at a time.
@@ -269,6 +284,9 @@ class ShardedSigSet {
     std::atomic<std::size_t> first_inserts{0};
     std::atomic<std::size_t> duplicates{0};
     std::atomic<std::size_t> cached_hits{0};
+    std::atomic<std::size_t> cold_probes{0};
+    std::atomic<std::size_t> bloom_skips{0};
+    std::atomic<std::size_t> cold_hits{0};
     /// Per shard, the owner's lock-free first inserts not yet added to
     /// Shard::filled, and the count it read when it last added some
     /// (plain: only the owner reads them).
@@ -284,9 +302,10 @@ class ShardedSigSet {
 
   bool insert_lock_free(Shard& s, std::size_t idx, std::uint64_t sig, Slot& own);
   bool insert_locked(Shard& s, std::size_t idx, std::uint64_t sig);
-  bool insert_budgeted(Shard& s, std::size_t idx, std::uint64_t sig);
-  void grow_from(Shard& s, std::size_t idx, std::size_t seen_capacity);
-  void grow_locked(Shard& s, std::size_t idx);
+  bool in_cold(std::size_t idx, std::uint64_t sig, Slot& counts);
+  [[nodiscard]] bool over_budget(std::size_t capacity) const noexcept;
+  void make_room_from(Shard& s, std::size_t idx, std::size_t seen_rooms);
+  void make_room_locked(Shard& s, std::size_t idx);
 
   Shard shards_[kShards];
   Slot slots_[kThreadSlots];

@@ -13,13 +13,14 @@
 // anyway so a structured signature family cannot cluster the table.
 //
 // It is the shard table of the one dedup store every sweep inserts into,
-// ShardedSigSet (core/diskset.hpp), which writes it in one of two ways.
-// insert() is the single-writer form (budgeted shards call it under their
-// lock; it counts and grows the table itself). claim() is the many-writer
-// form: the slots are atomic words, a claim takes an empty slot with one
-// CAS and neither counts nor grows, and the shard decides when to grow()
-// with no claim in flight. Relaxed atomic loads and stores compile to plain
-// moves on x86-64, so insert() costs what it would on a plain array.
+// ShardedSigSet (core/diskset.hpp), which writes it with claim(), the
+// many-writer form: the slots are atomic words, a claim takes an empty slot
+// with one CAS and neither counts nor grows, and the shard decides when to
+// grow() or, through its disk tier, to copy_into() a run and clear() the
+// table, with no claim in flight. insert() is the single-writer form (it
+// counts and grows the table itself). Relaxed atomic loads and stores
+// compile to plain moves on x86-64, so insert() costs what it would on a
+// plain array.
 #pragma once
 
 #include <atomic>
@@ -79,16 +80,30 @@ class FlatSigSet {
   /// never counts (size() covers insert() only): the caller keeps the load
   /// count and calls grow() once no claim is in flight. Safe against
   /// concurrent claim() and contains(); nothing else may run alongside.
-  Claim claim(std::uint64_t sig) noexcept {
+  ///
+  /// `stored_elsewhere(sig)` is asked at most once, when the table has
+  /// proved `sig` absent (the probe reached an empty slot, or the whole
+  /// path): true reports kPresent with nothing claimed. The tiered store
+  /// asks its disk tier there, which no claim changes.
+  template <class StoredElsewhere>
+  Claim claim(std::uint64_t sig, StoredElsewhere&& stored_elsewhere) {
     if (sig == kEmpty) {
+      if (has_zero_.load(std::memory_order_relaxed) || stored_elsewhere(sig)) {
+        return Claim::kPresent;
+      }
       return has_zero_.exchange(true, std::memory_order_relaxed) ? Claim::kPresent
                                                                  : Claim::kFresh;
     }
     const std::size_t m = mask();
     std::size_t i = probe_start(sig, m);
+    bool asked = false;
     for (std::size_t probed = 0; probed <= m; ++probed, i = (i + 1) & m) {
       std::uint64_t cur = load(i);
       if (cur == kEmpty) {
+        if (!asked) {
+          if (stored_elsewhere(sig)) return Claim::kPresent;
+          asked = true;
+        }
         if (slots_[i].compare_exchange_strong(cur, sig, std::memory_order_relaxed)) {
           return Claim::kFresh;
         }
@@ -96,7 +111,7 @@ class FlatSigSet {
       }
       if (cur == sig) return Claim::kPresent;
     }
-    return Claim::kFull;
+    return !asked && stored_elsewhere(sig) ? Claim::kPresent : Claim::kFull;
   }
 
   /// True iff `sig` was inserted before. Never grows the table.
@@ -135,23 +150,23 @@ class FlatSigSet {
     }
   }
 
-  /// Moves every stored signature (including an aside-tracked zero) into
-  /// `out` (appended, unsorted) and resets the set to its initial capacity,
-  /// releasing the table memory. Spill primitive of the tiered store.
-  void drain_into(std::vector<std::uint64_t>& out) {
+  /// Appends every stored signature (including an aside-tracked zero) to
+  /// `out`, unsorted; the set is unchanged. With clear(), the spill
+  /// primitive of the tiered store: it writes the copy out first and
+  /// clears the table only once the copy is safe.
+  void copy_into(std::vector<std::uint64_t>& out) const {
     for (const std::atomic<std::uint64_t>& slot : slots_) {
       const std::uint64_t sig = slot.load(std::memory_order_relaxed);
       if (sig != kEmpty) out.push_back(sig);
     }
     if (has_zero_.load(std::memory_order_relaxed)) out.push_back(kEmpty);
-    clear();
   }
 
-  /// Empties the set and shrinks it back to the initial capacity (the swap
-  /// idiom guarantees the grown table's memory is actually released, which
-  /// is the whole point of spilling a shard).
-  void clear() {
-    std::vector<std::atomic<std::uint64_t>>(kInitialCap).swap(slots_);
+  /// Empties the set in place: the table keeps its capacity (a spilled
+  /// shard refills the table it already has rather than regrowing one).
+  /// No insert() or claim() may run concurrently.
+  void clear() noexcept {
+    for (std::atomic<std::uint64_t>& slot : slots_) slot.store(kEmpty, std::memory_order_relaxed);
     table_size_ = 0;
     has_zero_.store(false, std::memory_order_relaxed);
   }

@@ -69,7 +69,7 @@ struct ExploreStats {
   std::int64_t dedup_cold_hits = 0;    ///< duplicates found in an mmap'd run
   std::int64_t dedup_spills = 0;       ///< shard drains to disk
   std::int64_t dedup_spilled_sigs = 0; ///< signatures moved to disk in total
-  std::int64_t dedup_spill_bytes = 0;  ///< bytes written to run files in total
+  std::int64_t dedup_spill_bytes = 0;  ///< bytes spilled (merges rewrite runs uncounted)
   std::int64_t dedup_merges = 0;       ///< per-shard run merges
 
   /// Accumulates another sweep's counters (sums; max for depth; threads and

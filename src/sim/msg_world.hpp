@@ -12,7 +12,7 @@
 //    FaultPlan storms/triggers reach them with no new machinery.
 //  * eager mode has no links and no daemons: a send lands on the mailbox
 //    instantly. Exhaustive exploration runs eager mode (the sends-instant
-//    subfamily; see DESIGN.md 4h), record/replay and fuzzing drive both.
+//    subfamily; see EXPERIMENTS.md E19), record/replay and fuzzing drive both.
 //
 // The SAME coroutine bodies (ctx.send / ctx.recv) run against ShmSubstrate
 // (registers-as-mailboxes) and MsgSubstrate: that is the cross-backend

@@ -20,7 +20,7 @@
 //    FIFO channels and explicit delivery steps.
 //
 // Explorer contract (what record/replay + the incremental explorer need from
-// any backend; see DESIGN.md 4h):
+// any backend; see EXPERIMENTS.md E19):
 //  * one step mutates at most ONE mailbox cell, and cell_state()/
 //    restore_cell() observe and exactly invert that mutation (the undo-log
 //    protocol mem.read()/written()/undo_write() implements for registers);

@@ -11,13 +11,18 @@
 //    not be derived from the tables);
 //  * lock-free inserts — 8 racers with overlapping streams through five
 //    doublings of every shard, into a bare ShardedSigSet and a default
-//    TieredSigSet: each distinct signature reported fresh exactly once,
-//    exact size() and exact duplicate counts; the same with 8 more racers
-//    alive at once than a set has thread slots (the locked fallback);
+//    TieredSigSet, through ~24 spills and 3 merges of every shard of a
+//    disk-tier store, and through the latch of a capped one: each distinct
+//    signature reported fresh exactly once, exact size() and exact
+//    duplicate counts; the same with 8 more racers alive at once than a
+//    set has thread slots (the locked fallback), with and without a disk
+//    tier;
 //  * TieredSigSet property tests against a std::unordered_set oracle —
 //    random streams with duplicates, forced spills at tiny byte budgets,
 //    merge-then-query equivalence, exact per-tier duplicate counts under
 //    8 concurrent inserters, and the mem-exhaustion latch;
+//  * failed spills — with the spill directory removed, spills that cannot
+//    create their file throw, and lose no stored signature;
 //  * explorer integration — ExploreOutcome through the disk tier (a 1 MiB
 //    budget that spills) is byte-identical to the default store across
 //    {1,2,8} threads, also at the exact budget boundary over {1,2,4,8};
@@ -30,6 +35,7 @@
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -37,6 +43,7 @@
 #include <latch>
 #include <memory>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <unordered_set>
@@ -105,7 +112,7 @@ TEST(FlatSigSet, AsideZeroDoesNotSkewLoadFactor) {
   EXPECT_TRUE(set.contains(0));
 }
 
-TEST(FlatSigSet, DrainIntoMovesEverythingAndResets) {
+TEST(FlatSigSet, CopyIntoThenClearKeepsCapacity) {
   FlatSigSet set;
   const auto sigs = distinct_sigs(1000);
   for (const std::uint64_t s : sigs) set.insert(s);
@@ -113,15 +120,17 @@ TEST(FlatSigSet, DrainIntoMovesEverythingAndResets) {
   const std::size_t grown_bytes = set.bytes();
   EXPECT_GT(grown_bytes, 1024 * sizeof(std::uint64_t));
 
-  std::vector<std::uint64_t> drained;
-  set.drain_into(drained);
-  EXPECT_EQ(drained.size(), sigs.size() + 1);
+  std::vector<std::uint64_t> copied;
+  set.copy_into(copied);
+  EXPECT_EQ(copied.size(), sigs.size() + 1);
   std::unordered_set<std::uint64_t> want(sigs.begin(), sigs.end());
   want.insert(0);
-  for (const std::uint64_t s : drained) EXPECT_TRUE(want.count(s)) << s;
+  for (const std::uint64_t s : copied) EXPECT_TRUE(want.count(s)) << s;
+  EXPECT_EQ(set.size(), sigs.size() + 1) << "copying must leave the set as it was";
+  set.clear();
   EXPECT_EQ(set.size(), 0u);
-  EXPECT_EQ(set.bytes(), 1024 * sizeof(std::uint64_t)) << "drain must release the table";
-  // Drained signatures read as fresh again.
+  EXPECT_EQ(set.bytes(), grown_bytes) << "the cleared table is empty and keeps its capacity";
+  // Cleared signatures read as fresh again.
   EXPECT_TRUE(set.insert(sigs[0]));
   EXPECT_TRUE(set.insert(0));
 }
@@ -272,16 +281,17 @@ TEST(TieredSigSet, FirstInsertWinsThroughGrowth) {
   EXPECT_EQ(t.cold_hits, 0);
 }
 
-TEST(TieredSigSet, ThreadsPastTheSlotCountInsertUnderTheLock) {
-  // 8 more racers alive at once than a set has slots: at least 8 of them
-  // have no slot and claim under the shard lock, racing the lock-free
-  // claims and the growths that both trigger.
+/// 8 more racers alive at once than a set has slots: at least 8 of them
+/// have no slot and claim under the shard lock, racing the lock-free claims
+/// and the grows (and, with a disk tier, the spills) that both trigger.
+/// Returns the store's tier counts, which must add up to the duplicates.
+TierStats race_past_the_slot_count(const DedupConfig& cfg) {
   constexpr std::size_t kRacers = ShardedSigSet::kThreadSlots + 8;
   std::vector<std::vector<std::uint64_t>> streams;
   for (std::size_t t = 0; t < kRacers; ++t) {
     streams.push_back(overlapping_stream(static_cast<int>(t), 12000, 600000));
   }
-  const auto store = std::make_unique<TieredSigSet>(DedupConfig{});
+  const auto store = std::make_unique<TieredSigSet>(cfg);
   const Race r = race_streams(*store, streams);
   const auto slotless = std::count_if(r.slots.begin(), r.slots.end(), [](std::size_t i) {
     return i >= ShardedSigSet::kThreadSlots;
@@ -289,7 +299,60 @@ TEST(TieredSigSet, ThreadsPastTheSlotCountInsertUnderTheLock) {
   EXPECT_GE(slotless, 8) << "the racers were not all alive at once";
   EXPECT_LT(slotless, static_cast<std::ptrdiff_t>(kRacers)) << "no racer had a slot";
   const TierStats t = store->tier_stats();
-  EXPECT_EQ(t.recent_hits + t.mem_hits, r.duplicates) << "each duplicate counted once";
+  EXPECT_EQ(t.recent_hits + t.mem_hits + t.cold_hits, r.duplicates)
+      << "each duplicate counted once";
+  return t;
+}
+
+TEST(TieredSigSet, ThreadsPastTheSlotCountInsertUnderTheLock) {
+  const TierStats t = race_past_the_slot_count(DedupConfig{});
+  EXPECT_EQ(t.cold_hits, 0);
+}
+
+TEST(TieredSigSet, ThreadsPastTheSlotCountProbeTheDiskTierUnderTheLock) {
+  // ~430 K distinct keys, ~6.7 K per shard: a 1 MiB budget (16 KiB per
+  // shard) spills each shard every 1,434 first inserts, so the locked
+  // fallback probes the runs too.
+  DedupConfig cfg;
+  cfg.disk_tier = true;
+  cfg.mem_budget_bytes = std::size_t{1} << 20;
+  const TierStats t = race_past_the_slot_count(cfg);
+  EXPECT_GE(t.spills, 3 * static_cast<std::int64_t>(ShardedSigSet::kShards));
+  EXPECT_GT(t.cold_hits, 0);
+}
+
+TEST(TieredSigSet, FirstInsertWinsThroughSpillsAndMerges) {
+  // The growth race through a 512 KiB disk-tier store: 8 KiB per shard,
+  // so a shard spills its 1,024-slot table every 717 first inserts, about
+  // 24 times per shard mid-race, and merges its runs every 8th spill while
+  // claims race on.
+  DedupConfig cfg;
+  cfg.disk_tier = true;
+  cfg.mem_budget_bytes = std::size_t{512} << 10;
+  const auto store = std::make_unique<TieredSigSet>(cfg);
+  const Race r = race_streams(*store, growth_streams());
+  const TierStats t = store->tier_stats();
+  EXPECT_GE(t.spills, 8 * static_cast<std::int64_t>(ShardedSigSet::kShards));
+  EXPECT_GE(t.merges, static_cast<std::int64_t>(ShardedSigSet::kShards));
+  EXPECT_GT(t.cold_hits, 0);
+  EXPECT_EQ(t.recent_hits + t.mem_hits + t.cold_hits, r.duplicates)
+      << "each duplicate counted once";
+  EXPECT_FALSE(store->mem_exhausted());
+}
+
+TEST(TieredSigSet, FirstInsertWinsThroughTheMemoryCap) {
+  // The growth race through a 1 MiB store with no disk tier: the first
+  // shard whose doubled table would pass 16 KiB latches the cap, and the
+  // shards then grow on.
+  DedupConfig cfg;
+  cfg.mem_budget_bytes = std::size_t{1} << 20;
+  const auto store = std::make_unique<TieredSigSet>(cfg);
+  const Race r = race_streams(*store, growth_streams());
+  const TierStats t = store->tier_stats();
+  EXPECT_TRUE(store->mem_exhausted());
+  EXPECT_EQ(t.spills, 0);
+  EXPECT_EQ(t.recent_hits + t.mem_hits + t.cold_hits, r.duplicates)
+      << "each duplicate counted once";
 }
 
 // ---------------------------------------------------------------------------
@@ -396,6 +459,82 @@ TEST(TieredSigSet, MemBudgetWithoutDiskLatchesExhaustion) {
   EXPECT_EQ(store.size(), oracle.size());
 }
 
+TEST(TieredSigSet, FailedSpillLosesNoSignature) {
+  // A 4 MiB budget: 64 KiB per shard, so a shard spills 5,735 signatures
+  // at a time. Once the first spill has made the store's directory and the
+  // spilling shard's (already unlinked) file, the directory is removed: the
+  // first spill of any other shard then cannot create its file and throws.
+  DedupConfig cfg;
+  cfg.disk_tier = true;
+  cfg.mem_budget_bytes = std::size_t{4} << 20;
+  TieredSigSet store(cfg);
+  SplitMix64 rng{0xFA11};
+  const auto next_sig = [&rng] {
+    std::uint64_t z = 0;
+    while (z == 0) z = rng.next();
+    return z;
+  };
+  std::vector<std::uint64_t> stored;
+  std::vector<std::size_t> in_shard(ShardedSigSet::kShards);
+  const auto note = [&](std::uint64_t sig) {
+    stored.push_back(sig);
+    ++in_shard[ShardedSigSet::shard_of(sig)];
+  };
+  std::size_t first_spiller = 0;
+  while (store.tier_stats().spills == 0) {
+    const std::uint64_t sig = next_sig();
+    ASSERT_TRUE(store.insert(sig));
+    note(sig);
+    first_spiller = ShardedSigSet::shard_of(sig);
+  }
+  ASSERT_EQ(::rmdir(store.spill_dir().c_str()), 0) << store.spill_dir();
+
+  std::vector<bool> failed(ShardedSigSet::kShards, false);
+  int throws = 0;
+  while (throws < 5) {
+    const std::uint64_t sig = next_sig();
+    try {
+      EXPECT_TRUE(store.insert(sig));
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("diskset: ", 0), 0u) << e.what();
+      failed[ShardedSigSet::shard_of(sig)] = true;
+      ++throws;
+    }
+    note(sig);  // a throwing insert stored its signature before the spill failed
+  }
+  EXPECT_EQ(store.tier_stats().spills, 1);
+
+  // Every signature stored before the throws still reads as a duplicate
+  // (each failing shard's flag came down, so none of these waits forever).
+  // A duplicate never makes room, so only a lost signature can throw here.
+  for (const std::uint64_t sig : stored) {
+    bool fresh = true;
+    try {
+      fresh = store.insert(sig);
+    } catch (const std::runtime_error&) {
+    }
+    EXPECT_FALSE(fresh) << "signature " << sig << " was lost";
+  }
+  EXPECT_EQ(store.size(), stored.size());
+
+  // Other shards still insert: the first spiller, whose open file outlived
+  // the directory, and the shard furthest from its next spill.
+  std::size_t roomiest = first_spiller == 0 ? 1 : 0;
+  for (std::size_t k = 0; k < ShardedSigSet::kShards; ++k) {
+    if (k != first_spiller && !failed[k] && in_shard[k] < in_shard[roomiest]) roomiest = k;
+  }
+  ASSERT_FALSE(failed[roomiest]);
+  ASSERT_LT(in_shard[roomiest] + 100, std::size_t{5735}) << "shard " << roomiest << " is due";
+  for (const std::size_t k : {first_spiller, roomiest}) {
+    for (int fresh = 0; fresh < 100;) {
+      const std::uint64_t sig = next_sig();
+      if (ShardedSigSet::shard_of(sig) != k) continue;
+      EXPECT_TRUE(store.insert(sig)) << "shard " << k;
+      ++fresh;
+    }
+  }
+}
+
 TEST(TieredSigSet, SpillDirIsRemovedOnDestruction) {
   std::string dir;
   {
@@ -439,7 +578,7 @@ ExploreOutcome sweep_with_store(const DedupConfig& store, int threads,
 // Each sweep spills a few dozen runs holding tens of thousands of
 // signatures. A 64 KiB budget floors every shard at 4 KiB, below a fresh
 // 8 KiB shard table, so each first insert spills a one-signature run:
-// thousands of run files and merges per sweep, which only tests reach and
+// thousands of runs and merges per sweep, which only tests reach and
 // which made these cases tier-1's slowest. TieredSigSet's
 // TinyBudgetSpillsToDiskAndMatchesOracle keeps that regime covered.
 constexpr int kDiskTierN = 5;

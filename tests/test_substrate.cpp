@@ -82,7 +82,7 @@ ValueVec floodmin_inputs() {
 }
 
 /// The cross-backend-comparable summary of one sweep: the verdict plus every
-/// counter DESIGN.md 4h promises to be backend-invariant.
+/// counter EXPERIMENTS.md E19 promises to be backend-invariant.
 struct SweepSummary {
   bool ok = false;
   bool exhausted = false;

@@ -8,11 +8,12 @@
 # hits must add up to its duplicates. The same sweep at 4 threads, through
 # both store shapes, must reproduce the 1-thread counters, and its tier hits
 # must add up to its own duplicates (each inserting thread counts in a slot
-# of its own, so the counts stay exact at any thread count). Also checks the
-# capped mem-only configuration degrades to a lower-bound verdict (exit 3)
-# instead of pretending to certify, that an out-of-range --mem-mb is a
-# usage error, and that the sweep ignores store variables in its
-# environment: the flags are its only store inputs.
+# of its own, so the counts stay exact at any thread count). Also checks
+# that a spill failure ends the sweep at 1 and 4 threads with exit 6 and a
+# diagnostic, that the capped mem-only configuration degrades to a
+# lower-bound verdict (exit 3) instead of pretending to certify, that an
+# out-of-range --mem-mb is a usage error, and that the sweep ignores store
+# variables in its environment: the flags are its only store inputs.
 #
 # usage: dedup_smoke.sh <efd_dedup_sweep-binary> [workdir]
 set -eu
@@ -98,7 +99,7 @@ grep -q '"verdict": "clean"' "$work/tiered.json" || {
   exit 1
 }
 
-# Run files are unlinked at mmap time and the mkdtemp'd directory is removed
+# Spill files are unlinked at creation and the mkdtemp'd directory is removed
 # with the store: an out-of-core sweep must leave the spill root pristine.
 leftover="$(find "$spill" -mindepth 1 | head -5)"
 [ -z "$leftover" ] || {
@@ -106,6 +107,35 @@ leftover="$(find "$spill" -mindepth 1 | head -5)"
   echo "$leftover" >&2
   exit 1
 }
+
+# A spill that fails ends the sweep with a diagnostic, at one thread and at
+# four: with --spill-dir naming a missing directory the first spill cannot
+# make the store's directory, so the sweep must exit 6 with a `diskset:`
+# line on stderr and create nothing, and must not hang (a shard left making
+# room would stall every later insert into it).
+missing="$work/missing"
+for threads in 1 4; do
+  out="$work/missing_x$threads.json"
+  err="$work/missing_x$threads.err"
+  rm -rf "$missing" "$out"
+  rc=0
+  timeout 120 $sweep $common --threads $threads --tiers tiered --mem-mb 1 \
+    --spill-dir "$missing" --out "$out" >/dev/null 2>"$err" || rc=$?
+  [ "$rc" -eq 6 ] || {
+    echo "FAIL: --threads $threads sweep into a missing spill dir exited $rc," \
+      "want 6 (124: timed out)" >&2
+    exit 1
+  }
+  grep -q 'diskset:' "$err" || {
+    echo "FAIL: --threads $threads failed spill printed no diskset: line:" >&2
+    cat "$err" >&2
+    exit 1
+  }
+  [ ! -e "$missing" ] && [ ! -e "$out" ] || {
+    echo "FAIL: --threads $threads failed spill created $missing or $out" >&2
+    exit 1
+  }
+done
 
 # Capped mem-only: must stop early and say so (exit 3 = lower bound), never
 # report a certified level.

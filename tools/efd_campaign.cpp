@@ -19,7 +19,7 @@
 // as `efd-campaign-v1` JSON (schema in EXPERIMENTS.md E15; bench_diff.py
 // --validate accepts it).
 //
-// `serve` is the resident campaign farm (DESIGN.md 4g, EXPERIMENTS.md E18):
+// `serve` is the resident campaign farm (EXPERIMENTS.md E18):
 // it streams seeded + coverage-mutated plans — plus external submissions
 // read line-by-line from a --queue FIFO as `<target> <plan-text>` — across
 // all workers as work-stealing batches, dedups findings against the
