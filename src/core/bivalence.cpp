@@ -1,8 +1,8 @@
 #include "core/bivalence.hpp"
 
 #include <unordered_map>
-#include <unordered_set>
 
+#include "core/sigset.hpp"
 #include "sim/hash.hpp"
 #include "sim/memory.hpp"
 
@@ -126,7 +126,7 @@ class LassoSearcher {
       return;
     }
     if (static_cast<int>(sched.size()) >= cfg_.max_depth) return;
-    if (!visited_.insert(sig).second) return;
+    if (!visited_.insert(sig)) return;
 
     on_stack_[sig] = static_cast<long>(sched.size());
     for (int a : elig) {
@@ -145,7 +145,7 @@ class LassoSearcher {
   Config init_;
   LassoResult out_;
   std::unordered_map<std::uint64_t, long> on_stack_;
-  std::unordered_set<std::uint64_t> visited_;
+  FlatSigSet visited_;
 };
 
 }  // namespace

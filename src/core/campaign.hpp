@@ -139,8 +139,8 @@ struct CampaignRun {
                                             const CampaignOptions& opts);
 
 // ---------------------------------------------------------------------------
-// Campaign farm: the resident, corpus-backed form of the sweep (DESIGN.md
-// 4g, EXPERIMENTS.md E18). run_farm streams plans from the seeded
+// Campaign farm: the resident, corpus-backed form of the sweep
+// (EXPERIMENTS.md E18). run_farm streams plans from the seeded
 // generator / coverage-guided mutator / an external PlanSource, dispatches
 // them across workers as batches on one ResidentPool, dedups findings
 // against a persistent CorpusStore, and shrinks + double-replay-verifies

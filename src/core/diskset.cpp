@@ -28,28 +28,12 @@ std::string default_dir_root() {
   return "/tmp";
 }
 
-std::atomic<std::uint64_t> g_store_nonce{1};
-
 /// `bytes` rounded up to whole pages: the runs in a spill file start at
 /// page boundaries, so that each can be mapped at its own offset.
 std::size_t page_aligned(std::size_t bytes) {
   static const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
   return (bytes + page - 1) / page * page;
 }
-
-/// Slots of one tier-0 cache (a power of two: the index is a mask).
-constexpr std::size_t kRecentSlots = std::size_t{1} << 12;
-
-/// Tier-0 cache: one direct-mapped signature array per (thread, store).
-/// `owner` is the owning store's nonce — a thread that alternates between
-/// stores simply re-seeds the array. Only signatures that are KNOWN inserted
-/// are written here, so a hit is always a true duplicate. Signature 0 is
-/// never cached (0 marks an empty slot).
-struct RecentCache {
-  std::uint64_t owner = 0;
-  std::vector<std::uint64_t> slots;
-};
-thread_local RecentCache t_recent;
 
 /// The process-wide table of thread slot indices behind thread_slot().
 class SlotRegistry {
@@ -94,6 +78,14 @@ struct ThreadSlot {
   ~ThreadSlot() { slot_registry().release(index); }
 };
 thread_local ThreadSlot t_slot;
+
+/// Adds one to a counter that one writer at a time updates (the holder of
+/// its owner's lock, or the thread that owns its slot); other threads may
+/// read it concurrently. A plain load and store, because the lock or the
+/// ownership already orders the writers.
+void bump_single_writer(std::atomic<std::size_t>& counter) noexcept {
+  counter.store(counter.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+}
 
 /// Adds one to a slot counter: its owner's plain load and store, or an
 /// atomic add on the shared slot, which many threads write.
@@ -143,7 +135,7 @@ bool DiskTier::Bloom::maybe(std::uint64_t sig) const noexcept {
 
 DiskTier::DiskTier(std::string dir_root)
     : dir_root_(dir_root.empty() ? default_dir_root() : std::move(dir_root)),
-      shards_(ShardedSigSet::kShards) {}
+      shards_(TieredSigSet::kShards) {}
 
 DiskTier::~DiskTier() {
   for (Shard& s : shards_) {
@@ -279,25 +271,45 @@ void DiskTier::merge_runs(Shard& s, std::size_t shard) {
 }
 
 // ---------------------------------------------------------------------------
-// ShardedSigSet
+// TieredSigSet
 // ---------------------------------------------------------------------------
 
 std::size_t thread_slot() { return t_slot.index; }
 
-bool ShardedSigSet::insert(std::uint64_t sig) {
+namespace {
+std::size_t per_shard_budget(const DedupConfig& cfg) noexcept {
+  if (cfg.mem_budget_bytes == 0) return 0;
+  // Floored at 4 KiB. A fresh shard table is already 8 KiB, so a floored
+  // shard is over its budget from its first insert: with a disk tier it
+  // spills on every first insert, without one the first insert latches the
+  // cap (test_dedup relies on both).
+  return std::max<std::size_t>(cfg.mem_budget_bytes / TieredSigSet::kShards, 4096);
+}
+}  // namespace
+
+TieredSigSet::TieredSigSet(const DedupConfig& cfg)
+    : disk_(cfg.disk_tier ? std::make_unique<DiskTier>(cfg.spill_dir) : nullptr),
+      shard_budget_(per_shard_budget(cfg)) {}
+
+/// Tier 0 answers from the thread's slot before the insert announces
+/// itself. Signature 0 is never answered there (0 marks an empty entry),
+/// and every insert tier 0 did not answer writes its signature into the
+/// entry, which the shards have by then stored.
+bool TieredSigSet::insert(std::uint64_t sig) {
   const std::size_t idx = shard_of(sig);
   const std::size_t t = thread_slot();
-  return t < kThreadSlots ? insert_lock_free(shards_[idx], idx, sig, slots_[t])
-                          : insert_locked(shards_[idx], idx, sig);
-}
-
-void ShardedSigSet::count_cached_hit() {
-  const std::size_t t = thread_slot();
-  if (t < kThreadSlots) {
-    bump_slot(slots_[t].cached_hits, false);
-  } else {
-    bump_slot(shared_.cached_hits, true);
+  if (t >= kThreadSlots) return insert_locked(shards_[idx], idx, sig);
+  Slot& own = slots_[t];
+  if (!own.recent) own.recent = std::make_unique<std::uint64_t[]>(kRecentSlots);
+  std::uint64_t& recent =
+      own.recent[static_cast<std::size_t>(splitmix64_finalize(sig)) & (kRecentSlots - 1)];
+  if (sig != 0 && recent == sig) {
+    bump_single_writer(own.recent_hits);
+    return false;
   }
+  const bool fresh = insert_lock_free(shards_[idx], idx, sig, own);
+  recent = sig;
+  return fresh;
 }
 
 /// The announce-then-check pair below and the raise-then-scan pair in
@@ -309,7 +321,7 @@ void ShardedSigSet::count_cached_hit() {
 /// store once the room is made, so the next claim reads the new table and
 /// runs. The table probe, the cold probe and the CAS thus run on one table
 /// and one set of runs.
-bool ShardedSigSet::insert_lock_free(Shard& s, std::size_t idx, std::uint64_t sig, Slot& own) {
+bool TieredSigSet::insert_lock_free(Shard& s, std::size_t idx, std::uint64_t sig, Slot& own) {
   for (;;) {
     own.inside.store(idx + 1);
     if (s.making_room.load()) {
@@ -320,10 +332,10 @@ bool ShardedSigSet::insert_lock_free(Shard& s, std::size_t idx, std::uint64_t si
     const std::size_t capacity = s.set.capacity();
     const std::size_t rooms = s.rooms.load(std::memory_order_relaxed);
     const FlatSigSet::Claim c = s.set.claim(
-        sig, [&](std::uint64_t x) { return cold_ != nullptr && in_cold(idx, x, own); });
+        sig, [&](std::uint64_t x) { return disk_ != nullptr && in_cold(idx, x, own); });
     own.inside.store(0, std::memory_order_release);
     if (c == FlatSigSet::Claim::kPresent) {
-      bump_single_writer(own.duplicates);
+      bump_single_writer(own.shard_hits);
       return false;
     }
     if (c == FlatSigSet::Claim::kFull) {
@@ -355,13 +367,13 @@ bool ShardedSigSet::insert_lock_free(Shard& s, std::size_t idx, std::uint64_t si
 
 /// A thread without a slot: the shard lock excludes making room, and the
 /// CAS in claim() orders this insert against the lock-free ones.
-bool ShardedSigSet::insert_locked(Shard& s, std::size_t idx, std::uint64_t sig) {
+bool TieredSigSet::insert_locked(Shard& s, std::size_t idx, std::uint64_t sig) {
   const std::lock_guard<std::mutex> lk(s.mu);
   for (;;) {
     const FlatSigSet::Claim c = s.set.claim(
-        sig, [&](std::uint64_t x) { return cold_ != nullptr && in_cold(idx, x, shared_); });
+        sig, [&](std::uint64_t x) { return disk_ != nullptr && in_cold(idx, x, shared_); });
     if (c == FlatSigSet::Claim::kPresent) {
-      bump_slot(shared_.duplicates, true);
+      bump_slot(shared_.shard_hits, true);
       return false;
     }
     if (c == FlatSigSet::Claim::kFull) {
@@ -380,10 +392,10 @@ bool ShardedSigSet::insert_locked(Shard& s, std::size_t idx, std::uint64_t sig) 
 
 /// True iff `sig`, which the shard's table lacks, was spilled to the
 /// shard's runs; counts the probe in `counts` (its owner's plain adds, or
-/// atomic ones in the shared slot). Callers test `cold_` first, so a store
+/// atomic ones in the shared slot). Callers test `disk_` first, so a store
 /// without a disk tier makes no call.
-bool ShardedSigSet::in_cold(std::size_t idx, std::uint64_t sig, Slot& counts) {
-  const DiskTier::Probe p = cold_->probe(idx, sig);
+bool TieredSigSet::in_cold(std::size_t idx, std::uint64_t sig, Slot& counts) {
+  const DiskTier::Probe p = disk_->probe(idx, sig);
   if (p == DiskTier::Probe::kNoRuns) return false;
   const bool shared = &counts == &shared_;
   bump_slot(counts.cold_probes, shared);
@@ -396,14 +408,14 @@ bool ShardedSigSet::in_cold(std::size_t idx, std::uint64_t sig, Slot& counts) {
 /// A table of `capacity` slots is past the shard budget. Not once the cap
 /// has latched: the shards then grow like unbudgeted ones, so a latched
 /// shard does not take its lock on every later insert.
-bool ShardedSigSet::over_budget(std::size_t capacity) const noexcept {
+bool TieredSigSet::over_budget(std::size_t capacity) const noexcept {
   return shard_budget_ != 0 && capacity * sizeof(std::uint64_t) > shard_budget_ &&
          !mem_exhausted();
 }
 
 /// Makes room in the shard unless another thread already did since the
 /// caller read `seen_rooms`.
-void ShardedSigSet::make_room_from(Shard& s, std::size_t idx, std::size_t seen_rooms) {
+void TieredSigSet::make_room_from(Shard& s, std::size_t idx, std::size_t seen_rooms) {
   const std::lock_guard<std::mutex> lk(s.mu);
   if (s.rooms.load(std::memory_order_relaxed) == seen_rooms) make_room_locked(s, idx);
 }
@@ -413,7 +425,7 @@ void ShardedSigSet::make_room_from(Shard& s, std::size_t idx, std::size_t seen_r
 /// takes what they wrote; later ones wait on s.mu and retry. So making room
 /// neither loses an insert nor lets one signature be claimed twice. The
 /// flag comes down on every exit, a throwing spill's too.
-void ShardedSigSet::make_room_locked(Shard& s, std::size_t idx) {
+void TieredSigSet::make_room_locked(Shard& s, std::size_t idx) {
   s.making_room.store(true);
   for (const Slot& t : slots_) {
     while (t.inside.load() == idx + 1) std::this_thread::yield();
@@ -426,8 +438,8 @@ void ShardedSigSet::make_room_locked(Shard& s, std::size_t idx) {
     }
   } done{s};
   if (shard_budget_ != 0 && s.set.bytes() * 2 > shard_budget_) {
-    if (cold_ != nullptr) {
-      cold_->spill(idx, s.set);  // on a throw, the table is as it was
+    if (disk_ != nullptr) {
+      disk_->spill(idx, s.set);  // on a throw, the table is as it was
       s.filled.store(0, std::memory_order_relaxed);
       return;
     }
@@ -436,57 +448,23 @@ void ShardedSigSet::make_room_locked(Shard& s, std::size_t idx) {
   s.set.grow();
 }
 
-// ---------------------------------------------------------------------------
-// TieredSigSet
-// ---------------------------------------------------------------------------
-
-namespace {
-std::size_t per_shard_budget(const DedupConfig& cfg) noexcept {
-  if (cfg.mem_budget_bytes == 0) return 0;
-  // Floored at 4 KiB. A fresh shard table is already 8 KiB, so a floored
-  // shard is over its budget from its first insert: with a disk tier it
-  // spills on every first insert, without one the first insert latches the
-  // cap (test_dedup relies on both).
-  return std::max<std::size_t>(cfg.mem_budget_bytes / ShardedSigSet::kShards, 4096);
-}
-}  // namespace
-
-TieredSigSet::TieredSigSet(const DedupConfig& cfg)
-    : disk_(cfg.disk_tier ? std::make_unique<DiskTier>(cfg.spill_dir) : nullptr),
-      mem_(per_shard_budget(cfg), disk_.get()),
-      id_(g_store_nonce.fetch_add(1, std::memory_order_relaxed)) {}
-
-bool TieredSigSet::insert(std::uint64_t sig) {
-  RecentCache& rc = t_recent;
-  if (rc.owner != id_) {
-    rc.owner = id_;
-    rc.slots.assign(kRecentSlots, 0);
-  }
-  const std::size_t slot =
-      static_cast<std::size_t>(splitmix64_finalize(sig)) & (kRecentSlots - 1);
-  if (sig != 0 && rc.slots[slot] == sig) {
-    mem_.count_cached_hit();
-    return false;
-  }
-  const bool fresh = mem_.insert(sig);
-  rc.slots[slot] = sig;
-  return fresh;
-}
-
 TierStats TieredSigSet::tier_stats() const {
+  const auto count = [this](std::atomic<std::size_t> Slot::*counter) {
+    return static_cast<std::int64_t>(sum(counter));
+  };
   TierStats t;
-  t.recent_hits = static_cast<std::int64_t>(mem_.cached_hits());
-  t.cold_probes = static_cast<std::int64_t>(mem_.cold_probes());
-  t.bloom_skips = static_cast<std::int64_t>(mem_.bloom_skips());
-  t.cold_hits = static_cast<std::int64_t>(mem_.cold_hits());
+  t.recent_hits = count(&Slot::recent_hits);
+  t.cold_probes = count(&Slot::cold_probes);
+  t.bloom_skips = count(&Slot::bloom_skips);
+  t.cold_hits = count(&Slot::cold_hits);
   if (disk_) {
     t.spills = disk_->spills();
     t.spilled_sigs = disk_->spilled_sigs();
     t.spill_bytes = disk_->spill_bytes();
     t.merges = disk_->merges();
   }
-  // A duplicate the shards report was found in a table (tier 1) or a run.
-  t.mem_hits = std::max<std::int64_t>(0, static_cast<std::int64_t>(mem_.duplicates()) - t.cold_hits);
+  // A duplicate the shards answered was found in a table (tier 1) or a run.
+  t.mem_hits = std::max<std::int64_t>(0, count(&Slot::shard_hits) - t.cold_hits);
   return t;
 }
 

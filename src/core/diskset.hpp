@@ -7,23 +7,23 @@
 // experiments could only report "N+" lower bounds. This store keeps the hot
 // dedup traffic in memory and pushes the long tail to disk:
 //
-//   tier 0  per-thread recent-signature cache — a direct-mapped, completely
-//           unsynchronized array of signatures this thread recently proved
-//           present. A hit answers "duplicate" with no lock. Only
-//           definitely-inserted signatures enter the cache, so a hit can
-//           never lose a state.
-//   tier 1  ShardedSigSet — the authoritative in-memory set (64 FlatSigSet
-//           shards), with an optional per-shard byte budget. Every shard
-//           inserts without a lock (a CAS on the table slot), budgeted or
-//           not.
-//   tier 2  DiskTier — per shard, a bloom prefilter in front of mmap'd
+//   tier 0  per-thread recent-signature cache: a direct-mapped array of
+//           signatures the thread recently proved present, held in the
+//           thread's slot of the store and written by no other thread. A
+//           hit answers "duplicate" without probing a shard's (large)
+//           table. Only definitely-inserted signatures enter the cache, so
+//           a hit can never lose a state.
+//   tier 1  64 FlatSigSet shards: the authoritative in-memory set, with an
+//           optional per-shard byte budget. Every shard inserts without a
+//           lock (a CAS on the table slot), budgeted or not.
+//   tier 2  DiskTier: per shard, a bloom prefilter in front of mmap'd
 //           sorted runs. A shard whose doubled table would not fit its
 //           budget spills instead of growing: the table is sorted, appended
 //           as a run to the shard's one spill file and mapped, and only
 //           then emptied (it keeps its capacity); runs are merged (and the
 //           bloom rebuilt) whenever a shard accumulates kMergeRuns of them.
 //           Because a signature is only inserted into tier 1 after missing
-//           tier 2, the runs of one shard are DISJOINT sorted arrays —
+//           tier 2, the runs of one shard are DISJOINT sorted arrays:
 //           merging never needs to dedup, and the store's total size is the
 //           plain sum of tier sizes.
 //
@@ -36,8 +36,9 @@
 // (no budget, no disk tier) is tier 0 over unbudgeted shards; with a byte
 // budget but no disk tier the store latches mem_exhausted() and the sweep
 // reports a lower bound. Semantic counters are identical across all store
-// shapes, and each inserting thread counts its own traffic in a slot of its
-// own (ShardedSigSet), so the per-tier counts are exact at any thread count.
+// shapes, and each inserting thread counts its own traffic in its slot, so
+// the per-tier counts are exact at any thread count. A thread past the
+// slot count has no slot: it inserts under the shard lock, with no tier 0.
 //
 // A shard's spill file is unlinked as soon as it is created, so a crash can
 // never leak one, and a store holds at most one spill descriptor per shard;
@@ -60,15 +61,6 @@ namespace efd {
 /// Cache-line size the concurrent structures pad to, so that counters and
 /// flags written by different threads never share a line.
 inline constexpr std::size_t kCacheLineBytes = 64;
-
-/// Adds one to a counter that one writer at a time updates (the holder of
-/// its owner's lock, or the thread that owns its slot); other threads may
-/// read it concurrently. A plain load and store, because the lock or the
-/// ownership already orders the writers.
-template <typename T>
-void bump_single_writer(std::atomic<T>& counter) noexcept {
-  counter.store(counter.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
-}
 
 /// Configuration of one dedup store. Default-constructed = unbudgeted
 /// in-memory store with no disk tier. Only the caller sets it: no
@@ -96,7 +88,7 @@ struct TierStats {
 
 /// Tier 2: per-shard bloom prefilter + mmap'd disjoint sorted runs, kept
 /// in one spill file per shard. A shard's probes only read its cold state;
-/// its spills change it, and ShardedSigSet runs a spill under that shard's
+/// its spills change it, and TieredSigSet runs a spill under that shard's
 /// mutex once no insert into the shard is in flight, so per-shard cold
 /// state needs no further synchronization.
 class DiskTier {
@@ -176,56 +168,58 @@ class DiskTier {
 /// The calling thread's slot index. A thread takes the lowest free index on
 /// its first call and frees it when it exits, so the threads alive at one
 /// moment hold distinct indices, all below the most calling threads ever
-/// alive at once. A ShardedSigSet gives the thread with index i its slot i;
-/// a thread whose index is past ShardedSigSet::kThreadSlots has no slot and
-/// inserts under the shard lock instead.
+/// alive at once. A TieredSigSet gives the thread with index i its slot i;
+/// a thread whose index is past TieredSigSet::kThreadSlots has no slot, so
+/// it has no tier 0 and inserts under the shard lock.
 std::size_t thread_slot();
 
-/// Tier 1: 64 cache-line-padded FlatSigSet shards keyed by a mixed shard
-/// index. insert() is first-insert-wins, which is what makes the parallel
+/// The dedup store: tier 0 in each inserting thread's slot, in front of 64
+/// cache-line-padded FlatSigSet shards keyed by a mixed shard index, which
+/// overflow into a DiskTier when configured. insert() is first-insert-wins
+/// and thread-safe; which inserts report fresh is IDENTICAL to a flat
+/// in-memory set on every workload (the tiers only change where duplicates
+/// are detected and where memory lives), which is what makes the parallel
 /// explorers' clean-sweep state counts thread-count-invariant (see
 /// DESIGN.md, "Exploration engine" and 4f).
 ///
-/// Every shard inserts without a lock. A thread announces which shard it
-/// is inside (a word in its own slot), probes the table, on a miss probes
-/// the shard's disk tier (if any), and claims the signature's slot with one
-/// CAS (FlatSigSet::claim), so a first insert writes only that slot's cache
-/// line and the thread's own. Making room takes the shard lock, raises the
-/// shard's flag and waits until every announced insert into the shard has
-/// left; then it doubles the table, or, when the doubled table would not
-/// fit the shard's byte budget, spills it into the disk tier (or, with no
-/// disk tier, latches mem_exhausted() and doubles it). An inserter that
-/// sees the flag waits on the lock and retries. A thread adds its first
-/// inserts into a shard to the shard's load count in batches of
-/// capacity/1024, so the shared count is rarely written, and a shard makes
-/// room at a 0.7 load factor, at a full probe path, or when an insert
-/// leaves its table above the budget; a shard with one inserting thread
-/// makes room at the insert FlatSigSet::insert would grow at. Threads
-/// without a slot do the same under the shard lock, which excludes making
-/// room.
-class ShardedSigSet {
+/// A thread with a slot first looks the signature up in its tier-0 array,
+/// allocated on the slot's first insert and kept, with the slot, for the
+/// store's lifetime. On a miss the shard inserts without a lock. The thread
+/// announces which shard it is inside (a word in its own slot), probes the
+/// table, on a miss probes the shard's disk tier (if any), and claims the
+/// signature's slot with one CAS (FlatSigSet::claim), so a first insert
+/// writes only that slot's cache line and the thread's own. Making room
+/// takes the shard lock, raises the shard's flag and waits until every
+/// announced insert into the shard has left; then it doubles the table, or,
+/// when the doubled table would not fit the shard's byte budget, spills it
+/// into the disk tier (or, with no disk tier, latches mem_exhausted() and
+/// doubles it). An inserter that sees the flag waits on the lock and
+/// retries. A thread adds its first inserts into a shard to the shard's
+/// load count in batches of capacity/1024, so the shared count is rarely
+/// written, and a shard makes room at a 0.7 load factor, at a full probe
+/// path, or when an insert leaves its table above the budget; a shard with
+/// one inserting thread makes room at the insert FlatSigSet::insert would
+/// grow at. Threads without a slot do the same under the shard lock, which
+/// excludes making room.
+class TieredSigSet {
  public:
   static constexpr std::size_t kShards = 64;
-  /// Per-thread slots of one set: the lock-free inserters' announcements
-  /// and counters. Threads past this many take the locked fallback.
+  /// Per-thread slots of one store: tier 0 and the lock-free inserters'
+  /// announcements and counters. Threads past this many take the locked
+  /// fallback.
   static constexpr std::size_t kThreadSlots = 64;
 
-  ShardedSigSet() = default;
-  /// Budgeted form: a shard whose doubled table would not fit
-  /// `shard_byte_budget` bytes spills into `cold` instead of growing — or,
-  /// with no disk tier, the set latches mem_exhausted() so the sweep can
-  /// stop and report a lower bound instead of growing without bound.
-  ShardedSigSet(std::size_t shard_byte_budget, DiskTier* cold)
-      : shard_budget_(shard_byte_budget), cold_(cold) {}
+  /// The default config is unbudgeted in-memory shards. With a byte budget,
+  /// a shard whose doubled table would not fit its share spills into the
+  /// disk tier instead of growing, or, with no disk tier, the store latches
+  /// mem_exhausted() so the sweep can stop and report a lower bound instead
+  /// of growing without bound.
+  explicit TieredSigSet(const DedupConfig& cfg = {});
 
-  /// True iff `sig` was not present in the shard OR its cold storage (first
-  /// insert wins). Thread-safe. Throws what a spill throws; the signature
-  /// is then stored and counted, and nothing stored before is lost.
+  /// True iff `sig` was never inserted before, in any tier (first insert
+  /// wins). Thread-safe. Throws what a spill throws; the signature is then
+  /// stored and counted, and nothing stored before is lost.
   bool insert(std::uint64_t sig);
-
-  /// Counts, in the calling thread's slot, one duplicate that a cache in
-  /// front of this set answered (the tiered store's tier 0).
-  void count_cached_hit();
 
   /// Signatures ever first-inserted (in-memory + spilled): the sum of the
   /// slots' first-insert counts. Each count only grows (a spill clears a
@@ -233,22 +227,19 @@ class ShardedSigSet {
   /// count), so successive reads from one thread never go backwards, and
   /// once the inserting threads are joined the sum is exact.
   [[nodiscard]] std::size_t size() const noexcept { return sum(&Slot::first_inserts); }
-  /// insert() calls that returned false; exact once the inserters are joined.
-  [[nodiscard]] std::size_t duplicates() const noexcept { return sum(&Slot::duplicates); }
-  /// count_cached_hit() calls; exact once the inserters are joined.
-  [[nodiscard]] std::size_t cached_hits() const noexcept { return sum(&Slot::cached_hits); }
-  /// Table misses that probed a shard's disk-tier runs, those the bloom
-  /// settled, and those a run answered (duplicates); exact once the
-  /// inserters are joined.
-  [[nodiscard]] std::size_t cold_probes() const noexcept { return sum(&Slot::cold_probes); }
-  [[nodiscard]] std::size_t bloom_skips() const noexcept { return sum(&Slot::bloom_skips); }
-  [[nodiscard]] std::size_t cold_hits() const noexcept { return sum(&Slot::cold_hits); }
 
   /// True once a shard's doubled table would not fit its byte budget with
-  /// no disk tier to spill into (memory-capped mem-only mode).
+  /// no disk tier to spill into: the sweep's dedup coverage is no longer
+  /// exhaustive.
   [[nodiscard]] bool mem_exhausted() const noexcept {
     return mem_exhausted_.load(std::memory_order_relaxed);
   }
+
+  /// Per-tier traffic, summed over the slots; exact once the inserters are
+  /// joined.
+  [[nodiscard]] TierStats tier_stats() const;
+  /// Current spill directory ("" when the disk tier is off or never spilled).
+  [[nodiscard]] std::string spill_dir() const { return disk_ ? disk_->dir() : std::string(); }
 
   /// The shard `sig` lives in.
   static std::size_t shard_of(std::uint64_t sig) noexcept {
@@ -257,6 +248,10 @@ class ShardedSigSet {
   }
 
  private:
+  /// Signatures in one slot's tier-0 array (a power of two: the index is a
+  /// mask).
+  static constexpr std::size_t kRecentSlots = std::size_t{1} << 12;
+
   /// One shard, padded to whole cache lines so that inserts into
   /// neighbouring shards never contend for a line. Lock-free inserters
   /// only read its first line (the table's address and size, the flag and
@@ -277,16 +272,22 @@ class ShardedSigSet {
 
   /// One thread's slot; only its owner writes it. The counters' owner adds
   /// with a plain load and store; shared_ (threads without a slot) adds
-  /// atomically. A slot recycled to a new thread keeps its counts.
+  /// atomically. A slot recycled to a new thread keeps its counts and its
+  /// tier-0 array: every entry is a signature this store holds, and the
+  /// slot registry's lock orders the old owner's writes before the new
+  /// owner's reads.
   struct alignas(kCacheLineBytes) Slot {
     /// Shard index + 1 while the owner is inside a lock-free insert, else 0.
     std::atomic<std::size_t> inside{0};
     std::atomic<std::size_t> first_inserts{0};
-    std::atomic<std::size_t> duplicates{0};
-    std::atomic<std::size_t> cached_hits{0};
+    std::atomic<std::size_t> recent_hits{0};  ///< duplicates tier 0 answered
+    std::atomic<std::size_t> shard_hits{0};   ///< duplicates a table or a run answered
     std::atomic<std::size_t> cold_probes{0};
     std::atomic<std::size_t> bloom_skips{0};
     std::atomic<std::size_t> cold_hits{0};
+    /// Tier 0: kRecentSlots signatures the owner recently proved present,
+    /// direct-mapped (0 = empty); null until the owner's first insert.
+    std::unique_ptr<std::uint64_t[]> recent;
     /// Per shard, the owner's lock-free first inserts not yet added to
     /// Shard::filled, and the count it read when it last added some
     /// (plain: only the owner reads them).
@@ -309,40 +310,15 @@ class ShardedSigSet {
 
   Shard shards_[kShards];
   Slot slots_[kThreadSlots];
-  Slot shared_;                   ///< counters of the threads without a slot
-  std::size_t shard_budget_ = 0;  ///< bytes per shard; 0 = unlimited
-  DiskTier* cold_ = nullptr;      ///< overflow target; null = latch exhaustion
+  Slot shared_;                     ///< counters of the threads without a slot
+  std::unique_ptr<DiskTier> disk_;  ///< overflow target; null = latch exhaustion
+  std::size_t shard_budget_ = 0;    ///< bytes per shard; 0 = unlimited
   alignas(kCacheLineBytes) std::atomic<bool> mem_exhausted_{false};
 };
 
-/// The full tiered store: tier-0 per-thread cache in front of the budgeted
-/// ShardedSigSet, which overflows into a DiskTier when configured. insert()
-/// is first-insert-wins and thread-safe; semantics (which inserts report
-/// fresh) are IDENTICAL to a flat in-memory set on every workload — the
-/// tiers only change where duplicates are detected and where memory lives.
-class TieredSigSet {
- public:
-  explicit TieredSigSet(const DedupConfig& cfg);
-
-  /// True iff `sig` was never inserted before (across all tiers).
-  bool insert(std::uint64_t sig);
-
-  /// Unique signatures ever inserted (ShardedSigSet::size: never goes
-  /// backwards, exact once the inserters are joined).
-  [[nodiscard]] std::size_t size() const noexcept { return mem_.size(); }
-
-  /// True once the in-memory budget was exceeded with no disk tier to
-  /// spill into: the sweep's dedup coverage is no longer exhaustive.
-  [[nodiscard]] bool mem_exhausted() const noexcept { return mem_.mem_exhausted(); }
-
-  [[nodiscard]] TierStats tier_stats() const;
-  /// Current spill directory ("" when the disk tier is off or never spilled).
-  [[nodiscard]] std::string spill_dir() const { return disk_ ? disk_->dir() : std::string(); }
-
- private:
-  std::unique_ptr<DiskTier> disk_;  ///< null when the disk tier is off
-  ShardedSigSet mem_;
-  std::uint64_t id_;  ///< nonce binding tier-0 TLS caches to this store
-};
+/// perfbench's layer probes (perfbench/layers.cpp) still call the store by
+/// the name of its former shard layer. perfbench changes only with the
+/// benchmark itself, so the name stays until then; nothing else uses it.
+using ShardedSigSet = TieredSigSet;
 
 }  // namespace efd

@@ -13,14 +13,15 @@
 // anyway so a structured signature family cannot cluster the table.
 //
 // It is the shard table of the one dedup store every sweep inserts into,
-// ShardedSigSet (core/diskset.hpp), which writes it with claim(), the
+// TieredSigSet (core/diskset.hpp), which writes it with claim(), the
 // many-writer form: the slots are atomic words, a claim takes an empty slot
-// with one CAS and neither counts nor grows, and the shard decides when to
-// grow() or, through its disk tier, to copy_into() a run and clear() the
-// table, with no claim in flight. insert() is the single-writer form (it
-// counts and grows the table itself). Relaxed atomic loads and stores
-// compile to plain moves on x86-64, so insert() costs what it would on a
-// plain array.
+// with one CAS and neither counts nor grows, and the store decides when to
+// grow() a shard or, through its disk tier, to copy_into() a run and
+// clear() the table, with no claim in flight. insert() is the single-writer
+// form (it counts and grows the table itself), with which the lasso search
+// (core/bivalence.cpp) dedups its configurations. Relaxed atomic loads and
+// stores compile to plain moves on x86-64, so insert() costs what it would
+// on a plain array.
 #pragma once
 
 #include <atomic>
@@ -79,7 +80,7 @@ class FlatSigSet {
   /// was probed without finding `sig` or an empty slot. Never grows and
   /// never counts (size() covers insert() only): the caller keeps the load
   /// count and calls grow() once no claim is in flight. Safe against
-  /// concurrent claim() and contains(); nothing else may run alongside.
+  /// concurrent claim(); nothing else may run alongside.
   ///
   /// `stored_elsewhere(sig)` is asked at most once, when the table has
   /// proved `sig` absent (the probe reached an empty slot, or the whole
@@ -112,17 +113,6 @@ class FlatSigSet {
       if (cur == sig) return Claim::kPresent;
     }
     return !asked && stored_elsewhere(sig) ? Claim::kPresent : Claim::kFull;
-  }
-
-  /// True iff `sig` was inserted before. Never grows the table.
-  [[nodiscard]] bool contains(std::uint64_t sig) const noexcept {
-    if (sig == kEmpty) return has_zero_.load(std::memory_order_relaxed);
-    const std::size_t m = mask();
-    std::size_t i = probe_start(sig, m);
-    for (std::uint64_t cur; (cur = load(i)) != kEmpty; i = (i + 1) & m) {
-      if (cur == sig) return true;
-    }
-    return false;
   }
 
   /// Signatures insert() stored (claim() leaves counting to its caller).

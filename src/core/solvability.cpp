@@ -40,7 +40,7 @@ struct SweepCounts {
 /// sweep sits on a cache line of its own, so none is ping-ponged per state.
 /// The store is always a TieredSigSet: its default config is exactly the
 /// tier-0 per-thread cache over unbudgeted shards, and tier 0 answers most
-/// duplicates without taking a shard lock.
+/// duplicates without probing a shard's table, which outgrows the caches.
 class SweepContext {
  public:
   /// States a worker reserves from the budget pool at a time.

@@ -62,7 +62,7 @@ struct ExploreStats {
   //    dependent, so these live in the run-shape group even though their
   //    sums relate to the deterministic dedup counters
   //    (recent+mem+cold hits == dedup_hits). --
-  std::int64_t dedup_recent_hits = 0;  ///< duplicates answered by the tier-0 TLS cache
+  std::int64_t dedup_recent_hits = 0;  ///< duplicates answered by the tier-0 per-thread cache
   std::int64_t dedup_mem_hits = 0;     ///< duplicates found in the in-memory shards
   std::int64_t dedup_cold_probes = 0;  ///< in-memory misses that consulted the disk tier
   std::int64_t dedup_bloom_skips = 0;  ///< cold probes settled by the bloom prefilter

@@ -84,6 +84,16 @@ struct ResidentPool::Impl {
     }
   }
 
+  /// Raises `stop`, wakes the crew and joins every worker.
+  void stop_crew() {
+    {
+      std::lock_guard<std::mutex> lk(wake_mu);
+      stop = true;
+    }
+    wake_cv.notify_all();
+    for (auto& t : crew) t.join();
+  }
+
   void worker(std::size_t me) {
     std::uint64_t seen = 0;
     for (;;) {
@@ -111,19 +121,21 @@ ResidentPool::ResidentPool(int threads) : threads_(threads < 1 ? 1 : threads) {
   im.executed.assign(im.n, 0);
   im.stolen.assign(im.n, 0);
   im.crew.reserve(im.n - 1);
-  for (std::size_t i = 1; i < im.n; ++i) {
-    im.crew.emplace_back([this, i] { impl_->worker(i); });
+  try {
+    for (std::size_t i = 1; i < im.n; ++i) {
+      im.crew.emplace_back([this, i] { impl_->worker(i); });
+    }
+  } catch (...) {
+    // A thread that cannot be spawned (std::system_error): the workers
+    // already running must be joined before `impl_` goes, or destroying a
+    // joinable std::thread terminates the process.
+    im.stop_crew();
+    throw;
   }
 }
 
 ResidentPool::~ResidentPool() {
-  if (!impl_) return;
-  {
-    std::lock_guard<std::mutex> lk(impl_->wake_mu);
-    impl_->stop = true;
-  }
-  impl_->wake_cv.notify_all();
-  for (auto& t : impl_->crew) t.join();
+  if (impl_) impl_->stop_crew();
 }
 
 void ResidentPool::run(std::vector<std::function<void()>>&& tasks, PoolStats* stats) {

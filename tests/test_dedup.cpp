@@ -1,22 +1,23 @@
-// Dedup-layer tests: the FlatSigSet bugfix pass, the ShardedSigSet size
-// (a sum of per-thread-slot first-insert counts), its lock-free inserts,
-// and the tiered out-of-core store (core/diskset.hpp).
+// Dedup-layer tests: the FlatSigSet bugfix pass, the TieredSigSet size
+// (a sum of per-thread-slot first-insert counts), its tier 0 and its
+// lock-free inserts, and its out-of-core tiers (core/diskset.hpp).
 //
 //  * FlatSigSet regression — inserting a DUPLICATE at the 70% load boundary
 //    must not grow the table (the old code ran the grow check before
 //    probing), and the aside-tracked zero signature must not count toward
 //    the load factor;
-//  * ShardedSigSet::size() — hammered from 8 writer threads while a poller
+//  * TieredSigSet::size() — hammered from 8 writer threads while a poller
 //    asserts monotonicity (a spill drains a shard's table, so size() must
 //    not be derived from the tables);
+//  * tier 0 — a thread's cache answers only for the store whose slot holds
+//    it: a signature one store holds reads fresh in another;
 //  * lock-free inserts — 8 racers with overlapping streams through five
-//    doublings of every shard, into a bare ShardedSigSet and a default
-//    TieredSigSet, through ~24 spills and 3 merges of every shard of a
-//    disk-tier store, and through the latch of a capped one: each distinct
-//    signature reported fresh exactly once, exact size() and exact
-//    duplicate counts; the same with 8 more racers alive at once than a
-//    set has thread slots (the locked fallback), with and without a disk
-//    tier;
+//    doublings of every shard of a default store, through ~24 spills and
+//    3 merges of every shard of a disk-tier store, and through the latch
+//    of a capped one: each distinct signature reported fresh exactly once,
+//    exact size() and exact duplicate counts; the same with 8 more racers
+//    alive at once than a store has thread slots (the locked fallback),
+//    with and without a disk tier;
 //  * TieredSigSet property tests against a std::unordered_set oracle —
 //    random streams with duplicates, forced spills at tiny byte budgets,
 //    merge-then-query equivalence, exact per-tier duplicate counts under
@@ -26,6 +27,7 @@
 //  * explorer integration — ExploreOutcome through the disk tier (a 1 MiB
 //    budget that spills) is byte-identical to the default store across
 //    {1,2,8} threads, also at the exact budget boundary over {1,2,4,8};
+//    the 1-thread sweep's split of duplicates across the tiers is pinned;
 //    per-tier duplicate counts add up at every thread count, also over 24
 //    back-to-back 4-thread sweeps that recycle thread slots; and a
 //    memory-capped store with no disk tier degrades to a lower bound at the
@@ -109,7 +111,7 @@ TEST(FlatSigSet, AsideZeroDoesNotSkewLoadFactor) {
   // toward the load factor, the table would already have doubled.
   EXPECT_EQ(set.bytes(), initial_bytes);
   EXPECT_EQ(set.size(), sigs.size() + 1);
-  EXPECT_TRUE(set.contains(0));
+  EXPECT_FALSE(set.insert(0)) << "the aside zero was forgotten";
 }
 
 TEST(FlatSigSet, CopyIntoThenClearKeepsCapacity) {
@@ -136,11 +138,11 @@ TEST(FlatSigSet, CopyIntoThenClearKeepsCapacity) {
 }
 
 // ---------------------------------------------------------------------------
-// ShardedSigSet size.
+// TieredSigSet size and tier 0.
 // ---------------------------------------------------------------------------
 
-TEST(ShardedSigSet, SizeIsMonotonicUnderConcurrentInserts) {
-  ShardedSigSet set;
+TEST(TieredSigSet, SizeIsMonotonicUnderConcurrentInserts) {
+  TieredSigSet set;
   constexpr int kThreads = 8;
   constexpr std::uint64_t kPerThread = 20000;
   std::atomic<bool> done{false};
@@ -171,12 +173,33 @@ TEST(ShardedSigSet, SizeIsMonotonicUnderConcurrentInserts) {
   EXPECT_EQ(set.size(), static_cast<std::size_t>(kThreads) * kPerThread);
 }
 
-TEST(ShardedSigSet, SizeCountsDuplicatesOnce) {
-  ShardedSigSet set;
+TEST(TieredSigSet, SizeCountsDuplicatesOnce) {
+  TieredSigSet set;
   for (int round = 0; round < 3; ++round) {
     for (std::uint64_t s = 1; s <= 5000; ++s) set.insert(s);
   }
   EXPECT_EQ(set.size(), 5000u);
+}
+
+TEST(TieredSigSet, TierZeroNeverAnswersForAnotherStore) {
+  // One thread, two default stores: each signature goes into A, then B,
+  // then both again. What A's tier 0 holds must never answer for B.
+  TieredSigSet a;
+  TieredSigSet b;
+  const auto sigs = distinct_sigs(5000, 99);
+  for (const std::uint64_t s : sigs) {
+    ASSERT_TRUE(a.insert(s));
+    ASSERT_TRUE(b.insert(s)) << "B answered from a signature only A holds";
+    EXPECT_FALSE(a.insert(s));
+    EXPECT_FALSE(b.insert(s));
+  }
+  EXPECT_EQ(a.size(), sigs.size());
+  EXPECT_EQ(b.size(), sigs.size());
+  // Each store counts its own duplicates only, wherever they were found.
+  for (const TieredSigSet* store : {&a, &b}) {
+    const TierStats t = store->tier_stats();
+    EXPECT_EQ(t.recent_hits + t.mem_hits + t.cold_hits, static_cast<std::int64_t>(sigs.size()));
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -262,31 +285,23 @@ std::vector<std::vector<std::uint64_t>> growth_streams() {
   return streams;
 }
 
-TEST(ShardedSigSet, FirstInsertWinsThroughGrowth) {
-  const auto set = std::make_unique<ShardedSigSet>();
-  const Race r = race_streams(*set, growth_streams());
-  ASSERT_GT(r.distinct, ShardedSigSet::kShards * 16384 * 105 / 100);
-  EXPECT_GT(r.duplicates * 2, r.inserts) << "the streams must overlap by about half";
-  EXPECT_EQ(set->duplicates(), static_cast<std::size_t>(r.duplicates));
-  EXPECT_EQ(set->cached_hits(), 0u);
-}
-
 TEST(TieredSigSet, FirstInsertWinsThroughGrowth) {
-  const auto store = std::make_unique<TieredSigSet>(DedupConfig{});
+  const auto store = std::make_unique<TieredSigSet>();
   const Race r = race_streams(*store, growth_streams());
-  ASSERT_GT(r.distinct, ShardedSigSet::kShards * 16384 * 105 / 100);
+  ASSERT_GT(r.distinct, TieredSigSet::kShards * 16384 * 105 / 100);
+  EXPECT_GT(r.duplicates * 2, r.inserts) << "the streams must overlap by about half";
   const TierStats t = store->tier_stats();
   EXPECT_GT(t.recent_hits, 0);
   EXPECT_EQ(t.recent_hits + t.mem_hits, r.duplicates) << "each duplicate counted once";
   EXPECT_EQ(t.cold_hits, 0);
 }
 
-/// 8 more racers alive at once than a set has slots: at least 8 of them
-/// have no slot and claim under the shard lock, racing the lock-free claims
+/// 8 more racers alive at once than a store has slots: at least 8 of them
+/// have no slot and claim under the shard lock (with no tier 0), racing the lock-free claims
 /// and the grows (and, with a disk tier, the spills) that both trigger.
 /// Returns the store's tier counts, which must add up to the duplicates.
 TierStats race_past_the_slot_count(const DedupConfig& cfg) {
-  constexpr std::size_t kRacers = ShardedSigSet::kThreadSlots + 8;
+  constexpr std::size_t kRacers = TieredSigSet::kThreadSlots + 8;
   std::vector<std::vector<std::uint64_t>> streams;
   for (std::size_t t = 0; t < kRacers; ++t) {
     streams.push_back(overlapping_stream(static_cast<int>(t), 12000, 600000));
@@ -294,7 +309,7 @@ TierStats race_past_the_slot_count(const DedupConfig& cfg) {
   const auto store = std::make_unique<TieredSigSet>(cfg);
   const Race r = race_streams(*store, streams);
   const auto slotless = std::count_if(r.slots.begin(), r.slots.end(), [](std::size_t i) {
-    return i >= ShardedSigSet::kThreadSlots;
+    return i >= TieredSigSet::kThreadSlots;
   });
   EXPECT_GE(slotless, 8) << "the racers were not all alive at once";
   EXPECT_LT(slotless, static_cast<std::ptrdiff_t>(kRacers)) << "no racer had a slot";
@@ -317,7 +332,7 @@ TEST(TieredSigSet, ThreadsPastTheSlotCountProbeTheDiskTierUnderTheLock) {
   cfg.disk_tier = true;
   cfg.mem_budget_bytes = std::size_t{1} << 20;
   const TierStats t = race_past_the_slot_count(cfg);
-  EXPECT_GE(t.spills, 3 * static_cast<std::int64_t>(ShardedSigSet::kShards));
+  EXPECT_GE(t.spills, 3 * static_cast<std::int64_t>(TieredSigSet::kShards));
   EXPECT_GT(t.cold_hits, 0);
 }
 
@@ -332,8 +347,8 @@ TEST(TieredSigSet, FirstInsertWinsThroughSpillsAndMerges) {
   const auto store = std::make_unique<TieredSigSet>(cfg);
   const Race r = race_streams(*store, growth_streams());
   const TierStats t = store->tier_stats();
-  EXPECT_GE(t.spills, 8 * static_cast<std::int64_t>(ShardedSigSet::kShards));
-  EXPECT_GE(t.merges, static_cast<std::int64_t>(ShardedSigSet::kShards));
+  EXPECT_GE(t.spills, 8 * static_cast<std::int64_t>(TieredSigSet::kShards));
+  EXPECT_GE(t.merges, static_cast<std::int64_t>(TieredSigSet::kShards));
   EXPECT_GT(t.cold_hits, 0);
   EXPECT_EQ(t.recent_hits + t.mem_hits + t.cold_hits, r.duplicates)
       << "each duplicate counted once";
@@ -475,21 +490,21 @@ TEST(TieredSigSet, FailedSpillLosesNoSignature) {
     return z;
   };
   std::vector<std::uint64_t> stored;
-  std::vector<std::size_t> in_shard(ShardedSigSet::kShards);
+  std::vector<std::size_t> in_shard(TieredSigSet::kShards);
   const auto note = [&](std::uint64_t sig) {
     stored.push_back(sig);
-    ++in_shard[ShardedSigSet::shard_of(sig)];
+    ++in_shard[TieredSigSet::shard_of(sig)];
   };
   std::size_t first_spiller = 0;
   while (store.tier_stats().spills == 0) {
     const std::uint64_t sig = next_sig();
     ASSERT_TRUE(store.insert(sig));
     note(sig);
-    first_spiller = ShardedSigSet::shard_of(sig);
+    first_spiller = TieredSigSet::shard_of(sig);
   }
   ASSERT_EQ(::rmdir(store.spill_dir().c_str()), 0) << store.spill_dir();
 
-  std::vector<bool> failed(ShardedSigSet::kShards, false);
+  std::vector<bool> failed(TieredSigSet::kShards, false);
   int throws = 0;
   while (throws < 5) {
     const std::uint64_t sig = next_sig();
@@ -497,7 +512,7 @@ TEST(TieredSigSet, FailedSpillLosesNoSignature) {
       EXPECT_TRUE(store.insert(sig));
     } catch (const std::runtime_error& e) {
       EXPECT_EQ(std::string(e.what()).rfind("diskset: ", 0), 0u) << e.what();
-      failed[ShardedSigSet::shard_of(sig)] = true;
+      failed[TieredSigSet::shard_of(sig)] = true;
       ++throws;
     }
     note(sig);  // a throwing insert stored its signature before the spill failed
@@ -520,7 +535,7 @@ TEST(TieredSigSet, FailedSpillLosesNoSignature) {
   // Other shards still insert: the first spiller, whose open file outlived
   // the directory, and the shard furthest from its next spill.
   std::size_t roomiest = first_spiller == 0 ? 1 : 0;
-  for (std::size_t k = 0; k < ShardedSigSet::kShards; ++k) {
+  for (std::size_t k = 0; k < TieredSigSet::kShards; ++k) {
     if (k != first_spiller && !failed[k] && in_shard[k] < in_shard[roomiest]) roomiest = k;
   }
   ASSERT_FALSE(failed[roomiest]);
@@ -528,7 +543,7 @@ TEST(TieredSigSet, FailedSpillLosesNoSignature) {
   for (const std::size_t k : {first_spiller, roomiest}) {
     for (int fresh = 0; fresh < 100;) {
       const std::uint64_t sig = next_sig();
-      if (ShardedSigSet::shard_of(sig) != k) continue;
+      if (TieredSigSet::shard_of(sig) != k) continue;
       EXPECT_TRUE(store.insert(sig)) << "shard " << k;
       ++fresh;
     }
@@ -629,6 +644,23 @@ TEST(TieredExplore, BudgetBoundaryOutcomeIsThreadCountInvariant) {
       EXPECT_GT(o.stats.dedup_spills, 0) << what;
     }
   }
+}
+
+TEST(TieredExplore, OneThreadTierSplitIsPinned) {
+  // At one thread, where each duplicate is found is deterministic: these
+  // counts are the (5,2) level-2 sweep's through the 1 MiB disk-tier store.
+  const ExploreOutcome o = sweep_with_store(disk_tier_store(), 1, 400000, kDiskTierN);
+  ASSERT_TRUE(o.ok) << o.violation;
+  ASSERT_FALSE(o.budget_exhausted);
+  const ExploreStats& st = o.stats;
+  EXPECT_EQ(st.dedup_recent_hits, 79472);
+  EXPECT_EQ(st.dedup_mem_hits, 1510);
+  EXPECT_EQ(st.dedup_cold_probes, 11375);
+  EXPECT_EQ(st.dedup_bloom_skips, 11362);
+  EXPECT_EQ(st.dedup_cold_hits, 9);
+  EXPECT_EQ(st.dedup_spills, 64);
+  EXPECT_EQ(st.dedup_spilled_sigs, 91776);
+  EXPECT_EQ(st.dedup_merges, 0);
 }
 
 TEST(TieredExplore, TierHitsAddUpAtEveryThreadCount) {

@@ -12,13 +12,19 @@
 //    depth) pinned on three sweeps.
 #include <gtest/gtest.h>
 
+#include <pthread.h>
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <cstdlib>
+#include <fstream>
 #include <mutex>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -571,8 +577,58 @@ TEST(ExploreEngine, ResidentPoolRethrowsFirstTaskError) {
   EXPECT_EQ(hits.load(), 8);
 }
 
-TEST(ExploreEngine, ShardedSigSetFirstInsertWins) {
-  ShardedSigSet set;
+/// Bytes of address space this process has mapped (VmSize).
+std::size_t mapped_bytes() {
+  std::ifstream status("/proc/self/status");
+  std::string key;
+  while (status >> key) {
+    if (key == "VmSize:") {
+      std::size_t kib = 0;
+      status >> kib;
+      return kib * 1024;
+    }
+    std::getline(status, key);
+  }
+  return 0;
+}
+
+/// Bytes of address space one new thread's stack takes: the default stack
+/// size, which glibc derives from RLIMIT_STACK.
+std::size_t thread_stack_bytes() {
+  pthread_attr_t attr;
+  std::size_t bytes = 0;
+  if (pthread_getattr_default_np(&attr) == 0) {
+    pthread_attr_getstacksize(&attr, &bytes);
+    pthread_attr_destroy(&attr);
+  }
+  return bytes;
+}
+
+TEST(ExploreEngine, ResidentPoolThatCannotSpawnItsCrewThrows) {
+  // A child process caps its own address space at room for one worker's
+  // stack and a half, so ResidentPool(4) spawns one worker and fails on
+  // the second. The failure must reach the caller as std::system_error,
+  // with the spawned worker joined; destroying it joinable would abort.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        const std::size_t stack = thread_stack_bytes();
+        rlimit cap{};
+        getrlimit(RLIMIT_AS, &cap);
+        cap.rlim_cur = mapped_bytes() + stack + stack / 2;
+        if (stack == 0 || setrlimit(RLIMIT_AS, &cap) != 0) std::_Exit(2);
+        try {
+          ResidentPool pool(4);
+        } catch (const std::system_error&) {
+          std::_Exit(0);
+        }
+        std::_Exit(1);
+      },
+      ::testing::ExitedWithCode(0), "");
+}
+
+TEST(ExploreEngine, TieredSigSetFirstInsertWins) {
+  TieredSigSet set;
   EXPECT_TRUE(set.insert(42));
   EXPECT_FALSE(set.insert(42));
   EXPECT_TRUE(set.insert(43));

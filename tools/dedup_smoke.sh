@@ -167,6 +167,15 @@ for mb in 17592186044417 99999999999999999999; do
   }
 done
 
+# The tier names are mem and tiered; any other, the retired alias disk
+# included, is a usage error (exit 2).
+rc=0
+$sweep $common --tiers disk >/dev/null 2>&1 || rc=$?
+[ "$rc" -eq 2 ] || {
+  echo "FAIL: --tiers disk exited $rc, want 2 (usage error)" >&2
+  exit 1
+}
+
 # No environment variable shapes the store: the plain sweep (no store flags)
 # with a malformed tier name and a 1 MiB cap exported must run the default
 # unbudgeted in-memory store and report the mem run's counters.

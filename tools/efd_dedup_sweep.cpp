@@ -133,7 +133,7 @@ int run(int argc, char** argv) {
       const std::string t = argv[++i];
       if (t == "mem") {
         cfg.dedup_store.disk_tier = false;
-      } else if (t == "tiered" || t == "disk") {
+      } else if (t == "tiered") {
         cfg.dedup_store.disk_tier = true;
       } else {
         return usage();
